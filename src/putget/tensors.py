@@ -1,4 +1,4 @@
-"""Dense complex matrices over explicitly factored wire types.
+"""Complex matrices over explicitly factored wire types.
 
 Morphisms of the linear backend are matrices between finite-dimensional
 spaces whose dimension is kept as an ordered list of tensor factors, so
@@ -6,15 +6,29 @@ spaces whose dimension is kept as an ordered list of tensor factors, so
 an explicit swap.  Basis order is lexicographic with the leftmost factor
 most significant, which is exactly the Kronecker product convention.
 
+A morphism is held either as one dense matrix or as a lazy Kronecker
+product: the list of its blocks, in which an identity block is stored as
+its wires only.  ``tensor`` and ``identity`` build lazy products, and
+``compose`` works along the wires: it cuts the shared middle wires
+wherever both operands have a block boundary and composes each piece on
+its own.  A piece with an identity on one side is the other side's
+blocks, untouched; a dense block is applied along its own axes by a
+batched matmul; two larger products are contracted in one
+``np.einsum(..., optimize=True)``.  So ``1 (x) f`` is never built as a
+matrix, and ``Morphism.array`` builds the dense matrix only when
+something reads it.
+
 ``f >> g`` composes left to right ("f then g"); ``f @ g`` is the tensor
 product.  Scalars are 1x1 morphisms on the empty factor list.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import string
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +72,8 @@ class Tolerance:
     relative: float = 1e-9
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.absolute) and math.isfinite(self.relative)):
+            raise ValueError("tolerance bounds must be finite")
         if self.absolute < 0 or self.relative < 0:
             raise ValueError("tolerance bounds must be non-negative")
         if self.absolute == 0 and self.relative == 0:
@@ -94,7 +110,7 @@ class TensorType:
         return TensorType(self.factors + other.factors)
 
     def identity(self) -> "Morphism":
-        return Morphism(self, self, np.eye(self.dim))
+        return _product(self, self, (_Block(self.factors, self.factors, None),))
 
     def swap(self, other: "TensorType") -> "Morphism":
         return swap(self, other)
@@ -115,30 +131,42 @@ def _fmt_entry(z: complex) -> str:
     return f"{z:g}"
 
 
-@dataclass(frozen=True, eq=False)
+class _Block(NamedTuple):
+    """One factor of a lazy product: a dense ``cod x dom`` matrix, or the
+    identity on ``dom`` (equal to ``cod``) when ``array`` is None."""
+
+    dom: tuple[int, ...]
+    cod: tuple[int, ...]
+    array: np.ndarray | None
+
+
 class Morphism:
     """A complex matrix read as a linear map ``dom -> cod``.
 
     The matrix has shape ``(cod.dim, dom.dim)`` and column/row indices
     enumerate the factored basis lexicographically, leftmost factor most
-    significant.
+    significant.  Morphisms are immutable and the constructor copies its
+    array.  Lazy products build ``array`` on its first read.
     """
 
-    dom: TensorType
-    cod: TensorType
-    array: np.ndarray
+    __slots__ = ("dom", "cod", "_array", "_blocks")
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.array, dtype=np.complex128)
-        if arr.shape != (self.cod.dim, self.dom.dim):
-            raise WireError(
-                f"matrix shape {arr.shape} does not match map {self.dom} -> {self.cod} "
-                f"(expected {(self.cod.dim, self.dom.dim)})"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+    def __init__(self, dom: TensorType, cod: TensorType, array) -> None:
+        self._set(dom, cod, _checked(dom, cod, np.array(array, dtype=np.complex128)), None)
+
+    def _set(self, dom, cod, array, blocks) -> None:
+        for name, value in zip(Morphism.__slots__, (dom, cod, array, blocks)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: morphisms are immutable")
+
+    @property
+    def array(self) -> np.ndarray:
+        """The dense, read-only matrix of shape ``(cod.dim, dom.dim)``."""
+        if self._array is None:
+            object.__setattr__(self, "_array", _finite(_kron(self._blocks)))
+        return self._array
 
     # diagram operators -------------------------------------------------
     def __rshift__(self, other: "Morphism") -> "Morphism":
@@ -151,19 +179,30 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        return Morphism(self.dom, self.cod, self.array + other.array)
+        return _dense(self.dom, self.cod, self.array + other.array)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-1.0) * other
 
     def __rmul__(self, z: complex) -> "Morphism":
-        return Morphism(self.dom, self.cod, complex(z) * self.array)
+        blocks = list(_blocks_of(self))
+        for i, b in enumerate(blocks):
+            if b.array is not None:  # scale one dense block; identities stay lazy
+                blocks[i] = b._replace(array=_finite(complex(z) * b.array))
+                return _product(self.dom, self.cod, blocks)
+        return _dense(self.dom, self.cod, complex(z) * self.array)
 
     def dagger(self) -> "Morphism":
-        return Morphism(self.cod, self.dom, self.array.conj().T)
+        return _product(self.cod, self.dom, [
+            _Block(b.cod, b.dom, None if b.array is None else _finite(b.array.conj().T))
+            for b in _blocks_of(self)
+        ])
 
     def conj(self) -> "Morphism":
-        return Morphism(self.dom, self.cod, self.array.conj())
+        return _product(self.dom, self.cod, [
+            b if b.array is None else b._replace(array=_finite(b.array.conj()))
+            for b in _blocks_of(self)
+        ])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.array))
@@ -183,15 +222,204 @@ class Morphism:
         return f"Morphism({self.dom} -> {self.cod})"
 
 
+# -- internal construction -------------------------------------------------
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only, after checking that every entry is finite."""
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def _checked(dom: TensorType, cod: TensorType, arr: np.ndarray) -> np.ndarray:
+    if arr.shape != (cod.dim, dom.dim):
+        raise WireError(
+            f"matrix shape {arr.shape} does not match map {dom} -> {cod} "
+            f"(expected {(cod.dim, dom.dim)})"
+        )
+    return _finite(arr)
+
+
+def _new(dom: TensorType, cod: TensorType, array, blocks) -> Morphism:
+    m = object.__new__(Morphism)
+    m._set(dom, cod, array, blocks)
+    return m
+
+
+def _dense(dom: TensorType, cod: TensorType, arr: np.ndarray) -> Morphism:
+    """A computed matrix as a morphism: checked like a constructor argument, not copied."""
+    return _new(dom, cod, _checked(dom, cod, arr), None)
+
+
+def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
+    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``.
+
+    Adjacent identity blocks are merged and empty ones dropped; a product
+    of a single dense block is that block's matrix.
+    """
+    merged: list[_Block] = []
+    for b in blocks:
+        if b.array is None:
+            if not b.dom:
+                continue
+            if merged and merged[-1].array is None:
+                wires = merged.pop().dom + b.dom
+                b = _Block(wires, wires, None)
+        merged.append(b)
+    if len(merged) == 1 and merged[0].array is not None:
+        return _new(dom, cod, merged[0].array, None)
+    return _new(dom, cod, None, tuple(merged))
+
+
+def _blocks_of(m: Morphism) -> tuple[_Block, ...]:
+    if m._blocks is not None:
+        return m._blocks
+    return (_Block(m.dom.factors, m.cod.factors, m._array),)
+
+
+def _kron(blocks) -> np.ndarray:
+    """The dense matrix of a Kronecker product of blocks."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for b in blocks:
+        m = np.eye(math.prod(b.dom)) if b.array is None else b.array
+        # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
+    return out
+
+
+def _transpose(blocks) -> list[_Block]:
+    return [_Block(b.cod, b.dom, None if b.array is None else b.array.T) for b in blocks]
+
+
+def _apply(blocks, x: np.ndarray) -> np.ndarray:
+    """``kron(blocks) @ x``, applying one dense block at a time along its own axes.
+
+    Before block i, ``x`` is viewed as (outputs of the blocks before i,
+    inputs of block i, inputs of the blocks after i times columns), so
+    the block acts as one batched matmul; identity blocks are skipped.
+    """
+    columns = x.shape[1]
+    done, rest = 1, x.size
+    for b in blocks:
+        width = math.prod(b.dom)
+        rest //= width
+        if b.array is not None:
+            x = np.matmul(b.array, x.reshape(done, width, rest))
+        done *= math.prod(b.cod)
+    return x.reshape(done, columns)
+
+
+def _einsum(g_blocks, f_blocks) -> np.ndarray:
+    """``kron(g_blocks) @ kron(f_blocks)``, contracted wire by wire in one einsum.
+
+    Every wire gets its own label.  An identity block gives its input and
+    output wires the same label, so it takes no part in the contraction.
+    """
+    label = itertools.count()
+    args: list = []
+    middle: list[int] = []
+    dom: list[int] = []
+    for b in f_blocks:
+        out = [next(label) for _ in b.cod]
+        middle += out
+        if b.array is None:
+            dom += out
+        else:
+            inputs = [next(label) for _ in b.dom]
+            dom += inputs
+            args += [b.array.reshape(b.cod + b.dom), out + inputs]
+    shared = iter(middle)
+    cod: list[int] = []
+    for b in g_blocks:
+        inputs = [next(shared) for _ in b.dom]
+        if b.array is None:
+            cod += inputs
+        else:
+            out = [next(label) for _ in b.cod]
+            cod += out
+            args += [b.array.reshape(b.cod + b.dom), out + inputs]
+    result = np.einsum(*args, cod + dom, optimize=True)
+    rows = math.prod(d for b in g_blocks for d in b.cod)
+    return result.reshape(rows, result.size // rows)
+
+
+def _contract(g_blocks, f_blocks) -> np.ndarray:
+    """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all identity.
+
+    A side that is one dense block is the matrix the other side's blocks
+    are applied to; two products of several blocks go to einsum, so that
+    neither is built.
+    """
+    if len(f_blocks) == 1:
+        return _apply(g_blocks, f_blocks[0].array)
+    if len(g_blocks) == 1:
+        return _apply(_transpose(f_blocks), g_blocks[0].array.T).T
+    return _einsum(g_blocks, f_blocks)
+
+
+def _split_identities(blocks) -> list[_Block]:
+    out = []
+    for b in blocks:
+        if b.array is None:
+            out.extend(_Block((d,), (d,), None) for d in b.dom)
+        else:
+            out.append(b)
+    return out
+
+
+def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
+    """Blocks of ``kron(g_blocks) @ kron(f_blocks)``, composed piece by piece.
+
+    After identity blocks are split into single wires, the middle wires
+    are cut wherever both products have a block boundary.  By the
+    interchange law the composite is the Kronecker product of the pieces'
+    composites, and a piece that is the identity on one side is just the
+    other side's blocks.  Blocks with no middle wires (effects of f,
+    states of g) that sit on a cut form a piece of their own, which is
+    placed before the piece that starts at that cut.
+    """
+    f_blocks, g_blocks = _split_identities(f_blocks), _split_identities(g_blocks)
+    f_starts = list(itertools.accumulate((len(b.cod) for b in f_blocks), initial=0))
+    g_starts = list(itertools.accumulate((len(b.dom) for b in g_blocks), initial=0))
+    cuts = sorted(set(f_starts) & set(g_starts))
+    pieces: dict[tuple[int, bool], tuple[list[_Block], list[_Block]]] = {}
+    for side, blocks, starts in ((0, f_blocks, f_starts), (1, g_blocks, g_starts)):
+        for b, start, end in zip(blocks, starts, starts[1:]):
+            if start == end and start in cuts:
+                key = (start, False)
+            else:
+                key = (cuts[bisect.bisect_right(cuts, start) - 1], True)
+            pieces.setdefault(key, ([], []))[side].append(b)
+    out: list[_Block] = []
+    for (_, has_wires), (fs, gs) in sorted(pieces.items()):
+        if not has_wires:
+            out += fs + gs
+        elif all(b.array is None for b in fs):
+            out += gs
+        elif all(b.array is None for b in gs):
+            out += fs
+        else:
+            dom = tuple(d for b in fs for d in b.dom)
+            cod = tuple(d for b in gs for d in b.cod)
+            out.append(_Block(dom, cod, _finite(_contract(gs, fs))))
+    return out
+
+
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite ``g after f``."""
     if f.cod != g.dom:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
-    return Morphism(f.dom, g.cod, g.array @ f.array)
+    if f._blocks is None and g._blocks is None:
+        return _dense(f.dom, g.cod, g._array @ f._array)
+    return _product(f.dom, g.cod, _compose_blocks(_blocks_of(g), _blocks_of(f)))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
-    return Morphism(f.dom @ g.dom, f.cod @ g.cod, np.kron(f.array, g.array))
+    """The tensor product, held lazily as the blocks of both factors."""
+    return _product(f.dom @ g.dom, f.cod @ g.cod, _blocks_of(f) + _blocks_of(g))
 
 
 def identity(t: TensorType) -> Morphism:

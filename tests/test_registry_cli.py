@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import putget
 from putget.cli import main
 from putget.registry import (
     Caps,
@@ -156,6 +158,15 @@ def test_tolerance_validation(capsys, monkeypatch):
     assert "PUTGET_TOL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, monkeypatch, bad):
+    assert main(["check", "qubit_z_pvs", "--tol", bad]) == 2
+    assert "error:" in capsys.readouterr().err
+    monkeypatch.setenv("PUTGET_TOL", bad)
+    assert main(["check", "qubit_z_pvs"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tolerance_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("PUTGET_TOL", "1e-3")
     assert main(["check", "qubit_z_pvs"]) == 0
@@ -202,9 +213,12 @@ def test_help_exits_cleanly():
 
 
 def test_console_script_roundtrip():
+    # the child imports the same putget sources as this test, installed or not
+    src = os.path.dirname(os.path.dirname(putget.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "putget.cli", "check", "identity_lens_4"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "identity_lens_4" in proc.stdout

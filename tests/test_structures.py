@@ -11,6 +11,7 @@ from putget.lenses import (
     lens_to_update,
     security_db,
 )
+from putget import structures
 from putget.registry import build_example
 from putget.structures import (
     DERIVED_PROPS,
@@ -25,7 +26,7 @@ from putget.structures import (
     putget_idempotent,
     verify_derived,
 )
-from putget.tensors import TensorType
+from putget.tensors import TensorType, scalar
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -217,6 +218,23 @@ def test_all_derived_props_resolve_on_a_strong_example():
         assert result.status in ("holds", "vacuous")
         if result.status == "holds":
             assert result.residual < 1e-9
+
+
+def test_derived_fails_when_any_pair_fails(monkeypatch):
+    # The pair with the larger residual holds at its own (norm-scaled)
+    # threshold; the smaller-norm pair fails at its own.
+    def two_pairs(U):
+        return [
+            (scalar(1e6), scalar(1e6 + 1e-5)),  # residual 1e-5, threshold ~1e-3: holds
+            (scalar(1.0), scalar(1.0 + 1e-6)),  # residual 1e-6, threshold ~2e-9: fails
+        ]
+
+    U = build_example("qubit_z_pvs")
+    premises, _ = structures._DERIVED["putget_idem"]
+    monkeypatch.setitem(structures._DERIVED, "putget_idem", (premises, two_pairs))
+    result = verify_derived(U, "putget_idem")
+    assert result.status == "fails"
+    assert result.residual == pytest.approx(1e-5, rel=1e-3)
 
 
 # -- errors and plumbing --------------------------------------------------
