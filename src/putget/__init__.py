@@ -116,7 +116,6 @@ from .structures import (
     check_law,
     check_laws,
     classify,
-    putget_idempotent,
     verify_derived,
 )
 from .tensors import (

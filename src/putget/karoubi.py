@@ -49,12 +49,13 @@ class SplitObject:
         e = self.idempotent
         if e.dom != self.base or e.cod != self.base:
             raise SplitError(f"idempotent must be an endomap of {self.base}")
-        if (e >> e).distance(e) > _idem_threshold(e):
+        if (e >> e).distance(e) > _threshold(e, DEFAULT_TOL):
             raise SplitError("splitting map is not idempotent")
 
 
-def _idem_threshold(e) -> float:
-    return DEFAULT_TOL.threshold(e.norm()) if isinstance(e, Morphism) else 0
+def _threshold(arrow, tol: Tolerance) -> float:
+    """Allowed distance from ``arrow``: exact on sets, ``tol`` on matrices."""
+    return tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,7 @@ def split_wrap(arrow, dom: SplitObject, cod: SplitObject, tol: Tolerance = DEFAU
     """Check absorption and wrap a raw arrow as a split morphism."""
     if arrow.dom != dom.base or arrow.cod != cod.base:
         raise SplitError(f"arrow is {arrow.dom} -> {arrow.cod}, expected {dom.base} -> {cod.base}")
-    thr = tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0
+    thr = _threshold(arrow, tol)
     left = (arrow >> cod.idempotent).distance(arrow)
     right = (dom.idempotent >> arrow).distance(arrow)
     if left > thr or right > thr:
@@ -85,8 +86,12 @@ def split_identity(obj: SplitObject) -> SplitMorphism:
 
 
 def split_compose(f: SplitMorphism, g: SplitMorphism) -> SplitMorphism:
-    """Compose f then g."""
-    if f.cod is not g.dom and f.cod.base != g.dom.base:
+    """Compose f then g; the middle objects must share base and idempotent."""
+    mid, other = f.cod, g.dom
+    if mid is not other and (
+        mid.base != other.base
+        or mid.idempotent.distance(other.idempotent) > _threshold(mid.idempotent, DEFAULT_TOL)
+    ):
         raise SplitError("split morphisms do not compose")
     return SplitMorphism(f.dom, g.cod, f.arrow >> g.arrow)
 

@@ -87,6 +87,13 @@ class Caps:
     max_wire_dim: int = 6
     max_set_size: int = 64
 
+    def __post_init__(self) -> None:
+        if self.max_wire_dim < 1 or self.max_set_size < 1:
+            raise RegistryError(
+                f"caps must be at least 1, got max_wire_dim={self.max_wire_dim}, "
+                f"max_set_size={self.max_set_size}"
+            )
+
 
 @dataclass(frozen=True)
 class ExtraCheck:

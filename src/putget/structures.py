@@ -24,10 +24,16 @@ Law reference (``;`` is left-to-right composition):
 
 On a split system (see :mod:`putget.karoubi`) ``1_S`` means the
 splitting idempotent, which is the identity of the restricted object.
+
+Each structure memoises its verdicts: :func:`check_law` evaluates a law
+in full the first time it is asked for at a given tolerance and returns
+the stored result afterwards, so ``check_laws``, ``classify``, the
+derived premises and every other consumer share one evaluation; PutGetB
+is read from the PutGet entry.  ``with_components`` copies start empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +54,6 @@ __all__ = [
     "applicable_laws",
     "classify",
     "verify_derived",
-    "putget_idempotent",
 ]
 
 
@@ -77,6 +82,9 @@ LAW_NAMES = (
     "CommutativeGet",
 )
 
+# Laws that are another law under a second name: checked once, as the target.
+_ALIASES = {"PutGetB": "PutGet"}
+
 CORE_LAWS = ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate")
 WEAK_LAWS = ("PutPut", "GetGet", "PutGet", "RepeatUpdate")
 
@@ -102,6 +110,8 @@ class UpdateStructure:
     trivial_update: Arrow | None = None
     trivial_outcome: Arrow | None = None
     system_identity: Arrow | None = None
+    # (law, tolerance) -> verdict, filled by check_law
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -209,7 +219,7 @@ def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
         return (put @ idp) >> put, (ids @ mult) >> put
     if law == "GetGet":
         return get >> (get @ idp), get >> (ids @ comult)
-    if law in ("PutGet", "PutGetB"):
+    if law == "PutGet":
         return put >> get, (ids @ comult) >> (put @ idp)
     if law == "GetPut":
         return get >> put, ids
@@ -244,17 +254,24 @@ def _check_faithful(U: UpdateStructure, tol: Tolerance) -> LawCheckResult:
     ds, dp = U.system.dim, U.prop.dim
     # curried put as a (dS*dS) x dp matrix: column v holds put(- (x) v)
     k = U.put.array.reshape(ds, ds, dp).reshape(ds * ds, dp)
-    rank = int(np.linalg.matrix_rank(k))
+    singular = np.linalg.svd(k, compute_uv=False)
+    rank = int(np.count_nonzero(singular > tol.threshold(np.linalg.norm(k))))
     residual = float(dp - rank)
     return LawCheckResult("Faithful", residual == 0, residual, 0.0)
 
 
 def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> LawCheckResult:
-    """Check one named law of ``U`` at the given tolerance."""
-    if law == "Faithful":
-        return _check_faithful(U, tol)
-    lhs, rhs = _law_sides(U, law)
-    return _compare(law, lhs, rhs, tol)
+    """Check one named law of ``U`` at the given tolerance (memoised on ``U``)."""
+    target = _ALIASES.get(law, law)
+    key = (target, tol)
+    result = U._verdicts.get(key)
+    if result is None:
+        if target == "Faithful":
+            result = _check_faithful(U, tol)
+        else:
+            result = _compare(target, *_law_sides(U, target), tol)
+        U._verdicts[key] = result
+    return result if target == law else replace(result, law=law)
 
 
 def applicable_laws(U: UpdateStructure) -> tuple[str, ...]:
@@ -283,12 +300,6 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
     return Classification("neither", failing)
 
 
-def putget_idempotent(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> LawCheckResult:
-    """Whether e = get;put is idempotent (it is for every weak structure)."""
-    e = U.get >> U.put
-    return _compare("PutGetIdempotent", e >> e, e, tol)
-
-
 # -- derived implications ------------------------------------------------
 #
 # Each entry maps a proposition name to its premise laws and a builder
@@ -314,7 +325,7 @@ def _pairs_putget_idem(U):
 
 
 def _pairs_weak_trivial(U):
-    return [_law_sides(U, "GetPut")]
+    return [(U.get >> U.put, U.id_system())]
 
 
 def _pairs_coassoc_under_put(U):

@@ -58,6 +58,13 @@ def test_split_identity_and_composition():
     other = SplitObject(TensorType((3,)), TensorType((3,)).identity())
     with pytest.raises(SplitError, match="compose"):
         split_compose(ident, split_identity(other))
+    # same base wire [2, 2], different idempotent
+    unsplit = SplitObject(TensorType((2, 2)), TensorType((2, 2)).identity())
+    with pytest.raises(SplitError, match="compose"):
+        split_compose(ident, split_identity(unsplit))
+    # an equal idempotent held by a different object composes
+    twin = split_identity(classical_object(2))
+    assert split_compose(ident, twin).arrow.distance(obj.idempotent) < 1e-12
 
 
 # -- restricting weak structures -------------------------------------------

@@ -148,6 +148,12 @@ def test_caps_flag(capsys):
     assert main(["check", "pair_of_pants_4", "--max-dim", "3"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
     assert main(["check", "pair_of_pants_4", "--max-dim", "4"]) == 0
+    capsys.readouterr()
+    for bad in ("0", "-1"):
+        assert main(["check", "lens_constant_complement_3_2", "--max-dim", bad]) == 2
+        assert "caps must be at least 1" in capsys.readouterr().err
+        with pytest.raises(RegistryError):
+            Caps(max_set_size=int(bad))
 
 
 def test_tolerance_validation(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from putget.lenses import (
     security_db,
 )
 from putget import structures
-from putget.registry import build_example
+from putget.registry import build_example, run_example
 from putget.structures import (
     DERIVED_PROPS,
     LAW_NAMES,
@@ -23,10 +23,9 @@ from putget.structures import (
     check_law,
     check_laws,
     classify,
-    putget_idempotent,
     verify_derived,
 )
-from putget.tensors import TensorType, scalar
+from putget.tensors import DEFAULT_TOL, TensorType, Tolerance, scalar
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -152,6 +151,26 @@ def test_faithful_rank_deficiency_on_linear_backend():
     assert check_law(U, "Faithful").holds
 
 
+def test_faithful_rank_cutoff_follows_the_tolerance():
+    # put(- (x) v0) = id and put(- (x) v1) = id + eps Z: the curried put
+    # has singular values ~2 and ~eps
+    s, p = TensorType((2,)), TensorType((2,))
+    eps = 1e-6
+    actions = [np.eye(2), np.eye(2) + eps * np.diag([1.0, -1.0])]
+    arr = np.stack(actions, axis=-1).reshape(2, 4)  # column s*dp + v
+    put = Morphism(s @ p, s, arr)
+    probe = UpdateStructure(
+        backend="linear", system=s, prop=p, put=put,
+        get=put.dagger(), mult=Morphism(p @ p, p, np.eye(2, 4)),
+        comult=Morphism(p, p @ p, np.eye(4, 2)),
+    )
+    singular = np.linalg.svd(arr.reshape(4, 2), compute_uv=False)
+    assert singular.min() == pytest.approx(eps, rel=1e-3)
+    assert check_law(probe, "Faithful").holds
+    loose = check_law(probe, "Faithful", Tolerance(1e-3, 1e-3))
+    assert not loose.holds and loose.residual == 1.0
+
+
 # -- commutativity and trivials ------------------------------------------
 
 
@@ -193,7 +212,6 @@ def test_putget_idem_holds_on_weak_structure():
     U = security_db(FinSet(("alice", "bob", "carol")))
     result = verify_derived(U, "putget_idem")
     assert result.status == "holds" and result.residual == 0
-    assert putget_idempotent(U).holds
 
 
 def test_weak_trivial_nonvacuous_on_spectrum_structure():
@@ -277,3 +295,52 @@ def test_check_laws_reports_in_canonical_order():
     strong_four = {r.law: r for r in results}
     for law in ("PutPut", "GetGet", "PutGet", "GetPut"):
         assert strong_four[law].holds
+
+
+# -- the per-structure law profile -----------------------------------------
+
+
+def test_each_law_is_evaluated_once_per_structure(monkeypatch):
+    seen = []
+    original = structures._law_sides
+
+    def counting(U, law):
+        seen.append((U, law))  # holding U keeps its id unique
+        return original(U, law)
+
+    monkeypatch.setattr(structures, "_law_sides", counting)
+    report = run_example("pair_of_pants_3")
+    assert report.matched
+    keys = [(id(U), law) for U, law in seen]
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_putgetb_is_the_stored_putget_verdict():
+    for U in (build_example("pair_of_pants_2"), ignore_put_structure()):
+        b, plain = check_law(U, "PutGetB"), check_law(U, "PutGet")
+        assert b.law == "PutGetB" and plain.law == "PutGet"
+        assert (b.holds, b.residual, b.threshold) == (plain.holds, plain.residual, plain.threshold)
+    assert not check_law(ignore_put_structure(), "PutGetB").holds
+
+
+def test_verdicts_are_memoised_per_tolerance(monkeypatch):
+    U = build_example("pair_of_pants_2")
+    calls = []
+    original = structures._law_sides
+    monkeypatch.setattr(structures, "_law_sides", lambda U, law: calls.append(law) or original(U, law))
+    first = check_law(U, "PutPut")
+    assert check_law(U, "PutPut", Tolerance()) is first  # equal tolerances share the entry
+    loose = check_law(U, "PutPut", Tolerance(1e-3, 1e-3))
+    assert calls == ["PutPut", "PutPut"]
+    assert loose.threshold > first.threshold
+    assert check_law(U, "PutPut", DEFAULT_TOL) is first
+
+
+def test_with_components_starts_with_an_empty_profile():
+    U = lens_to_update(identity_lens(V2))
+    assert check_law(U, "PutGet").holds
+    s = U.system
+    keep = FinFunction.from_callable(s @ U.prop, s, lambda x: x[0])  # put ignores the view
+    changed = U.with_components(put=keep)
+    assert not check_law(changed, "PutGet").holds
+    assert check_law(U, "PutGet").holds
