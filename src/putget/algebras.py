@@ -18,6 +18,7 @@ from .tensors import (
     TensorType,
     Tolerance,
     cap,
+    compare,
     cup,
 )
 
@@ -110,13 +111,6 @@ ALGEBRA_LAWS = (
 )
 
 
-def _compare(lhs: Arrow, rhs: Arrow, tol: Tolerance) -> tuple[bool, float]:
-    residual = lhs.distance(rhs)
-    if isinstance(lhs, FinFunction):
-        return residual == 0, residual
-    return residual <= tol.threshold(max(lhs.norm(), rhs.norm())), residual
-
-
 def find_unit(magma: Magma) -> tuple[str, ...] | None:
     """Exhaustively search a finite-set magma for a two-sided unit element."""
     if not isinstance(magma.mult, FinFunction):
@@ -153,65 +147,50 @@ def check_algebra(alg, law: str, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, fl
 
     if law == "assoc":
         mult = _getattr_or_raise(alg, "mult")
-        lhs = (mult @ ident) >> mult
-        rhs = (ident @ mult) >> mult
-        return _compare(lhs, rhs, tol)
-    if law == "coassoc":
+        pairs = [((mult @ ident) >> mult, (ident @ mult) >> mult)]
+    elif law == "coassoc":
         comult = _getattr_or_raise(alg, "comult")
-        lhs = comult >> (comult @ ident)
-        rhs = comult >> (ident @ comult)
-        return _compare(lhs, rhs, tol)
-    if law == "unit":
+        pairs = [(comult >> (comult @ ident), comult >> (ident @ comult))]
+    elif law == "unit":
         mult = _getattr_or_raise(alg, "mult")
         unit = getattr(alg, "unit", None)
         if unit is None:
             if isinstance(mult, FinFunction):
                 return _searched_unit_check(alg)
             raise AlgebraError("algebra has no unit; cannot check the unit law")
-        left = (unit @ ident) >> mult
-        right = (ident @ unit) >> mult
-        ok_l, r_l = _compare(left, ident, tol)
-        ok_r, r_r = _compare(right, ident, tol)
-        return ok_l and ok_r, max(r_l, r_r)
-    if law == "counit":
+        pairs = [((unit @ ident) >> mult, ident), ((ident @ unit) >> mult, ident)]
+    elif law == "counit":
         comult = _getattr_or_raise(alg, "comult")
         counit = _getattr_or_raise(alg, "counit")
-        left = comult >> (counit @ ident)
-        right = comult >> (ident @ counit)
-        ok_l, r_l = _compare(left, ident, tol)
-        ok_r, r_r = _compare(right, ident, tol)
-        return ok_l and ok_r, max(r_l, r_r)
-    if law == "comm":
+        pairs = [(comult >> (counit @ ident), ident), (comult >> (ident @ counit), ident)]
+    elif law == "comm":
         mult = _getattr_or_raise(alg, "mult")
-        return _compare(sw >> mult, mult, tol)
-    if law == "cocomm":
+        pairs = [(sw >> mult, mult)]
+    elif law == "cocomm":
         comult = _getattr_or_raise(alg, "comult")
-        return _compare(comult >> sw, comult, tol)
-    if law == "special":
+        pairs = [(comult >> sw, comult)]
+    elif law == "special":
         mult = _getattr_or_raise(alg, "mult")
         comult = _getattr_or_raise(alg, "comult")
-        return _compare(comult >> mult, ident, tol)
-    if law == "frobenius":
+        pairs = [(comult >> mult, ident)]
+    elif law == "frobenius":
         mult = _getattr_or_raise(alg, "mult")
         comult = _getattr_or_raise(alg, "comult")
         middle = mult >> comult
-        left = (ident @ comult) >> (mult @ ident)
-        right = (comult @ ident) >> (ident @ mult)
-        ok_l, r_l = _compare(left, middle, tol)
-        ok_r, r_r = _compare(right, middle, tol)
-        return ok_l and ok_r, max(r_l, r_r)
-    # dagger_frobenius
-    mult = _getattr_or_raise(alg, "mult")
-    comult = _getattr_or_raise(alg, "comult")
-    if not isinstance(mult, Morphism):
-        raise AlgebraError("dagger laws need the linear backend")
-    ok_m, r_m = _compare(comult, mult.dagger(), tol)
-    unit = getattr(alg, "unit", None)
-    counit = getattr(alg, "counit", None)
-    if unit is not None and counit is not None:
-        ok_u, r_u = _compare(counit, unit.dagger(), tol)
-        return ok_m and ok_u, max(r_m, r_u)
-    return ok_m, r_m
+        pairs = [((ident @ comult) >> (mult @ ident), middle),
+                 ((comult @ ident) >> (ident @ mult), middle)]
+    else:  # dagger_frobenius
+        mult = _getattr_or_raise(alg, "mult")
+        comult = _getattr_or_raise(alg, "comult")
+        if not isinstance(mult, Morphism):
+            raise AlgebraError("dagger laws need the linear backend")
+        pairs = [(comult, mult.dagger())]
+        unit = getattr(alg, "unit", None)
+        counit = getattr(alg, "counit", None)
+        if unit is not None and counit is not None:
+            pairs.append((counit, unit.dagger()))
+    results = [compare(lhs, rhs, tol) for lhs, rhs in pairs]
+    return all(r.holds for r in results), max(r.residual for r in results)
 
 
 def _searched_unit_check(alg) -> tuple[bool, float]:

@@ -19,7 +19,7 @@ from .structures import (
     classify,
     StructureError,
 )
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance
+from .tensors import DEFAULT_TOL, TensorType, Tolerance, allowance
 
 __all__ = [
     "SplitError",
@@ -49,13 +49,8 @@ class SplitObject:
         e = self.idempotent
         if e.dom != self.base or e.cod != self.base:
             raise SplitError(f"idempotent must be an endomap of {self.base}")
-        if (e >> e).distance(e) > _threshold(e, DEFAULT_TOL):
+        if (e >> e).distance(e) > allowance(e, DEFAULT_TOL):
             raise SplitError("splitting map is not idempotent")
-
-
-def _threshold(arrow, tol: Tolerance) -> float:
-    """Allowed distance from ``arrow``: exact on sets, ``tol`` on matrices."""
-    return tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +66,7 @@ def split_wrap(arrow, dom: SplitObject, cod: SplitObject, tol: Tolerance = DEFAU
     """Check absorption and wrap a raw arrow as a split morphism."""
     if arrow.dom != dom.base or arrow.cod != cod.base:
         raise SplitError(f"arrow is {arrow.dom} -> {arrow.cod}, expected {dom.base} -> {cod.base}")
-    thr = _threshold(arrow, tol)
+    thr = allowance(arrow, tol)
     left = (arrow >> cod.idempotent).distance(arrow)
     right = (dom.idempotent >> arrow).distance(arrow)
     if left > thr or right > thr:
@@ -90,7 +85,7 @@ def split_compose(f: SplitMorphism, g: SplitMorphism) -> SplitMorphism:
     mid, other = f.cod, g.dom
     if mid is not other and (
         mid.base != other.base
-        or mid.idempotent.distance(other.idempotent) > _threshold(mid.idempotent, DEFAULT_TOL)
+        or mid.idempotent.distance(other.idempotent) > allowance(mid.idempotent, DEFAULT_TOL)
     ):
         raise SplitError("split morphisms do not compose")
     return SplitMorphism(f.dom, g.cod, f.arrow >> g.arrow)

@@ -43,6 +43,7 @@ from .tensors import (
     Tolerance,
     basis_effect,
     cap,
+    compare,
 )
 
 __all__ = [
@@ -257,17 +258,13 @@ def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) ->
     idp = alg.carrier.identity()
     k = alg.carrier.dim
 
-    def result(name, lhs, rhs):
-        residual = lhs.distance(rhs)
-        return LawCheckResult(name, residual <= tol.threshold(max(lhs.norm(), rhs.norm())), residual,
-                              tol.threshold(max(lhs.norm(), rhs.norm())))
-
-    out = [
-        result("p_idempotent", spec >> (spec @ idp), spec >> (ids @ alg.comult)),
-        result("p_self_adjoint", spec, (ids @ (alg.unit >> alg.comult)) >> (spec.dagger() @ idp)),
-        result("p_complete", spec >> (ids @ alg.counit), ids),
-        result("isometry", spec >> spec.dagger(), ids),
-    ]
+    equations = {
+        "p_idempotent": (spec >> (spec @ idp), spec >> (ids @ alg.comult)),
+        "p_self_adjoint": (spec, (ids @ (alg.unit >> alg.comult)) >> (spec.dagger() @ idp)),
+        "p_complete": (spec >> (ids @ alg.counit), ids),
+        "isometry": (spec >> spec.dagger(), ids),
+    }
+    out = [LawCheckResult(name, *compare(lhs, rhs, tol)) for name, (lhs, rhs) in equations.items()]
     recovery = 0.0
     for i, p in enumerate(pvs.projectors):
         recovery = max(recovery, (spec >> (ids @ basis_effect(k, i))).distance(p))
@@ -386,7 +383,7 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
         "p_complete": (spec >> (ids @ U.trivial_outcome), ids),
     }
     for name, (lhs, rhs) in eqs.items():
-        if lhs.distance(rhs) > tol.threshold(max(lhs.norm(), rhs.norm())):
+        if not compare(lhs, rhs, tol).holds:
             failing.append(f"spectrum equation {name}")
     return not failing, tuple(failing)
 

@@ -59,7 +59,7 @@ from .structures import (
     classify,
     verify_derived,
 )
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, basis_state, cup
+from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, allowance, basis_state, cup
 
 __all__ = [
     "RegistryError",
@@ -209,10 +209,6 @@ def _ignore_put_update() -> UpdateStructure:
 # -- family extras ----------------------------------------------------------
 
 
-def _thr(arrow, tol: Tolerance) -> float:
-    return tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0.0
-
-
 def _pvs_extras(make_pvs):
     def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
         pvs = make_pvs()
@@ -236,7 +232,7 @@ def _measurement_extras(make_pvs):
         inv = (U.get >> (ids @ deco)).distance(U.get)
         return [
             ExtraCheck("getput_defect_matches_rank_formula", gap <= 1e-6, gap),
-            ExtraCheck("outcome_wire_classical", inv <= _thr(U.get, tol), inv),
+            ExtraCheck("outcome_wire_classical", inv <= allowance(U.get, tol), inv),
         ]
 
     return run
@@ -257,7 +253,7 @@ def _decohered_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
         law_gap = max(law_gap, abs(mine.residual - theirs.residual))
     return [
         ExtraCheck("equals_direct_measurement_componentwise",
-                   component_gap <= _thr(U.put, tol), component_gap),
+                   component_gap <= allowance(U.put, tol), component_gap),
         ExtraCheck("matches_direct_measurement_profile",
                    agree and law_gap <= 1e-6, law_gap),
     ]
@@ -276,10 +272,10 @@ def _pop_extras(d: int):
         x = basis_state(d, 0) @ basis_state(d, 1)
         y = basis_state(d, 1) @ basis_state(d, 0)
         wit = ((x @ y) >> alg.mult).distance((y @ x) >> alg.mult)
-        out.append(ExtraCheck("order_of_writes_matters", wit > _thr(alg.mult, tol), wit))
+        out.append(ExtraCheck("order_of_writes_matters", wit > allowance(alg.mult, tol), wit))
         bell_gap = U.trivial_update.distance(cup(d))
         out.append(ExtraCheck("bell_state_is_trivial_update",
-                              bell_gap <= _thr(U.trivial_update, tol), bell_gap))
+                              bell_gap <= allowance(U.trivial_update, tol), bell_gap))
         return out
 
     return run
@@ -363,9 +359,9 @@ def _causal_extras(d1: int, d2: int):
         gap_all = reduced.distance(dephase_all)
         return [
             ExtraCheck("reading_dephases_stored_register",
-                       gap <= _thr(dephase_stored, tol), gap),
+                       gap <= allowance(dephase_stored, tol), gap),
             ExtraCheck("lens_shaped_read_dephases_everything",
-                       gap_all <= _thr(dephase_all, tol), gap_all),
+                       gap_all <= allowance(dephase_all, tol), gap_all),
             ExtraCheck("write_trace_preserving",
                        trace_preservation_defect(U.put) <= tol.threshold(1.0),
                        trace_preservation_defect(U.put)),
@@ -383,9 +379,9 @@ def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     writer = max(((e @ idp) >> U.put).distance(U.put), (U.put >> e).distance(U.put))
     reader = max((e >> U.get).distance(U.get), (U.get >> (e @ idp)).distance(U.get))
     return [
-        ExtraCheck("splitting_idempotent", idem <= _thr(e, tol), float(idem)),
-        ExtraCheck("writer_absorbed", writer <= _thr(U.put, tol), float(writer)),
-        ExtraCheck("reader_absorbed", reader <= _thr(U.get, tol), float(reader)),
+        ExtraCheck("splitting_idempotent", idem <= allowance(e, tol), float(idem)),
+        ExtraCheck("writer_absorbed", writer <= allowance(U.put, tol), float(writer)),
+        ExtraCheck("reader_absorbed", reader <= allowance(U.get, tol), float(reader)),
     ]
 
 

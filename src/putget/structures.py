@@ -29,7 +29,9 @@ Each structure memoises its verdicts: :func:`check_law` evaluates a law
 in full the first time it is asked for at a given tolerance and returns
 the stored result afterwards, so ``check_laws``, ``classify``, the
 derived premises and every other consumer share one evaluation; PutGetB
-is read from the PutGet entry.  ``with_components`` copies start empty.
+is read from the PutGet entry, and so is the conclusion of
+weak_trivial_implies_strong from the GetPut entry.  ``with_components``
+copies start empty.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .finsets import FinFunction, SetType
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance
+from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare
 
 __all__ = [
     "StructureError",
@@ -197,14 +199,6 @@ class DerivedResult:
     failed_premises: tuple[str, ...] = ()
 
 
-def _compare(law: str, lhs: Arrow, rhs: Arrow, tol: Tolerance) -> LawCheckResult:
-    residual = lhs.distance(rhs)
-    if isinstance(lhs, FinFunction):
-        return LawCheckResult(law, residual == 0, residual, 0.0)
-    threshold = tol.threshold(max(lhs.norm(), rhs.norm()))
-    return LawCheckResult(law, residual <= threshold, residual, threshold)
-
-
 def _require(U: UpdateStructure, component: str) -> Arrow:
     arrow = getattr(U, component)
     if arrow is None:
@@ -269,7 +263,7 @@ def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> Law
         if target == "Faithful":
             result = _check_faithful(U, tol)
         else:
-            result = _compare(target, *_law_sides(U, target), tol)
+            result = LawCheckResult(target, *compare(*_law_sides(U, target), tol))
         U._verdicts[key] = result
     return result if target == law else replace(result, law=law)
 
@@ -302,9 +296,10 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 
 # -- derived implications ------------------------------------------------
 #
-# Each entry maps a proposition name to its premise laws and a builder
-# producing the conclusion as a list of (lhs, rhs) comparisons.  The
-# conclusion residual is the worst of the list.
+# Each entry maps a proposition name to its premise laws and its
+# conclusion: a builder producing a list of (lhs, rhs) comparisons, whose
+# residual is the worst of the list, or the name of a law whose
+# memoised verdict is the conclusion.
 
 DERIVED_PROPS = (
     "putget_idem",
@@ -322,10 +317,6 @@ DERIVED_PROPS = (
 def _pairs_putget_idem(U):
     e = U.get >> U.put
     return [(e >> e, e)]
-
-
-def _pairs_weak_trivial(U):
-    return [(U.get >> U.put, U.id_system())]
 
 
 def _pairs_coassoc_under_put(U):
@@ -400,7 +391,7 @@ def _pairs_putgeta_trivial(U):
 
 _DERIVED: dict[str, tuple[tuple[str, ...], object]] = {
     "putget_idem": (WEAK_LAWS, _pairs_putget_idem),
-    "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), _pairs_weak_trivial),
+    "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), "GetPut"),
     "coassoc_under_put_from_B": (("PutGetB", "GetGet"), _pairs_coassoc_under_put),
     "assoc_under_get_from_C": (("PutGetC", "PutPut"), _pairs_assoc_under_get),
     "frobenius_under_put_from_BC": (("PutGetB", "PutGetC", "PutPut"), _pairs_frobenius_under_put),
@@ -418,7 +409,7 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
     """Check one derived implication; a failed premise is reported as vacuous."""
     if prop_id not in _DERIVED:
         raise StructureError(f"unknown derived proposition {prop_id!r}")
-    premises, builder = _DERIVED[prop_id]
+    premises, conclusion = _DERIVED[prop_id]
     failed = []
     for law in premises:
         if law == "TrivialUpdate" and U.trivial_update is None:
@@ -431,8 +422,11 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
             failed.append(law)
     if failed:
         return DerivedResult(prop_id, "vacuous", 0.0, tuple(failed))
-    # Each pair is judged at its own threshold: the pair with the largest
-    # residual can hold while a pair of smaller norm fails.
-    results = [_compare(prop_id, lhs, rhs, tol) for lhs, rhs in builder(U)]
+    if isinstance(conclusion, str):
+        results = [check_law(U, conclusion, tol)]
+    else:
+        # Each pair is judged at its own threshold: the pair with the largest
+        # residual can hold while a pair of smaller norm fails.
+        results = [compare(lhs, rhs, tol) for lhs, rhs in conclusion(U)]
     status = "holds" if all(r.holds for r in results) else "fails"
     return DerivedResult(prop_id, status, max(r.residual for r in results), ())

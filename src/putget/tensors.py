@@ -18,6 +18,14 @@ batched matmul; two larger products are contracted in one
 matrix, and ``Morphism.array`` builds the dense matrix only when
 something reads it.
 
+Comparisons work on the blocks too.  A product's norm is the product of
+its block norms, and ``distance`` groups the blocks of both sides into
+the finest parts that cover the same wires: a part with the same blocks
+on both sides is a common factor and contributes only its norm, so only
+the parts where the sides differ are built densely.  :func:`compare` is
+the one tolerance comparison of the library, for matrices and for
+finite-set functions alike.
+
 ``f >> g`` composes left to right ("f then g"); ``f @ g`` is the tensor
 product.  Scalars are 1x1 morphisms on the empty factor list.
 """
@@ -48,7 +56,9 @@ __all__ = [
     "cup",
     "cap",
     "partial_trace",
-    "approx_eq",
+    "Comparison",
+    "compare",
+    "allowance",
     "basis_state",
     "basis_effect",
     "scalar",
@@ -205,13 +215,24 @@ class Morphism:
         ])
 
     def norm(self) -> float:
+        """The Frobenius norm; of a lazy product, the product of its block norms."""
+        if self._blocks is not None:
+            norm = math.prod(map(_block_norm, self._blocks))
+            if math.isfinite(norm):
+                return norm
+        # dense, or overflowing: the dense matrix raises if an entry does
         return float(np.linalg.norm(self.array))
 
     def distance(self, other: "Morphism") -> float:
+        """The Frobenius norm of ``self - other``, building only where they differ."""
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(
                 f"cannot compare {self.dom} -> {self.cod} with {other.dom} -> {other.cod}"
             )
+        if self._blocks is not None or other._blocks is not None:
+            distance = _factored_distance(_blocks_of(self), _blocks_of(other))
+            if distance is not None:
+                return distance
         return float(np.linalg.norm(self.array - other.array))
 
     def __str__(self) -> str:
@@ -370,6 +391,74 @@ def _split_identities(blocks) -> list[_Block]:
     return out
 
 
+def _block_norm(b: _Block) -> float:
+    return math.sqrt(math.prod(b.dom)) if b.array is None else float(np.linalg.norm(b.array))
+
+
+def _same_block(x: _Block, y: _Block) -> bool:
+    if x.dom != y.dom or x.cod != y.cod or (x.array is None) != (y.array is None):
+        return False
+    return x.array is y.array or np.array_equal(x.array, y.array)
+
+
+def _part_keys(a_blocks, b_blocks) -> list[list]:
+    """For each block of two products on the same wires, the part it belongs to.
+
+    The codomain and the domain wire positions are the nodes of a
+    union-find, and every block, on either side, joins all of its wires.
+    So each part covers the same wires on both sides, and no finer split
+    does.  Wire-less scalar blocks all get the key None.
+    """
+    n_cod = sum(len(b.cod) for b in a_blocks)
+    root = list(range(n_cod + sum(len(b.dom) for b in a_blocks)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    wires = []
+    for blocks in (a_blocks, b_blocks):
+        side, c, d = [], 0, n_cod
+        for b in blocks:
+            w = [*range(c, c + len(b.cod)), *range(d, d + len(b.dom))]
+            c, d = c + len(b.cod), d + len(b.dom)
+            for i in w[1:]:
+                root[find(i)] = find(w[0])
+            side.append(w)
+        wires.append(side)
+    return [[find(w[0]) if w else None for w in side] for side in wires]
+
+
+def _factored_distance(a_blocks, b_blocks) -> float | None:
+    """``norm(kron(a_blocks) - kron(b_blocks))``, with the shared parts factored out.
+
+    A part (see :func:`_part_keys`) with the same blocks on both sides is a
+    common Kronecker factor, so it contributes only its norm.  The other
+    parts are built densely, each side's blocks in their order, which puts
+    both sides' wires in the same order.  None means that a side's norm or
+    the distance overflows; the caller then takes the dense path.
+    """
+    a_blocks, b_blocks = _split_identities(a_blocks), _split_identities(b_blocks)
+    keys = _part_keys(a_blocks, b_blocks)
+    parts: dict = {}
+    for side, blocks in enumerate((a_blocks, b_blocks)):
+        for x, k in zip(blocks, keys[side]):
+            parts.setdefault(k, ([], []))[side].append(x)
+    common, differ = 1.0, set()
+    for k, (xs, ys) in parts.items():
+        if len(xs) == len(ys) and all(map(_same_block, xs, ys)):
+            common *= math.prod(map(_block_norm, xs))
+        else:
+            differ.add(k)
+    a, b = (_kron([x for x, k in zip(blocks, side_keys) if k in differ])
+            for blocks, side_keys in zip((a_blocks, b_blocks), keys))
+    largest = common * max(np.linalg.norm(a), np.linalg.norm(b))
+    distance = common * float(np.linalg.norm(a - b))
+    return distance if math.isfinite(largest) and math.isfinite(distance) else None
+
+
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     """Blocks of ``kron(g_blocks) @ kron(f_blocks)``, composed piece by piece.
 
@@ -511,7 +600,27 @@ def partial_trace(f: Morphism, factor_indices: int | Iterable[int]) -> Morphism:
     return Morphism(new_dom, new_cod, out.reshape(new_cod.dim, new_dom.dim))
 
 
-def approx_eq(f: Morphism, g: Morphism, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether f and g agree up to ``tol``, with the Frobenius residual."""
-    residual = f.distance(g)
-    return residual <= tol.threshold(max(f.norm(), g.norm())), residual
+class Comparison(NamedTuple):
+    """The outcome of :func:`compare`: ``holds`` iff ``residual <= threshold``."""
+
+    holds: bool
+    residual: float
+    threshold: float
+
+
+def compare(lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
+    """Compare two arrows on the same wires: within ``tol`` for matrices, exactly for sets.
+
+    Matrices hold when their Frobenius distance is at most
+    ``tol.threshold(max(norm(lhs), norm(rhs)))``; finite-set functions
+    hold when no input disagrees, and their residual counts the inputs
+    that do.
+    """
+    residual = lhs.distance(rhs)
+    threshold = tol.threshold(max(lhs.norm(), rhs.norm())) if isinstance(lhs, Morphism) else 0.0
+    return Comparison(residual <= threshold, residual, threshold)
+
+
+def allowance(arrow, tol: Tolerance = DEFAULT_TOL) -> float:
+    """How far from ``arrow`` a result may land: ``tol`` scaled by its norm, or 0 on sets."""
+    return tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0.0

@@ -3,7 +3,9 @@
 ``tensor`` keeps products as lists of blocks and ``compose`` works on
 them wire by wire.  The oracle here is plain NumPy on ``.array``s:
 ``np.kron`` for products and ``@`` for composites, with permutation
-matrices for swaps built by index arithmetic.
+matrices for swaps built by index arithmetic.  ``norm`` and ``distance``
+factor out the blocks two products share, and are checked against
+``np.linalg.norm`` of the dense matrices.
 """
 from functools import reduce
 from types import SimpleNamespace
@@ -22,7 +24,7 @@ from putget.structures import (
     classify,
     verify_derived,
 )
-from putget.tensors import UNIT, Morphism, TensorType, swap
+from putget.tensors import UNIT, Morphism, TensorType, cap, cup, swap
 
 AGREE = 1e-12
 
@@ -168,6 +170,155 @@ def test_composites_with_an_identity_side_stay_lazy():
     assert_close(both.array, np.kron(x.array, x.array))
 
 
+# -- norms and distances of lazy products -----------------------------------
+
+
+@st.composite
+def pieces(draw, rng, max_wires: int = 4):
+    """Morphisms to tensor together, each with its dense oracle array.
+
+    A piece is an identity, a dense block, a state, an effect or a scalar
+    on wires of dimension 1 to 3, with at most ``max_wires`` wires on
+    either side of the product.
+    """
+    out, n_dom, n_cod = [], 0, 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("identity", "dense", "state", "effect", "scalar")))
+        dom = UNIT if kind in ("state", "scalar") else draw(types())
+        cod = {"identity": dom, "effect": UNIT, "scalar": UNIT}.get(kind) or draw(types())
+        if n_dom + len(dom.factors) > max_wires or n_cod + len(cod.factors) > max_wires:
+            continue
+        n_dom, n_cod = n_dom + len(dom.factors), n_cod + len(cod.factors)
+        if kind == "identity":
+            out.append((dom.identity(), np.eye(dom.dim)))
+        else:
+            arr = random_matrix(rng, cod.dim, dom.dim)
+            out.append((Morphism(dom, cod, arr), arr))
+    return out
+
+
+def vary(draw, rng, items):
+    """A second list of pieces on the same wires, and whether it has the same blocks.
+
+    Each piece is kept (the same object), copied (an equal array), redrawn
+    as another dense block, or, on pieces from a type to itself, replaced
+    by the identity.  Adjacent states and effects may trade places, which
+    keeps the product's value and types, and adjacent pieces may be fused
+    into one dense block, so that the two sides split their wires apart
+    at different places.
+    """
+    out, same = [], True
+    for m, arr in items:
+        how = draw(st.sampled_from(("keep", "copy", "redraw", "identity")))
+        if how == "identity" and m.dom == m.cod:
+            out.append((m.dom.identity(), np.eye(m.dom.dim)))
+            same = same and m._blocks is not None  # an identity stays the same block
+        elif how == "copy":
+            out.append((Morphism(m.dom, m.cod, arr), arr))
+            same = same and m._blocks is None  # a dense identity is not the same block
+        elif how == "redraw":
+            new = random_matrix(rng, m.cod.dim, m.dom.dim)
+            out.append((Morphism(m.dom, m.cod, new), new))
+            same = False
+        else:
+            out.append((m, arr))
+    for i in range(len(out) - 1):
+        kinds = {(not x.dom.factors, not x.cod.factors) for x, _ in out[i:i + 2]}
+        if kinds == {(True, False), (False, True)} and draw(st.booleans()):
+            out[i], out[i + 1] = out[i + 1], out[i]
+    for i in reversed(range(len(out) - 1)):
+        if draw(st.booleans()):
+            (x, a), (y, b) = out[i:i + 2]
+            fused = np.kron(a, b)
+            out[i:i + 2] = [(Morphism(x.dom @ y.dom, x.cod @ y.cod, fused), fused)]
+            same = False
+    return out, same
+
+
+def product(items):
+    return (reduce(lambda f, g: f @ g, (m for m, _ in items)),
+            reduce(np.kron, (a for _, a in items), np.ones((1, 1))))
+
+
+@given(st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_norm_and_distance_of_lazy_products_match_the_dense_oracle(data, seed):
+    rng = np.random.default_rng(seed)
+    first = data.draw(pieces(rng))
+    second, same = vary(data.draw, rng, first)
+    f, f_arr = product(first)
+    g, g_arr = product(second)
+    assert (f.dom, f.cod) == (g.dom, g.cod)
+    scale = max(np.linalg.norm(f_arr), np.linalg.norm(g_arr))
+    got = f.distance(g)
+    assert abs(got - np.linalg.norm(f_arr - g_arr)) <= 1e-12 * scale + 1e-300
+    if same:
+        assert got == 0.0
+    for m, arr in ((f, f_arr), (g, g_arr)):
+        want = np.linalg.norm(arr)
+        assert abs(m.norm() - want) <= 1e-12 * want + 1e-300
+
+
+@pytest.fixture
+def distance_builds(monkeypatch):
+    """Sizes of the dense matrices that ``Morphism.distance`` builds."""
+    sizes, inside = [], []
+    kron, distance = tensors._kron, Morphism.distance
+
+    def recording_kron(blocks):
+        out = kron(blocks)
+        if inside:
+            sizes.append(out.size)
+        return out
+
+    def tracked_distance(self, other):
+        inside.append(self)
+        try:
+            return distance(self, other)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tensors, "_kron", recording_kron)
+    monkeypatch.setattr(Morphism, "distance", tracked_distance)
+    return sizes
+
+
+def test_states_and_effects_in_either_order_are_equal_without_being_built(distance_builds):
+    d = 3
+    wire = TensorType((d, d)).identity()
+    lhs = cap(d) @ cap(d) @ cup(d) @ wire  # the shape of pair_of_pants law sides
+    rhs = cap(d) @ cup(d) @ cap(d) @ wire
+    assert lhs.distance(rhs) == 0.0
+    assert max(distance_builds) == 1
+    scaled = cap(d) @ cup(d) @ (2.0 * cap(d)) @ wire
+    assert lhs.distance(scaled) == pytest.approx(np.linalg.norm(lhs.array - scaled.array), 1e-12)
+    assert max(distance_builds) == d ** 2  # only the scaled effect is built
+
+
+def test_comparisons_on_pair_of_pants_5_build_only_where_the_sides_differ(distance_builds):
+    U = pair_of_pants_update(5)
+    check_laws(U)
+    for prop in DERIVED_PROPS:
+        verify_derived(U, prop)
+    assert distance_builds
+    assert max(distance_builds) <= 5 ** 6  # the size of put; both sides built: 5 ** 8
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_products_still_raise():
+    t = TensorType((2,))
+    big = Morphism(t, t, np.full((2, 2), 1e103))
+    near = Morphism(t, t, np.full((2, 2), 1e103 * (1 - 1e-3)))
+    f = big @ big @ big  # finite blocks, but every dense entry is 1e309
+    with pytest.raises(ValueError, match="finite"):
+        f.norm()
+    with pytest.raises(ValueError, match="finite"):
+        f.distance(f)
+    # the factored distance, 4e206 * 2e100, is finite: only the sides overflow
+    with pytest.raises(ValueError, match="finite"):
+        f.distance(big @ big @ near)
+
+
 # -- laws and derived residuals against the dense oracle --------------------
 
 
@@ -222,7 +373,9 @@ def test_law_and_derived_residuals_match_the_dense_oracle(U):
         result = verify_derived(U, prop)
         if result.status == "vacuous":
             continue
-        pairs = structures._DERIVED[prop][1](oracle)
+        conclusion = structures._DERIVED[prop][1]
+        pairs = ([structures._law_sides(oracle, conclusion)] if isinstance(conclusion, str)
+                 else conclusion(oracle))
         want = max(lhs.distance(rhs) for lhs, rhs in pairs)
         assert abs(result.residual - want) <= AGREE, prop
 

@@ -344,3 +344,15 @@ def test_with_components_starts_with_an_empty_profile():
     changed = U.with_components(put=keep)
     assert not check_law(changed, "PutGet").holds
     assert check_law(U, "PutGet").holds
+
+
+def test_weak_trivial_conclusion_is_the_stored_getput_verdict(monkeypatch):
+    U = build_example("qubit_z_pvs")
+    getput = check_law(U, "GetPut")
+    for law in structures.WEAK_LAWS + ("TrivialUpdate",):
+        check_law(U, law)
+    compared = []
+    monkeypatch.setattr(structures, "compare", lambda *args: compared.append(args))
+    result = verify_derived(U, "weak_trivial_implies_strong")
+    assert compared == []  # premises and conclusion all come from the memo
+    assert (result.status, result.residual) == ("holds", getput.residual)
