@@ -18,13 +18,9 @@ from .algebras import (
     FrobeniusAlgebra,
     Magma,
     check_algebra,
-    conjugated_frobenius,
-    find_unit,
-    left_delete,
     pair_of_pants,
     pair_of_pants_frobenius,
     scfa_from_dimension,
-    set_diagonal,
 )
 from .finsets import (
     SET_UNIT,
@@ -44,10 +40,7 @@ from .karoubi import (
     SplitError,
     SplitMorphism,
     SplitObject,
-    classical_object,
     getput_restriction,
-    split_compose,
-    split_identity,
     split_wrap,
 )
 from .lenses import (
@@ -91,7 +84,6 @@ from .quantum import (
     transform_update,
 )
 from .registry import (
-    Caps,
     ExampleReport,
     ExampleSpec,
     ExtraCheck,
@@ -128,7 +120,6 @@ from .tensors import (
     basis_state,
     cap,
     cup,
-    partial_trace,
     scalar,
 )
 

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsets import FinFunction, FinSet, SetType, bang, projection
+from .finsets import FinFunction, SetType
 from .tensors import (
     DEFAULT_TOL,
     Morphism,
     TensorType,
     Tolerance,
     cap,
-    compare,
+    compare_all,
     cup,
 )
 
@@ -29,11 +29,7 @@ __all__ = [
     "FrobeniusAlgebra",
     "ALGEBRA_LAWS",
     "check_algebra",
-    "find_unit",
     "scfa_from_dimension",
-    "conjugated_frobenius",
-    "left_delete",
-    "set_diagonal",
     "pair_of_pants",
     "pair_of_pants_frobenius",
 ]
@@ -111,20 +107,6 @@ ALGEBRA_LAWS = (
 )
 
 
-def find_unit(magma: Magma) -> tuple[str, ...] | None:
-    """Exhaustively search a finite-set magma for a two-sided unit element."""
-    if not isinstance(magma.mult, FinFunction):
-        raise AlgebraError("unit search is only available for finite-set magmas")
-    carrier = magma.carrier
-    elems = carrier.elements()
-    for u in elems:
-        if all(
-            magma.mult.table[u + x] == x and magma.mult.table[x + u] == x for x in elems
-        ):
-            return u
-    return None
-
-
 def _getattr_or_raise(alg, name: str):
     value = getattr(alg, name, None)
     if value is None:
@@ -189,8 +171,8 @@ def check_algebra(alg, law: str, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, fl
         counit = getattr(alg, "counit", None)
         if unit is not None and counit is not None:
             pairs.append((counit, unit.dagger()))
-    results = [compare(lhs, rhs, tol) for lhs, rhs in pairs]
-    return all(r.holds for r in results), max(r.residual for r in results)
+    result = compare_all(pairs, tol)
+    return result.holds, result.residual
 
 
 def _searched_unit_check(alg) -> tuple[bool, float]:
@@ -228,35 +210,6 @@ def scfa_from_dimension(d: int) -> FrobeniusAlgebra:
         comult=comult,
         counit=counit,
     )
-
-
-def conjugated_frobenius(alg: FrobeniusAlgebra, u: Morphism) -> FrobeniusAlgebra:
-    """Transport a linear Frobenius algebra along a unitary u on its carrier."""
-    if not isinstance(alg.mult, Morphism):
-        raise AlgebraError("conjugation needs the linear backend")
-    if u.dom != alg.carrier or u.cod != alg.carrier:
-        raise AlgebraError(f"u must be an endomap of {alg.carrier}")
-    ud = u.dagger()
-    return FrobeniusAlgebra(
-        carrier=alg.carrier,
-        mult=(ud @ ud) >> alg.mult >> u,
-        unit=alg.unit >> u,
-        comult=ud >> alg.comult >> (u @ u),
-        counit=ud >> alg.counit,
-    )
-
-
-def left_delete(v: FinSet) -> Magma:
-    """The magma on v that discards its left argument: (a, b) -> b."""
-    t = SetType((v,))
-    return Magma(carrier=t, mult=projection(t @ t, 1), unit=None)
-
-
-def set_diagonal(v: FinSet) -> Comagma:
-    """The copy comagma on v, with the map to the point as counit."""
-    t = SetType((v,))
-    table = {x: x + x for x in t.elements()}
-    return Comagma(carrier=t, comult=FinFunction(t, t @ t, table), counit=bang(t))
 
 
 def pair_of_pants(d: int) -> tuple[Magma, Comagma]:

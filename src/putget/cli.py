@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every requested example matches its declared
 profile (expected failures count as matches), 1 when any report
-mismatches, 2 for usage errors, unknown names or constructions
-rejected by the size caps.
+mismatches, 2 for usage errors, unknown names, invalid tolerances or a
+comparison whose residual or threshold is not finite.
 
 JSON output is deterministic -- keys are sorted and wall times are
 left out -- so runs can be diffed byte for byte.  The text format
@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from .registry import Caps, ExampleReport, get_example, names, run_example
+from .registry import ExampleReport, get_example, names, run_example
 from .tensors import DEFAULT_TOL, Tolerance
 
 __all__ = ["main"]
@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     checker.add_argument("--tol", type=float, default=None,
                          help="residual tolerance (absolute and relative)")
     checker.add_argument("--format", choices=("text", "json"), default="text")
-    checker.add_argument("--max-dim", type=int, default=None,
-                         help="largest permitted wire dimension (default 6)")
     return parser
 
 
@@ -106,13 +104,12 @@ def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
     if args.all == (args.name is not None):
         parser.error("provide exactly one of an example name or --all")
     tol = _resolve_tolerance(args.tol)
-    caps = Caps(max_wire_dim=args.max_dim) if args.max_dim is not None else Caps()
     chosen = names() if args.all else (args.name,)
 
     reports: list[tuple[ExampleReport, float]] = []
     for name in chosen:
         start = time.perf_counter()
-        report = run_example(name, tol, caps)
+        report = run_example(name, tol)
         reports.append((report, time.perf_counter() - start))
 
     if args.format == "json":

@@ -67,10 +67,6 @@ class SetType:
     def unit(cls) -> "SetType":
         return SET_UNIT
 
-    @classmethod
-    def of(cls, *sets: FinSet) -> "SetType":
-        return cls(tuple(sets))
-
     @property
     def size(self) -> int:
         n = 1
@@ -146,9 +142,6 @@ class FinFunction:
 
     def __matmul__(self, other: "FinFunction") -> "FinFunction":
         return fun_product(self, other)
-
-    def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.table)
 
     def image(self) -> set[tuple[str, ...]]:
         return set(self.table.values())

@@ -10,25 +10,16 @@ identity wire.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
-from .quantum import decoherence
-from .structures import (
-    UpdateStructure,
-    check_law,
-    classify,
-    StructureError,
-)
-from .tensors import DEFAULT_TOL, TensorType, Tolerance, allowance
+from .structures import UpdateStructure, check_law, classify
+from .tensors import DEFAULT_TOL, Tolerance, compare
 
 __all__ = [
     "SplitError",
     "SplitObject",
     "SplitMorphism",
     "split_wrap",
-    "split_identity",
-    "split_compose",
-    "classical_object",
     "GetPutRestriction",
     "getput_restriction",
 ]
@@ -40,16 +31,20 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SplitObject:
-    """A wire together with an idempotent cutting out a subsystem."""
+    """A wire together with an idempotent cutting out a subsystem.
+
+    Idempotence is checked at ``tol``, which is not stored.
+    """
 
     base: object
     idempotent: object
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerance):
         e = self.idempotent
         if e.dom != self.base or e.cod != self.base:
             raise SplitError(f"idempotent must be an endomap of {self.base}")
-        if (e >> e).distance(e) > allowance(e, DEFAULT_TOL):
+        if not compare(e >> e, e, tol).holds:
             raise SplitError("splitting map is not idempotent")
 
 
@@ -66,34 +61,12 @@ def split_wrap(arrow, dom: SplitObject, cod: SplitObject, tol: Tolerance = DEFAU
     """Check absorption and wrap a raw arrow as a split morphism."""
     if arrow.dom != dom.base or arrow.cod != cod.base:
         raise SplitError(f"arrow is {arrow.dom} -> {arrow.cod}, expected {dom.base} -> {cod.base}")
-    thr = allowance(arrow, tol)
-    left = (arrow >> cod.idempotent).distance(arrow)
-    right = (dom.idempotent >> arrow).distance(arrow)
-    if left > thr or right > thr:
+    post = compare(arrow >> cod.idempotent, arrow, tol)
+    pre = compare(dom.idempotent >> arrow, arrow, tol)
+    if not (post.holds and pre.holds):
         raise SplitError(f"arrow is not absorbed by the idempotents "
-                         f"(post {left:.3e}, pre {right:.3e})")
+                         f"(post {post.residual:.3e}, pre {pre.residual:.3e})")
     return SplitMorphism(dom, cod, arrow)
-
-
-def split_identity(obj: SplitObject) -> SplitMorphism:
-    """The identity of a split object is its idempotent."""
-    return SplitMorphism(obj, obj, obj.idempotent)
-
-
-def split_compose(f: SplitMorphism, g: SplitMorphism) -> SplitMorphism:
-    """Compose f then g; the middle objects must share base and idempotent."""
-    mid, other = f.cod, g.dom
-    if mid is not other and (
-        mid.base != other.base
-        or mid.idempotent.distance(other.idempotent) > allowance(mid.idempotent, DEFAULT_TOL)
-    ):
-        raise SplitError("split morphisms do not compose")
-    return SplitMorphism(f.dom, g.cod, f.arrow >> g.arrow)
-
-
-def classical_object(d: int) -> SplitObject:
-    """The d-outcome classical system inside doubled wires."""
-    return SplitObject(TensorType((d, d)), decoherence(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +93,7 @@ def getput_restriction(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> GetP
         if not r.holds:
             raise SplitError(f"restriction needs {law}; it fails with residual {r.residual:.3e}")
     e = U.get >> U.put
-    system = SplitObject(U.system, e)  # idempotence re-checked here
+    system = SplitObject(U.system, e, tol)  # idempotence re-checked here
     idp = U.id_prop()
     restricted = U.with_components(
         backend="split",
@@ -131,7 +104,7 @@ def getput_restriction(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> GetP
     verdict = classify(restricted, tol)
     if verdict.kind != "strong":
         raise SplitError(f"restricted structure is not strong: fails {verdict.failing_names()}")
-    prod = SplitObject(U.system @ U.prop, e @ idp)
+    prod = SplitObject(U.system @ U.prop, e @ idp, tol)
     writer = split_wrap(restricted.put, prod, system, tol)
     reader = split_wrap(restricted.get, system, prod, tol)
     return GetPutRestriction(system, writer, reader, restricted)

@@ -44,6 +44,7 @@ from .tensors import (
     basis_effect,
     cap,
     compare,
+    compare_all,
 )
 
 __all__ = [
@@ -162,12 +163,12 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
     """
     if m.dom != U.prop or m.cod != U.prop:
         raise StructureError(f"m must be an endomap of {U.prop}, got {m.dom} -> {m.cod}")
-    residuals = {
-        "idempotent": (m >> m).distance(m),
-        "magma_hom": (U.mult >> m).distance((m @ m) >> U.mult),
-        "comagma_hom": (m >> U.comult).distance(U.comult >> (m @ m)),
+    premises = {
+        "idempotent": compare(m >> m, m, tol),
+        "magma_hom": compare(U.mult >> m, (m @ m) >> U.mult, tol),
+        "comagma_hom": compare(m >> U.comult, U.comult >> (m @ m), tol),
     }
-    bad = {k: v for k, v in residuals.items() if v > tol.threshold(m.norm())}
+    bad = {k: r.residual for k, r in premises.items() if not r.holds}
     if bad:
         raise PremiseError("m is not an idempotent magma/comagma homomorphism", bad)
     ids = U.system.identity()
@@ -222,18 +223,18 @@ def pvs_from_projectors(
     for i, p in enumerate(projectors):
         if p.dom != s or p.cod != s:
             raise PvsError(f"projector {i} is {p.dom} -> {p.cod}, expected an endomap of {s}")
-        if (p >> p).distance(p) > tol.threshold(p.norm()):
+        if not compare(p >> p, p, tol).holds:
             problems.append(f"projector {i} is not idempotent")
-        if p.distance(p.dagger()) > tol.threshold(p.norm()):
+        if not compare(p, p.dagger(), tol).holds:
             problems.append(f"projector {i} is not self-adjoint")
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
-            if (projectors[i] >> projectors[j]).norm() > tol.threshold(1.0):
+            if not compare(projectors[i] >> projectors[j], 0.0 * projectors[i], tol).holds:
                 problems.append(f"projectors {i} and {j} are not orthogonal")
     total = projectors[0]
     for p in projectors[1:]:
         total = total + p
-    if total.distance(s.identity()) > tol.threshold(1.0):
+    if not compare(total, s.identity(), tol).holds:
         problems.append("projectors do not sum to the identity")
     if problems:
         raise PvsError("; ".join(problems))
@@ -250,26 +251,29 @@ def pvs_from_projectors(
     return pvs
 
 
+def _spectrum_equations(spec, comult, unit, counit) -> dict:
+    """The three defining equations of a spectrum ``spec`` whose outcome wire
+    carries the given spider components, as name -> (lhs, rhs)."""
+    ids = spec.dom.identity()
+    idp = comult.dom.identity()
+    return {
+        "p_idempotent": (spec >> (spec @ idp), spec >> (ids @ comult)),
+        "p_self_adjoint": (spec, (ids @ (unit >> comult)) >> (spec.dagger() @ idp)),
+        "p_complete": (spec >> (ids @ counit), ids),
+    }
+
+
 def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> list[LawCheckResult]:
     """The defining equations of a spectrum, plus isometry and recovery."""
     spec = pvs.spectrum
     alg = pvs.algebra
     ids = spec.dom.identity()
-    idp = alg.carrier.identity()
     k = alg.carrier.dim
-
-    equations = {
-        "p_idempotent": (spec >> (spec @ idp), spec >> (ids @ alg.comult)),
-        "p_self_adjoint": (spec, (ids @ (alg.unit >> alg.comult)) >> (spec.dagger() @ idp)),
-        "p_complete": (spec >> (ids @ alg.counit), ids),
-        "isometry": (spec >> spec.dagger(), ids),
-    }
+    equations = _spectrum_equations(spec, alg.comult, alg.unit, alg.counit)
+    equations["isometry"] = (spec >> spec.dagger(), ids)
     out = [LawCheckResult(name, *compare(lhs, rhs, tol)) for name, (lhs, rhs) in equations.items()]
-    recovery = 0.0
-    for i, p in enumerate(pvs.projectors):
-        recovery = max(recovery, (spec >> (ids @ basis_effect(k, i))).distance(p))
-    out.append(LawCheckResult("projector_recovery", recovery <= tol.threshold(1.0), recovery,
-                              tol.threshold(1.0)))
+    recovery = [(spec >> (ids @ basis_effect(k, i)), p) for i, p in enumerate(pvs.projectors)]
+    out.append(LawCheckResult("projector_recovery", *compare_all(recovery, tol)))
     return out
 
 
@@ -311,12 +315,11 @@ def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_T
     ids2 = system2.identity()
     read_out = cpm_double(pvs.spectrum) >> (ids2 @ deco)
     write_in = read_out.dagger()
-    invariance = max(
-        (read_out >> (ids2 @ deco)).distance(read_out),
-        ((ids2 @ deco) >> write_in).distance(write_in),
-    )
-    if invariance > tol.threshold(read_out.norm()):
-        raise StructureError(f"outcome wire is not decoherence-invariant (residual {invariance:.3e})")
+    invariance = compare_all(
+        [(read_out >> (ids2 @ deco), read_out), ((ids2 @ deco) >> write_in, write_in)], tol)
+    if not invariance.holds:
+        raise StructureError(
+            f"outcome wire is not decoherence-invariant (residual {invariance.residual:.3e})")
     structure = UpdateStructure(
         backend="doubled",
         system=system2,
@@ -351,7 +354,7 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
     if isinstance(U.system, TensorType) is False:
         raise StructureError("characterisation needs a linear or doubled structure")
     failing = []
-    if U.get.distance(U.put.dagger()) > tol.threshold(U.get.norm()):
+    if not compare(U.get, U.put.dagger(), tol).holds:
         failing.append("DaggerSymmetry")
     if U.trivial_update is None:
         failing.append("TrivialUpdate (missing)")
@@ -375,13 +378,7 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
         ok, _ = check_algebra(alg, law, tol)
         if not ok:
             failing.append(f"derived algebra fails {law}")
-    ids, idp = U.system.identity(), U.prop.identity()
-    spec = U.get
-    eqs = {
-        "p_idempotent": (spec >> (spec @ idp), spec >> (ids @ U.comult)),
-        "p_self_adjoint": (spec, (ids @ (U.trivial_update >> U.comult)) >> (spec.dagger() @ idp)),
-        "p_complete": (spec >> (ids @ U.trivial_outcome), ids),
-    }
+    eqs = _spectrum_equations(U.get, U.comult, U.trivial_update, U.trivial_outcome)
     for name, (lhs, rhs) in eqs.items():
         if not compare(lhs, rhs, tol).holds:
             failing.append(f"spectrum equation {name}")

@@ -59,11 +59,20 @@ from .structures import (
     classify,
     verify_derived,
 )
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, allowance, basis_state, cup
+from .tensors import (
+    DEFAULT_TOL,
+    Comparison,
+    Morphism,
+    TensorType,
+    Tolerance,
+    basis_state,
+    compare,
+    compare_all,
+    cup,
+)
 
 __all__ = [
     "RegistryError",
-    "Caps",
     "ExtraCheck",
     "ExampleSpec",
     "ExampleReport",
@@ -77,22 +86,7 @@ __all__ = [
 
 
 class RegistryError(ValueError):
-    """Unknown example name or a construction outside the size caps."""
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Size limits enforced before running a (potentially cubic) check."""
-
-    max_wire_dim: int = 6
-    max_set_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_wire_dim < 1 or self.max_set_size < 1:
-            raise RegistryError(
-                f"caps must be at least 1, got max_wire_dim={self.max_wire_dim}, "
-                f"max_set_size={self.max_set_size}"
-            )
+    """An example name that the registry does not hold."""
 
 
 @dataclass(frozen=True)
@@ -228,11 +222,10 @@ def _measurement_extras(make_pvs):
         actual = check_law(U, "GetPut", tol).residual
         gap = abs(actual - predicted)
         deco = decoherence(len(pvs.projectors))
-        ids = U.system.identity()
-        inv = (U.get >> (ids @ deco)).distance(U.get)
+        inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
         return [
             ExtraCheck("getput_defect_matches_rank_formula", gap <= 1e-6, gap),
-            ExtraCheck("outcome_wire_classical", inv <= allowance(U.get, tol), inv),
+            ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
         ]
 
     return run
@@ -240,12 +233,9 @@ def _measurement_extras(make_pvs):
 
 def _decohered_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     direct = quantum_measurement(_qubit_z_pvs()).structure
-    component_gap = max(
-        U.put.distance(direct.put),
-        U.get.distance(direct.get),
-        U.mult.distance(direct.mult),
-        U.comult.distance(direct.comult),
-    )
+    components = compare_all(
+        [(U.put, direct.put), (U.get, direct.get), (U.mult, direct.mult),
+         (U.comult, direct.comult)], tol)
     agree, law_gap = True, 0.0
     for law in applicable_laws(U):
         mine, theirs = check_law(U, law, tol), check_law(direct, law, tol)
@@ -253,7 +243,7 @@ def _decohered_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
         law_gap = max(law_gap, abs(mine.residual - theirs.residual))
     return [
         ExtraCheck("equals_direct_measurement_componentwise",
-                   component_gap <= allowance(U.put, tol), component_gap),
+                   components.holds, components.residual),
         ExtraCheck("matches_direct_measurement_profile",
                    agree and law_gap <= 1e-6, law_gap),
     ]
@@ -271,11 +261,10 @@ def _pop_extras(d: int):
         # |0><1| and |1><0| compose to different matrix units each way round
         x = basis_state(d, 0) @ basis_state(d, 1)
         y = basis_state(d, 1) @ basis_state(d, 0)
-        wit = ((x @ y) >> alg.mult).distance((y @ x) >> alg.mult)
-        out.append(ExtraCheck("order_of_writes_matters", wit > allowance(alg.mult, tol), wit))
-        bell_gap = U.trivial_update.distance(cup(d))
-        out.append(ExtraCheck("bell_state_is_trivial_update",
-                              bell_gap <= allowance(U.trivial_update, tol), bell_gap))
+        wit = compare((x @ y) >> alg.mult, (y @ x) >> alg.mult, tol)
+        out.append(ExtraCheck("order_of_writes_matters", not wit.holds, wit.residual))
+        bell = compare(U.trivial_update, cup(d), tol)
+        out.append(ExtraCheck("bell_state_is_trivial_update", bell.holds, bell.residual))
         return out
 
     return run
@@ -339,50 +328,45 @@ def _ignore_put_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     ]
 
 
+def _trace_preserving(f: Morphism, tol: Tolerance) -> Comparison:
+    """Whether a doubled map preserves the trace; the residual is its trace_preservation_defect."""
+    return compare(f >> doubled_discard(f.cod), doubled_discard(f.dom), tol)
+
+
 def _postselected_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     write_defect = trace_preservation_defect(cpm_double(U.put))
-    read_defect = trace_preservation_defect(cpm_double(U.get))
+    read = _trace_preserving(cpm_double(U.get), tol)
     return [
         ExtraCheck("doubled_write_postselects", write_defect > 1e-6, write_defect),
-        ExtraCheck("doubled_read_trace_preserving", read_defect <= tol.threshold(1.0),
-                   read_defect),
+        ExtraCheck("doubled_read_trace_preserving", read.holds, read.residual),
     ]
 
 
 def _causal_extras(d1: int, d2: int):
     def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
         dephase_stored = TensorType((d1, d1)).identity() @ decoherence(d2)
-        gap = reduced_get(U).distance(dephase_stored)
         lens_get = causal_lens_like_get(d1, d2)
         reduced = lens_get >> (U.system.identity() @ doubled_discard(U.prop))
-        dephase_all = decoherence(d1) @ decoherence(d2)
-        gap_all = reduced.distance(dephase_all)
-        return [
-            ExtraCheck("reading_dephases_stored_register",
-                       gap <= allowance(dephase_stored, tol), gap),
-            ExtraCheck("lens_shaped_read_dephases_everything",
-                       gap_all <= allowance(dephase_all, tol), gap_all),
-            ExtraCheck("write_trace_preserving",
-                       trace_preservation_defect(U.put) <= tol.threshold(1.0),
-                       trace_preservation_defect(U.put)),
-            ExtraCheck("read_trace_preserving",
-                       trace_preservation_defect(U.get) <= tol.threshold(1.0),
-                       trace_preservation_defect(U.get)),
-        ]
+        checks = {
+            "reading_dephases_stored_register": compare(reduced_get(U), dephase_stored, tol),
+            "lens_shaped_read_dephases_everything":
+                compare(reduced, decoherence(d1) @ decoherence(d2), tol),
+            "write_trace_preserving": _trace_preserving(U.put, tol),
+            "read_trace_preserving": _trace_preserving(U.get, tol),
+        }
+        return [ExtraCheck(name, r.holds, r.residual) for name, r in checks.items()]
 
     return run
 
 
 def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     e, idp = U.id_system(), U.id_prop()
-    idem = (e >> e).distance(e)
-    writer = max(((e @ idp) >> U.put).distance(U.put), (U.put >> e).distance(U.put))
-    reader = max((e >> U.get).distance(U.get), (U.get >> (e @ idp)).distance(U.get))
-    return [
-        ExtraCheck("splitting_idempotent", idem <= allowance(e, tol), float(idem)),
-        ExtraCheck("writer_absorbed", writer <= allowance(U.put, tol), float(writer)),
-        ExtraCheck("reader_absorbed", reader <= allowance(U.get, tol), float(reader)),
-    ]
+    checks = {
+        "splitting_idempotent": compare(e >> e, e, tol),
+        "writer_absorbed": compare_all([((e @ idp) >> U.put, U.put), (U.put >> e, U.put)], tol),
+        "reader_absorbed": compare_all([(e >> U.get, U.get), (U.get >> (e @ idp), U.get)], tol),
+    }
+    return [ExtraCheck(name, r.holds, r.residual) for name, r in checks.items()]
 
 
 # -- the registry ------------------------------------------------------------
@@ -608,30 +592,13 @@ def get_example(name: str) -> ExampleSpec:
         ) from None
 
 
-def _check_caps(U: UpdateStructure, caps: Caps) -> None:
-    if isinstance(U.system, TensorType):
-        widest = max(U.system.factors + U.prop.factors, default=1)
-        if widest > caps.max_wire_dim:
-            raise RegistryError(
-                f"wire dimension {widest} exceeds the cap {caps.max_wire_dim}"
-            )
-    else:
-        size = U.system.size * U.prop.size
-        if size > caps.max_set_size:
-            raise RegistryError(
-                f"state space size {size} exceeds the cap {caps.max_set_size}"
-            )
+def build_example(name: str) -> UpdateStructure:
+    return get_example(name).build()
 
 
-def build_example(name: str, caps: Caps = Caps()) -> UpdateStructure:
-    U = get_example(name).build()
-    _check_caps(U, caps)
-    return U
-
-
-def run_example(name: str, tol: Tolerance = DEFAULT_TOL, caps: Caps = Caps()) -> ExampleReport:
+def run_example(name: str, tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
     spec = get_example(name)
-    U = build_example(name, caps)
+    U = build_example(name)
     laws = tuple(check_laws(U, tol))
     failing = {r.law for r in laws if not r.holds}
     verdict = classify(U, tol)
@@ -666,5 +633,5 @@ def run_example(name: str, tol: Tolerance = DEFAULT_TOL, caps: Caps = Caps()) ->
     )
 
 
-def run_all(tol: Tolerance = DEFAULT_TOL, caps: Caps = Caps()) -> list[ExampleReport]:
-    return [run_example(name, tol, caps) for name in names()]
+def run_all(tol: Tolerance = DEFAULT_TOL) -> list[ExampleReport]:
+    return [run_example(name, tol) for name in names()]

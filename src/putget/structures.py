@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .finsets import FinFunction, SetType
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare
+from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare, compare_all
 
 __all__ = [
     "StructureError",
@@ -423,10 +423,7 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
     if failed:
         return DerivedResult(prop_id, "vacuous", 0.0, tuple(failed))
     if isinstance(conclusion, str):
-        results = [check_law(U, conclusion, tol)]
+        result = check_law(U, conclusion, tol)
     else:
-        # Each pair is judged at its own threshold: the pair with the largest
-        # residual can hold while a pair of smaller norm fails.
-        results = [compare(lhs, rhs, tol) for lhs, rhs in conclusion(U)]
-    status = "holds" if all(r.holds for r in results) else "fails"
-    return DerivedResult(prop_id, status, max(r.residual for r in results), ())
+        result = compare_all(conclusion(U), tol)
+    return DerivedResult(prop_id, "holds" if result.holds else "fails", result.residual, ())

@@ -22,9 +22,14 @@ Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
 the finest parts that cover the same wires: a part with the same blocks
 on both sides is a common factor and contributes only its norm, so only
-the parts where the sides differ are built densely.  :func:`compare` is
-the one tolerance comparison of the library, for matrices and for
-finite-set functions alike.
+the parts where the sides differ are built densely.  Products and norms
+are taken with every factor scaled by a power of two, which is exact, so
+no partial product overflows unless the result does.
+
+:func:`compare` is the only place in the library where a tolerance
+decides a verdict, for matrices and for finite-set functions alike: it
+takes the distance and both side norms in one pass and refuses results
+that are not finite.  :func:`compare_all` folds it over a list of pairs.
 
 ``f >> g`` composes left to right ("f then g"); ``f @ g`` is the tensor
 product.  Scalars are 1x1 morphisms on the empty factor list.
@@ -34,9 +39,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import string
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +55,11 @@ __all__ = [
     "tensor",
     "identity",
     "swap",
-    "dagger",
-    "conjugate",
     "cup",
     "cap",
-    "partial_trace",
     "Comparison",
     "compare",
-    "allowance",
+    "compare_all",
     "basis_state",
     "basis_effect",
     "scalar",
@@ -216,24 +217,11 @@ class Morphism:
 
     def norm(self) -> float:
         """The Frobenius norm; of a lazy product, the product of its block norms."""
-        if self._blocks is not None:
-            norm = math.prod(map(_block_norm, self._blocks))
-            if math.isfinite(norm):
-                return norm
-        # dense, or overflowing: the dense matrix raises if an entry does
-        return float(np.linalg.norm(self.array))
+        return _finite_norms(_scaled_prod(map(_block_norm, _blocks_of(self))))[0]
 
     def distance(self, other: "Morphism") -> float:
         """The Frobenius norm of ``self - other``, building only where they differ."""
-        if self.dom != other.dom or self.cod != other.cod:
-            raise WireError(
-                f"cannot compare {self.dom} -> {self.cod} with {other.dom} -> {other.cod}"
-            )
-        if self._blocks is not None or other._blocks is not None:
-            distance = _factored_distance(_blocks_of(self), _blocks_of(other))
-            if distance is not None:
-                return distance
-        return float(np.linalg.norm(self.array - other.array))
+        return _distance_and_norms(self, other)[0]
 
     def __str__(self) -> str:
         rows = [" ".join(_fmt_entry(z).rjust(8) for z in row) for row in self.array]
@@ -252,6 +240,12 @@ def _finite(arr: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _finite_norms(*norms: float) -> tuple[float, ...]:
+    if not all(map(math.isfinite, norms)):
+        raise ValueError("matrix norms must be finite")
+    return norms
 
 
 def _checked(dom: TensorType, cod: TensorType, arr: np.ndarray) -> np.ndarray:
@@ -300,15 +294,68 @@ def _blocks_of(m: Morphism) -> tuple[_Block, ...]:
     return (_Block(m.dom.factors, m.cod.factors, m._array),)
 
 
+# -- overflow-free products -------------------------------------------------
+#
+# Multiplying by a power of two is exact, so a product of factors scaled
+# by powers of two rounds exactly like the unscaled one wherever both
+# stay in range.  Scaling every factor near 1 first keeps the partial
+# products in range whenever the result is.
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2**e``, or inf where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_prod(values) -> float:
+    """The product of non-negative floats, kept as a mantissa and a binary exponent."""
+    mantissa, exponent = 1.0, 0
+    for v in values:
+        m, e = math.frexp(v)
+        mantissa, shift = math.frexp(mantissa * m)
+        exponent += e + shift
+    return _ldexp(mantissa, exponent)
+
+
+def _exponent(arr: np.ndarray) -> int:
+    """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2).
+
+    Clamped so that ``2.0 ** -e`` is a float.
+    """
+    return min(max(math.frexp(float(np.abs(arr).max()))[1] - 1, -1022), 1023)
+
+
+def _scaled(arr: np.ndarray, e: int) -> np.ndarray:
+    return arr if e == 0 else arr * 2.0 ** -e
+
+
+def _fro(arr: np.ndarray) -> float:
+    """The Frobenius norm, retaken at a power-of-two scale where squaring the entries
+    left the float range: the norm is inf (NumPy warns of the overflow), or below
+    2**-500 with an entry that is not 0."""
+    norm = float(np.linalg.norm(arr))
+    if 2.0 ** -500 < norm < math.inf or not arr.any():
+        return norm
+    e = _exponent(arr)
+    return _ldexp(float(np.linalg.norm(_scaled(arr, e))), e)
+
+
 def _kron(blocks) -> np.ndarray:
-    """The dense matrix of a Kronecker product of blocks."""
-    out = np.ones((1, 1), dtype=np.complex128)
+    """The dense matrix of a Kronecker product of blocks, each scaled near 1 on the way."""
+    out, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for b in blocks:
-        m = np.eye(math.prod(b.dom)) if b.array is None else b.array
+        if b.array is None:
+            m = np.eye(math.prod(b.dom))
+        else:
+            e = _exponent(b.array)
+            m, exponent = _scaled(b.array, e), exponent + e
         # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
             out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
-    return out
+    return out if exponent == 0 else out * _ldexp(1.0, exponent)
 
 
 def _transpose(blocks) -> list[_Block]:
@@ -392,7 +439,7 @@ def _split_identities(blocks) -> list[_Block]:
 
 
 def _block_norm(b: _Block) -> float:
-    return math.sqrt(math.prod(b.dom)) if b.array is None else float(np.linalg.norm(b.array))
+    return math.sqrt(math.prod(b.dom)) if b.array is None else _fro(b.array)
 
 
 def _same_block(x: _Block, y: _Block) -> bool:
@@ -431,32 +478,36 @@ def _part_keys(a_blocks, b_blocks) -> list[list]:
     return [[find(w[0]) if w else None for w in side] for side in wires]
 
 
-def _factored_distance(a_blocks, b_blocks) -> float | None:
-    """``norm(kron(a_blocks) - kron(b_blocks))``, with the shared parts factored out.
+def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
+    """``norm(x - y)``, ``norm(x)`` and ``norm(y)``, building only where ``x`` and ``y`` differ.
 
-    A part (see :func:`_part_keys`) with the same blocks on both sides is a
-    common Kronecker factor, so it contributes only its norm.  The other
-    parts are built densely, each side's blocks in their order, which puts
-    both sides' wires in the same order.  None means that a side's norm or
-    the distance overflows; the caller then takes the dense path.
+    Of two products, a part (see :func:`_part_keys`) with the same blocks
+    on both sides is a common Kronecker factor, so it contributes only its
+    norm.  The other parts are built densely, each side's blocks in their
+    order, which puts both sides' wires in the same order.  Raises
+    ValueError when a result is not finite.
     """
-    a_blocks, b_blocks = _split_identities(a_blocks), _split_identities(b_blocks)
-    keys = _part_keys(a_blocks, b_blocks)
+    if x.dom != y.dom or x.cod != y.cod:
+        raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
+    if x._blocks is None and y._blocks is None:
+        a, b = x._array, y._array
+        return _finite_norms(_fro(a - b), _fro(a), _fro(b))
+    x_blocks = _split_identities(_blocks_of(x))
+    y_blocks = _split_identities(_blocks_of(y))
+    keys = _part_keys(x_blocks, y_blocks)
     parts: dict = {}
-    for side, blocks in enumerate((a_blocks, b_blocks)):
-        for x, k in zip(blocks, keys[side]):
-            parts.setdefault(k, ([], []))[side].append(x)
-    common, differ = 1.0, set()
+    for side, blocks in enumerate((x_blocks, y_blocks)):
+        for blk, k in zip(blocks, keys[side]):
+            parts.setdefault(k, ([], []))[side].append(blk)
+    common, differ = [], set()
     for k, (xs, ys) in parts.items():
         if len(xs) == len(ys) and all(map(_same_block, xs, ys)):
-            common *= math.prod(map(_block_norm, xs))
+            common += map(_block_norm, xs)
         else:
             differ.add(k)
-    a, b = (_kron([x for x, k in zip(blocks, side_keys) if k in differ])
-            for blocks, side_keys in zip((a_blocks, b_blocks), keys))
-    largest = common * max(np.linalg.norm(a), np.linalg.norm(b))
-    distance = common * float(np.linalg.norm(a - b))
-    return distance if math.isfinite(largest) and math.isfinite(distance) else None
+    a, b = (_kron([blk for blk, k in zip(blocks, side_keys) if k in differ])
+            for blocks, side_keys in zip((x_blocks, y_blocks), keys))
+    return _finite_norms(*(_scaled_prod(common + [_fro(m)]) for m in (a - b, a, b)))
 
 
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
@@ -525,14 +576,6 @@ def swap(a: TensorType, b: TensorType) -> Morphism:
     return Morphism(a @ b, b @ a, m)
 
 
-def dagger(f: Morphism) -> Morphism:
-    return f.dagger()
-
-
-def conjugate(f: Morphism) -> Morphism:
-    return f.conj()
-
-
 def cup(d: int) -> Morphism:
     """The Bell state ``I -> [d, d]``, sum over i of |ii>."""
     col = np.zeros((d * d, 1))
@@ -561,45 +604,6 @@ def basis_effect(d: int, i: int) -> Morphism:
     return basis_state(d, i).dagger()
 
 
-def partial_trace(f: Morphism, factor_indices: int | Iterable[int]) -> Morphism:
-    """Trace out factor positions present (with equal dimension) in dom and cod.
-
-    Positions are 0-based and index both factor lists simultaneously, so
-    the map must keep the traced wires in place.
-    """
-    if isinstance(factor_indices, int):
-        idxs = [factor_indices]
-    else:
-        idxs = sorted(set(int(i) for i in factor_indices))
-    cod_f, dom_f = f.cod.factors, f.dom.factors
-    for i in idxs:
-        if i < 0 or i >= len(cod_f) or i >= len(dom_f):
-            raise WireError(f"factor {i} not present in both {f.dom} and {f.cod}")
-        if cod_f[i] != dom_f[i]:
-            raise WireError(
-                f"factor {i} has dimension {dom_f[i]} in the domain but {cod_f[i]} in the codomain"
-            )
-    if not idxs:
-        return f
-    letters = iter(string.ascii_lowercase)
-    cod_axes = [next(letters) for _ in cod_f]
-    dom_axes = [next(letters) for _ in dom_f]
-    for i in idxs:
-        dom_axes[i] = cod_axes[i]
-    keep_cod = [k for k in range(len(cod_f)) if k not in idxs]
-    keep_dom = [k for k in range(len(dom_f)) if k not in idxs]
-    subscripts = (
-        "".join(cod_axes + dom_axes)
-        + "->"
-        + "".join([cod_axes[k] for k in keep_cod] + [dom_axes[k] for k in keep_dom])
-    )
-    arr = f.array.reshape(cod_f + dom_f)
-    out = np.einsum(subscripts, arr)
-    new_cod = TensorType(tuple(cod_f[k] for k in keep_cod))
-    new_dom = TensorType(tuple(dom_f[k] for k in keep_dom))
-    return Morphism(new_dom, new_cod, out.reshape(new_cod.dim, new_dom.dim))
-
-
 class Comparison(NamedTuple):
     """The outcome of :func:`compare`: ``holds`` iff ``residual <= threshold``."""
 
@@ -614,13 +618,25 @@ def compare(lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     Matrices hold when their Frobenius distance is at most
     ``tol.threshold(max(norm(lhs), norm(rhs)))``; finite-set functions
     hold when no input disagrees, and their residual counts the inputs
-    that do.
+    that do.  A residual or threshold that is not finite raises
+    ValueError, so no comparison can pass by overflow.
     """
-    residual = lhs.distance(rhs)
-    threshold = tol.threshold(max(lhs.norm(), rhs.norm())) if isinstance(lhs, Morphism) else 0.0
+    if isinstance(lhs, Morphism):
+        residual, lhs_norm, rhs_norm = _distance_and_norms(lhs, rhs)
+        threshold = tol.threshold(max(lhs_norm, rhs_norm))
+    else:
+        residual, threshold = lhs.distance(rhs), 0.0
+    if not (math.isfinite(residual) and math.isfinite(threshold)):
+        raise ValueError(f"comparison is not finite: residual {residual}, threshold {threshold}")
     return Comparison(residual <= threshold, residual, threshold)
 
 
-def allowance(arrow, tol: Tolerance = DEFAULT_TOL) -> float:
-    """How far from ``arrow`` a result may land: ``tol`` scaled by its norm, or 0 on sets."""
-    return tol.threshold(arrow.norm()) if isinstance(arrow, Morphism) else 0.0
+def compare_all(pairs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
+    """Compare every ``(lhs, rhs)`` pair: all must hold, and the worst pair is reported.
+
+    Each pair is judged at its own threshold, so a pair of small norm can
+    fail while the pair with the largest residual holds.
+    """
+    results = [compare(lhs, rhs, tol) for lhs, rhs in pairs]
+    worst = max(results, key=lambda r: r.residual)
+    return Comparison(all(r.holds for r in results), worst.residual, worst.threshold)

@@ -6,17 +6,14 @@ from putget.karoubi import (
     GetPutRestriction,
     SplitError,
     SplitObject,
-    classical_object,
     getput_restriction,
-    split_compose,
-    split_identity,
     split_wrap,
 )
 from putget.lenses import security_db
 from putget.quantum import decoherence, quantum_db_causal
 from putget.registry import build_example
 from putget.structures import check_law, check_laws, classify
-from putget.tensors import Morphism, TensorType
+from putget.tensors import Morphism, TensorType, Tolerance
 
 ENTRIES = FinSet(("alice", "bob", "carol"))
 
@@ -34,8 +31,16 @@ def test_split_objects_require_idempotents():
     SplitObject(t, Morphism(t, t, np.diag([1.0, 0.0])))  # fine
 
 
+def test_split_objects_check_idempotence_at_the_given_tolerance():
+    t = TensorType((2,))
+    nearly = Morphism(t, t, np.diag([1.0, 1e-7]))  # e ; e misses e by ~1e-7
+    with pytest.raises(SplitError, match="not idempotent"):
+        SplitObject(t, nearly)
+    SplitObject(t, nearly, Tolerance(1e-6, 1e-6))
+
+
 def test_split_wrap_enforces_absorption():
-    obj = classical_object(2)
+    obj = SplitObject(TensorType((2, 2)), decoherence(2))  # the classical qubit
     deco = obj.idempotent
     full = SplitObject(obj.base, obj.base.identity())
     # the decoherence itself is a morphism full -> classical and back
@@ -46,25 +51,6 @@ def test_split_wrap_enforces_absorption():
         split_wrap(obj.base.identity(), obj, obj)
     with pytest.raises(SplitError, match="expected"):
         split_wrap(TensorType((3,)).identity(), obj, obj)
-
-
-def test_split_identity_and_composition():
-    obj = classical_object(2)
-    ident = split_identity(obj)
-    assert ident.arrow.distance(decoherence(2)) == 0.0
-    again = split_compose(ident, ident)
-    # composing the identity with itself stays the idempotent
-    assert again.arrow.distance(obj.idempotent) < 1e-12
-    other = SplitObject(TensorType((3,)), TensorType((3,)).identity())
-    with pytest.raises(SplitError, match="compose"):
-        split_compose(ident, split_identity(other))
-    # same base wire [2, 2], different idempotent
-    unsplit = SplitObject(TensorType((2, 2)), TensorType((2, 2)).identity())
-    with pytest.raises(SplitError, match="compose"):
-        split_compose(ident, split_identity(unsplit))
-    # an equal idempotent held by a different object composes
-    twin = split_identity(classical_object(2))
-    assert split_compose(ident, twin).arrow.distance(obj.idempotent) < 1e-12
 
 
 # -- restricting weak structures -------------------------------------------

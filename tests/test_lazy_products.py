@@ -261,9 +261,9 @@ def test_norm_and_distance_of_lazy_products_match_the_dense_oracle(data, seed):
 
 @pytest.fixture
 def distance_builds(monkeypatch):
-    """Sizes of the dense matrices that ``Morphism.distance`` builds."""
+    """Sizes of the dense matrices that comparisons build."""
     sizes, inside = [], []
-    kron, distance = tensors._kron, Morphism.distance
+    kron, distance = tensors._kron, tensors._distance_and_norms
 
     def recording_kron(blocks):
         out = kron(blocks)
@@ -271,15 +271,15 @@ def distance_builds(monkeypatch):
             sizes.append(out.size)
         return out
 
-    def tracked_distance(self, other):
-        inside.append(self)
+    def tracked_distance(x, y):
+        inside.append(x)
         try:
-            return distance(self, other)
+            return distance(x, y)
         finally:
             inside.pop()
 
     monkeypatch.setattr(tensors, "_kron", recording_kron)
-    monkeypatch.setattr(Morphism, "distance", tracked_distance)
+    monkeypatch.setattr(tensors, "_distance_and_norms", tracked_distance)
     return sizes
 
 
@@ -317,6 +317,21 @@ def test_overflowing_products_still_raise():
     # the factored distance, 4e206 * 2e100, is finite: only the sides overflow
     with pytest.raises(ValueError, match="finite"):
         f.distance(big @ big @ near)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("order", ["aab", "aba"])
+def test_products_with_an_entry_in_range_do_not_overflow_on_the_way(order):
+    a = Morphism(UNIT, UNIT, [[1e200]])
+    b = Morphism(UNIT, UNIT, [[1e-200]])
+    f = reduce(lambda x, y: x @ y, (a if c == "a" else b for c in order))
+    assert f.norm() == pytest.approx(1e200, rel=1e-15)
+    assert f.array[0, 0] == pytest.approx(1e200, rel=1e-15)
+    assert f.distance(a) <= 1e-15 * 1e200
+    wire = TensorType((2,)).identity()
+    g = reduce(lambda x, y: x @ y, (wire @ a if c == "a" else b @ wire for c in order))
+    assert g.norm() == pytest.approx(np.sqrt(8) * 1e200, rel=1e-15)  # three wires
+    assert np.allclose(g.array / 1e200, np.eye(8), rtol=1e-15, atol=0)
 
 
 # -- laws and derived residuals against the dense oracle --------------------

@@ -8,7 +8,6 @@ import pytest
 import putget
 from putget.cli import main
 from putget.registry import (
-    Caps,
     RegistryError,
     build_example,
     get_example,
@@ -66,16 +65,6 @@ def test_unknown_examples_are_rejected():
         get_example("flux_capacitor")
     with pytest.raises(RegistryError):
         build_example("flux_capacitor")
-
-
-def test_caps_refuse_oversized_wires():
-    with pytest.raises(RegistryError, match="exceeds the cap"):
-        build_example("pair_of_pants_4", Caps(max_wire_dim=3))
-    with pytest.raises(RegistryError, match="exceeds the cap"):
-        build_example("security_db_3", Caps(max_set_size=4))
-    # the defaults admit every registered example
-    for name in names():
-        build_example(name)
 
 
 def test_measurement_report_contents():
@@ -144,16 +133,10 @@ def test_name_and_all_are_mutually_exclusive(capsys):
     assert main(["check", "qubit_z_pvs", "--all"]) == 2
 
 
-def test_caps_flag(capsys):
+def test_max_dim_is_a_usage_error(capsys):
+    # there is no size cap: --max-dim is an unknown option
     assert main(["check", "pair_of_pants_4", "--max-dim", "3"]) == 2
-    assert "exceeds the cap" in capsys.readouterr().err
-    assert main(["check", "pair_of_pants_4", "--max-dim", "4"]) == 0
-    capsys.readouterr()
-    for bad in ("0", "-1"):
-        assert main(["check", "lens_constant_complement_3_2", "--max-dim", bad]) == 2
-        assert "caps must be at least 1" in capsys.readouterr().err
-        with pytest.raises(RegistryError):
-            Caps(max_set_size=int(bad))
+    assert "unrecognized arguments: --max-dim" in capsys.readouterr().err
 
 
 def test_tolerance_validation(capsys, monkeypatch):
@@ -171,6 +154,12 @@ def test_non_finite_tolerance_is_a_usage_error(capsys, monkeypatch, bad):
     monkeypatch.setenv("PUTGET_TOL", bad)
     assert main(["check", "qubit_z_pvs"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_threshold_that_overflows_is_an_error(capsys):
+    # 1e308 + 1e308 * norm is inf: every law would pass if it were allowed
+    assert main(["check", "qubit_z_pvs", "--tol", "1e308"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_tolerance_env_and_flag_precedence(capsys, monkeypatch):

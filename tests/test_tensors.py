@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 from putget.tensors import (
     DEFAULT_TOL,
     Morphism,
+    UNIT,
     TensorType,
     Tolerance,
     WireError,
     basis_effect,
     basis_state,
     cap,
+    compare,
+    compare_all,
     cup,
-    partial_trace,
     scalar,
     swap,
 )
@@ -116,34 +118,6 @@ def test_tensor_respects_composition(a, b, c, seed):
     assert lhs.distance(rhs) < 1e-9
 
 
-def test_partial_trace_full_endomap_gives_trace():
-    rng = np.random.default_rng(7)
-    t = TensorType((3,))
-    f = rand_morphism(rng, t, t)
-    traced = partial_trace(f, (0,))
-    assert traced.dom == TensorType(())
-    assert abs(traced.array[0, 0] - np.trace(f.array)) < 1e-12
-
-
-def test_partial_trace_over_one_factor():
-    rng = np.random.default_rng(8)
-    a, b = TensorType((2,)), TensorType((3,))
-    f = rand_morphism(rng, a, a)
-    g = rand_morphism(rng, b, b)
-    # tracing out the second factor of f (x) g leaves tr(g) * f
-    traced = partial_trace(f @ g, (1,))
-    assert traced.distance(complex(np.trace(g.array)) * f) < 1e-9
-
-
-def test_partial_trace_requires_aligned_factors():
-    f = Morphism(TensorType((2, 3)), TensorType((3, 2)), np.zeros((6, 6)))
-    with pytest.raises(WireError):
-        partial_trace(f, (0,))  # dom factor 0 is 2, cod factor 0 is 3
-    g = (TensorType((2, 2))).identity()
-    with pytest.raises(WireError):
-        partial_trace(g, (5,))
-
-
 def test_scalar_and_effects():
     z = scalar(2 + 1j)
     assert z.array.shape == (1, 1)
@@ -158,6 +132,38 @@ def test_tolerance_threshold_combines_absolute_and_relative():
     assert tol.threshold(0.0) == pytest.approx(1e-9)
     assert tol.threshold(100.0) == pytest.approx(1e-9 + 1e-4)
     assert DEFAULT_TOL.threshold(1.0) == pytest.approx(2e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_compare_takes_norms_without_squaring_overflow():
+    one = Morphism(UNIT, UNIT, [[1e200]])
+    two = Morphism(UNIT, UNIT, [[2e200]])
+    assert one.norm() == 1e200
+    result = compare(one, two)
+    assert (result.holds, result.residual) == (False, 1e200)
+    assert result.threshold == pytest.approx(DEFAULT_TOL.threshold(2e200))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_compare_refuses_residuals_and_thresholds_that_are_not_finite():
+    t = TensorType((2,))
+    huge = Morphism(UNIT, t, [[1.5e308], [1.5e308]])  # the norm, 2.1e308, overflows
+    with pytest.raises(ValueError, match="finite"):
+        compare(huge, 0.0 * huge)
+    big = Morphism(UNIT, t, [[1e307], [0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        compare(big, big, Tolerance(1.0, 100.0))  # threshold 1e309
+    assert compare(big, big).holds
+
+
+def test_compare_all_reports_the_worst_pair():
+    t = TensorType((2,))
+    one = t.identity()
+    results = [compare(one, one), compare(one, 2.0 * one), compare(one, 1.5 * one)]
+    worst = compare_all([(one, one), (one, 2.0 * one), (one, 1.5 * one)])
+    assert worst == (False, results[1].residual, results[1].threshold)
+    assert compare_all([(one, one)]) == results[0]
+    assert compare_all([(one, one), (one, (1 + 1e-12) * one)]).holds
 
 
 def test_distance_and_arithmetic():
