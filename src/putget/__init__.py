@@ -38,10 +38,8 @@ from .finsets import (
 from .karoubi import (
     GetPutRestriction,
     SplitError,
-    SplitMorphism,
-    SplitObject,
+    absorption,
     getput_restriction,
-    split_wrap,
 )
 from .lenses import (
     LensError,
@@ -63,7 +61,6 @@ from .quantum import (
     PremiseError,
     ProjectorValuedSpectrum,
     PvsError,
-    QuantumMeasurement,
     causal_lens_like_get,
     characterize_pvs,
     cpm_double,
@@ -80,7 +77,7 @@ from .quantum import (
     quantum_db_postselected,
     quantum_measurement,
     reduced_get,
-    trace_preservation_defect,
+    trace_preserving,
     transform_update,
 )
 from .registry import (

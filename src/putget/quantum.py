@@ -4,14 +4,16 @@ A pure map f is doubled to ``f (x) conj(f)`` with the conjugate factor
 interleaved next to its original, so a wire of dimension d becomes the
 adjacent pair ``(d, d)`` and doubling commutes with both composition
 and tensoring.  Density matrices on d live on such a pair via row-major
-vectorisation; ``decoherence(d)`` projects onto their diagonal.
+vectorisation; ``decoherence(d)`` projects onto their diagonal.  A
+doubled map is causal when followed by the trace it is the trace;
+``trace_preserving(f, tol)`` decides that.
 
 Projector-valued spectra package a complete family of orthogonal
 projectors as a single map ``S -> S (x) p`` whose outcome wire carries
 the basis spider.  Undoubled they give strong update structures; after
-doubling and decohering the outcome wire they give genuinely weak
-measurement structures whose GetPut defect is exactly
-``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
+doubling and decohering the outcome wire, ``quantum_measurement``
+gives a genuinely weak measurement structure (get reads out, put writes
+in) whose GetPut defect is exactly ``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
 
 Scalar conventions: the pair-of-pants read map and comagma carry a 1/d
 so that GetGet and GetPut hold on the nose; the postselected database
@@ -38,6 +40,7 @@ from .structures import (
 )
 from .tensors import (
     DEFAULT_TOL,
+    Comparison,
     Morphism,
     TensorType,
     Tolerance,
@@ -55,14 +58,13 @@ __all__ = [
     "cpm_double",
     "decoherence",
     "doubled_discard",
-    "trace_preservation_defect",
+    "trace_preserving",
     "double_structure",
     "transform_update",
     "ProjectorValuedSpectrum",
     "pvs_from_projectors",
     "pvs_equations",
     "pvs_to_update",
-    "QuantumMeasurement",
     "quantum_measurement",
     "getput_defect_formula",
     "characterize_pvs",
@@ -130,9 +132,9 @@ def doubled_discard(t: TensorType) -> Morphism:
     return eff
 
 
-def trace_preservation_defect(f: Morphism) -> float:
-    """How far a doubled map is from preserving the trace."""
-    return (f >> doubled_discard(f.cod)).distance(doubled_discard(f.dom))
+def trace_preserving(f: Morphism, tol: Tolerance = DEFAULT_TOL) -> Comparison:
+    """Whether a doubled map preserves the trace: ``f ; discard = discard``."""
+    return compare(f >> doubled_discard(f.cod), doubled_discard(f.dom), tol)
 
 
 def double_structure(U: UpdateStructure) -> UpdateStructure:
@@ -293,16 +295,7 @@ def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumMeasurement:
-    """A doubled spectrum with a decohered outcome wire, read and write."""
-
-    read_out: Morphism
-    write_in: Morphism
-    structure: UpdateStructure
-
-
-def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> QuantumMeasurement:
+def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> UpdateStructure:
     """The weak measurement structure of a spectrum.
 
     Reading doubles the spectrum and decoheres the outcome; writing is
@@ -320,7 +313,7 @@ def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_T
     if not invariance.holds:
         raise StructureError(
             f"outcome wire is not decoherence-invariant (residual {invariance.residual:.3e})")
-    structure = UpdateStructure(
+    return UpdateStructure(
         backend="doubled",
         system=system2,
         prop=double_type(pvs.algebra.carrier),
@@ -329,7 +322,6 @@ def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_T
         mult=(deco @ deco) >> cpm_double(pvs.algebra.mult) >> deco,
         comult=deco >> cpm_double(pvs.algebra.comult) >> (deco @ deco),
     )
-    return QuantumMeasurement(read_out, write_in, structure)
 
 
 def getput_defect_formula(pvs: ProjectorValuedSpectrum) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebras import check_algebra, pair_of_pants_frobenius
 from .finsets import FinSet, SET_UNIT, FinFunction, SetType
-from .karoubi import getput_restriction
+from .karoubi import absorption, getput_restriction
 from .lenses import (
     VwbLens,
     check_vwb,
@@ -45,7 +45,7 @@ from .quantum import (
     quantum_db_postselected,
     quantum_measurement,
     reduced_get,
-    trace_preservation_defect,
+    trace_preserving,
     transform_update,
 )
 from .structures import (
@@ -61,7 +61,6 @@ from .structures import (
 )
 from .tensors import (
     DEFAULT_TOL,
-    Comparison,
     Morphism,
     TensorType,
     Tolerance,
@@ -69,6 +68,7 @@ from .tensors import (
     compare,
     compare_all,
     cup,
+    scalar,
 )
 
 __all__ = [
@@ -218,13 +218,12 @@ def _pvs_extras(make_pvs):
 def _measurement_extras(make_pvs):
     def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
         pvs = make_pvs()
-        predicted = getput_defect_formula(pvs)
-        actual = check_law(U, "GetPut", tol).residual
-        gap = abs(actual - predicted)
+        actual = scalar(check_law(U, "GetPut", tol).residual)
+        formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
         deco = decoherence(len(pvs.projectors))
         inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
         return [
-            ExtraCheck("getput_defect_matches_rank_formula", gap <= 1e-6, gap),
+            ExtraCheck("getput_defect_matches_rank_formula", formula.holds, formula.residual),
             ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
         ]
 
@@ -232,20 +231,19 @@ def _measurement_extras(make_pvs):
 
 
 def _decohered_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    direct = quantum_measurement(_qubit_z_pvs()).structure
+    direct = quantum_measurement(_qubit_z_pvs())
     components = compare_all(
         [(U.put, direct.put), (U.get, direct.get), (U.mult, direct.mult),
          (U.comult, direct.comult)], tol)
-    agree, law_gap = True, 0.0
-    for law in applicable_laws(U):
-        mine, theirs = check_law(U, law, tol), check_law(direct, law, tol)
-        agree = agree and (mine.holds == theirs.holds)
-        law_gap = max(law_gap, abs(mine.residual - theirs.residual))
+    pairs = [(check_law(U, law, tol), check_law(direct, law, tol)) for law in applicable_laws(U)]
+    agree = all(mine.holds == theirs.holds for mine, theirs in pairs)
+    profile = compare_all(
+        [(scalar(mine.residual), scalar(theirs.residual)) for mine, theirs in pairs], tol)
     return [
         ExtraCheck("equals_direct_measurement_componentwise",
                    components.holds, components.residual),
         ExtraCheck("matches_direct_measurement_profile",
-                   agree and law_gap <= 1e-6, law_gap),
+                   agree and profile.holds, profile.residual),
     ]
 
 
@@ -328,16 +326,11 @@ def _ignore_put_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     ]
 
 
-def _trace_preserving(f: Morphism, tol: Tolerance) -> Comparison:
-    """Whether a doubled map preserves the trace; the residual is its trace_preservation_defect."""
-    return compare(f >> doubled_discard(f.cod), doubled_discard(f.dom), tol)
-
-
 def _postselected_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    write_defect = trace_preservation_defect(cpm_double(U.put))
-    read = _trace_preserving(cpm_double(U.get), tol)
+    write = trace_preserving(cpm_double(U.put), tol)
+    read = trace_preserving(cpm_double(U.get), tol)
     return [
-        ExtraCheck("doubled_write_postselects", write_defect > 1e-6, write_defect),
+        ExtraCheck("doubled_write_postselects", not write.holds, write.residual),
         ExtraCheck("doubled_read_trace_preserving", read.holds, read.residual),
     ]
 
@@ -351,8 +344,8 @@ def _causal_extras(d1: int, d2: int):
             "reading_dephases_stored_register": compare(reduced_get(U), dephase_stored, tol),
             "lens_shaped_read_dephases_everything":
                 compare(reduced, decoherence(d1) @ decoherence(d2), tol),
-            "write_trace_preserving": _trace_preserving(U.put, tol),
-            "read_trace_preserving": _trace_preserving(U.get, tol),
+            "write_trace_preserving": trace_preserving(U.put, tol),
+            "read_trace_preserving": trace_preserving(U.get, tol),
         }
         return [ExtraCheck(name, r.holds, r.residual) for name, r in checks.items()]
 
@@ -360,13 +353,7 @@ def _causal_extras(d1: int, d2: int):
 
 
 def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    e, idp = U.id_system(), U.id_prop()
-    checks = {
-        "splitting_idempotent": compare(e >> e, e, tol),
-        "writer_absorbed": compare_all([((e @ idp) >> U.put, U.put), (U.put >> e, U.put)], tol),
-        "reader_absorbed": compare_all([(e >> U.get, U.get), (U.get >> (e @ idp), U.get)], tol),
-    }
-    return [ExtraCheck(name, r.holds, r.residual) for name, r in checks.items()]
+    return [ExtraCheck(name, r.holds, r.residual) for name, r in absorption(U, tol).items()]
 
 
 # -- the registry ------------------------------------------------------------
@@ -447,7 +434,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qubit_measurement",
         "doubled qubit Z-spectrum with decohered outcome; GetPut defect sqrt(2)",
-        lambda: quantum_measurement(_qubit_z_pvs()).structure,
+        lambda: quantum_measurement(_qubit_z_pvs()),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras(_qubit_z_pvs),
@@ -455,7 +442,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qutrit_measurement",
         "doubled qutrit basis spectrum; GetPut defect sqrt(6)",
-        lambda: quantum_measurement(_qutrit_pvs()).structure,
+        lambda: quantum_measurement(_qutrit_pvs()),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras(_qutrit_pvs),
@@ -463,7 +450,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qutrit_degenerate_measurement",
         "two-outcome qutrit measurement with ranks 2 and 1; GetPut defect 2",
-        lambda: quantum_measurement(_qutrit_degenerate_pvs()).structure,
+        lambda: quantum_measurement(_qutrit_degenerate_pvs()),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras(_qutrit_degenerate_pvs),
@@ -535,7 +522,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "karoubi_qubit_measurement",
         "qubit measurement restricted to its measured (block-diagonal) states",
-        lambda: getput_restriction(quantum_measurement(_qubit_z_pvs()).structure).structure,
+        lambda: getput_restriction(quantum_measurement(_qubit_z_pvs())).structure,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
@@ -543,7 +530,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "karoubi_qutrit_measurement",
         "qutrit measurement restricted to its measured states",
-        lambda: getput_restriction(quantum_measurement(_qutrit_pvs()).structure).structure,
+        lambda: getput_restriction(quantum_measurement(_qutrit_pvs())).structure,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
@@ -551,9 +538,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "karoubi_qutrit_degenerate_measurement",
         "degenerate qutrit measurement restricted to its measured states",
-        lambda: getput_restriction(
-            quantum_measurement(_qutrit_degenerate_pvs()).structure
-        ).structure,
+        lambda: getput_restriction(quantum_measurement(_qutrit_degenerate_pvs())).structure,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,

@@ -334,9 +334,9 @@ def _scaled(arr: np.ndarray, e: int) -> np.ndarray:
 
 def _fro(arr: np.ndarray) -> float:
     """The Frobenius norm, retaken at a power-of-two scale where squaring the entries
-    left the float range: the norm is inf (NumPy warns of the overflow), or below
-    2**-500 with an entry that is not 0."""
-    norm = float(np.linalg.norm(arr))
+    left the float range: the norm is inf, or below 2**-500 with an entry that is not 0."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
     if 2.0 ** -500 < norm < math.inf or not arr.any():
         return norm
     e = _exponent(arr)

@@ -90,7 +90,7 @@ def test_criterion_02_measurement_getput_defect():
     problems = []
     for make, expected in ((_qubit_z, np.sqrt(2.0)), (_qutrit, np.sqrt(6.0))):
         pvs = make()
-        U = quantum_measurement(pvs).structure
+        U = quantum_measurement(pvs)
         verdict = classify(U)
         if verdict.kind != "weak_only":
             problems.append(f"dim {pvs.system.dim}: classified {verdict.kind}")
@@ -326,7 +326,7 @@ def test_criterion_10_quantum_databases():
 def test_criterion_11_transport_reproduces_the_measurement():
     problems = []
     T = transform_update(double_structure(pvs_to_update(_qubit_z())), decoherence(2))
-    M = quantum_measurement(_qubit_z()).structure
+    M = quantum_measurement(_qubit_z())
     if applicable_laws(T) != applicable_laws(M):
         problems.append("law sets differ")
     for law in applicable_laws(T):

@@ -1,56 +1,73 @@
 import numpy as np
 import pytest
 
+from putget import karoubi
 from putget.finsets import FinSet
 from putget.karoubi import (
     GetPutRestriction,
     SplitError,
-    SplitObject,
+    absorption,
     getput_restriction,
-    split_wrap,
 )
 from putget.lenses import security_db
-from putget.quantum import decoherence, quantum_db_causal
+from putget.quantum import decoherence, pvs_from_projectors, pvs_to_update, quantum_db_causal
 from putget.registry import build_example
 from putget.structures import check_law, check_laws, classify
-from putget.tensors import Morphism, TensorType, Tolerance
+from putget.tensors import DEFAULT_TOL, Comparison, Morphism, TensorType, Tolerance
 
 ENTRIES = FinSet(("alice", "bob", "carol"))
 
 
-# -- the completion itself -------------------------------------------------
+def qubit_z_on(e: Morphism):
+    """The qubit Z-spectrum structure with ``e`` as its system identity."""
+    t = TensorType((2,))
+    pvs = pvs_from_projectors([Morphism(t, t, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])])
+    return pvs_to_update(pvs).with_components(system_identity=e)
 
 
-def test_split_objects_require_idempotents():
+# -- the equations of a split object -----------------------------------------
+
+
+def test_absorption_requires_an_idempotent():
     t = TensorType((2,))
     rotate = Morphism(t, t, np.array([[0.0, -1.0], [1.0, 0.0]]))
-    with pytest.raises(SplitError, match="not idempotent"):
-        SplitObject(t, rotate)
-    with pytest.raises(SplitError, match="endomap"):
-        SplitObject(TensorType((3,)), t.identity())
-    SplitObject(t, Morphism(t, t, np.diag([1.0, 0.0])))  # fine
+    checks = absorption(qubit_z_on(rotate))
+    assert set(checks) == {"splitting_idempotent", "writer_absorbed", "reader_absorbed"}
+    assert not checks["splitting_idempotent"].holds
+    assert all(r.holds for r in absorption(qubit_z_on(t.identity())).values())
 
 
-def test_split_objects_check_idempotence_at_the_given_tolerance():
+def test_absorption_checks_idempotence_at_the_given_tolerance():
     t = TensorType((2,))
-    nearly = Morphism(t, t, np.diag([1.0, 1e-7]))  # e ; e misses e by ~1e-7
-    with pytest.raises(SplitError, match="not idempotent"):
-        SplitObject(t, nearly)
-    SplitObject(t, nearly, Tolerance(1e-6, 1e-6))
+    nearly = qubit_z_on(Morphism(t, t, np.diag([1.0, 1e-7])))  # e ; e misses e by ~1e-7
+    assert not absorption(nearly, DEFAULT_TOL)["splitting_idempotent"].holds
+    assert absorption(nearly, Tolerance(1e-6, 1e-6))["splitting_idempotent"].holds
 
 
-def test_split_wrap_enforces_absorption():
-    obj = SplitObject(TensorType((2, 2)), decoherence(2))  # the classical qubit
-    deco = obj.idempotent
-    full = SplitObject(obj.base, obj.base.identity())
-    # the decoherence itself is a morphism full -> classical and back
-    split_wrap(deco, full, obj)
-    split_wrap(deco, obj, full)
-    # but the bare identity is not absorbed into the classical object
-    with pytest.raises(SplitError, match="not absorbed"):
-        split_wrap(obj.base.identity(), obj, obj)
-    with pytest.raises(SplitError, match="expected"):
-        split_wrap(TensorType((3,)).identity(), obj, obj)
+def test_absorption_catches_arrows_the_idempotent_does_not_absorb():
+    t = TensorType((2,))
+    e = Morphism(t, t, np.diag([1.0, 0.0]))  # keep the |0> stratum only
+    U = qubit_z_on(e)
+    idp = U.id_prop()
+    restricted_put = U.with_components(put=(e @ idp) >> U.put >> e)
+    restricted_get = U.with_components(get=e >> U.get >> (e @ idp))
+    for V, absorbed, raw in ((restricted_put, "writer_absorbed", "reader_absorbed"),
+                             (restricted_get, "reader_absorbed", "writer_absorbed")):
+        checks = absorption(V)
+        assert checks["splitting_idempotent"].holds
+        assert checks[absorbed].holds
+        assert not checks[raw].holds and checks[raw].residual > 0.5
+
+
+def test_restriction_names_every_failing_absorption_check(monkeypatch):
+    failing = Comparison(False, 1.0, 0.0)
+
+    def broken(U, tol):
+        return {**absorption(U, tol), "writer_absorbed": failing, "reader_absorbed": failing}
+
+    monkeypatch.setattr(karoubi, "absorption", broken)
+    with pytest.raises(SplitError, match="writer_absorbed .*, reader_absorbed"):
+        getput_restriction(security_db(ENTRIES))
 
 
 # -- restricting weak structures -------------------------------------------
@@ -64,6 +81,7 @@ def test_security_db_restriction_is_strong_on_breached_states():
     R = restriction.structure
     assert R.backend == "split"
     assert classify(R).kind == "strong"
+    assert all(r.holds and r.residual == 0 for r in absorption(R).values())
     for result in check_laws(R):
         if result.law in ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate"):
             assert result.holds and result.residual == 0
@@ -90,7 +108,7 @@ def test_measurement_restriction_is_strong_but_still_not_faithful():
 def test_restricting_a_strong_structure_changes_nothing():
     U = build_example("qubit_z_pvs")
     restriction = getput_restriction(U)
-    e = restriction.system.idempotent
+    e = restriction.structure.system_identity
     assert e.distance(U.system.identity()) < 1e-9
     assert restriction.structure.put.distance(U.put) < 1e-9
     assert restriction.structure.get.distance(U.get) < 1e-9
@@ -127,16 +145,6 @@ def test_causal_database_restriction():
     R = restriction.structure
     assert classify(R).kind == "strong"
     # the split system is the classical stored register beside a free one
-    e = restriction.system.idempotent
+    e = R.system_identity
     expected = TensorType((2, 2)).identity() @ decoherence(2)
     assert e.distance(expected) < 1e-9
-
-
-def test_wrapped_writer_and_reader_are_absorbed():
-    U = security_db(ENTRIES)
-    restriction = getput_restriction(U)
-    e = restriction.system.idempotent
-    writer, reader = restriction.writer, restriction.reader
-    assert (writer.arrow >> e).distance(writer.arrow) == 0
-    assert (reader.arrow >> reader.cod.idempotent).distance(reader.arrow) == 0
-    assert writer.dom.idempotent.dom == U.system @ U.prop

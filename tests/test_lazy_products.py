@@ -304,7 +304,6 @@ def test_comparisons_on_pair_of_pants_5_build_only_where_the_sides_differ(distan
     assert max(distance_builds) <= 5 ** 6  # the size of put; both sides built: 5 ** 8
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_products_still_raise():
     t = TensorType((2,))
     big = Morphism(t, t, np.full((2, 2), 1e103))
@@ -319,7 +318,6 @@ def test_overflowing_products_still_raise():
         f.distance(big @ big @ near)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("order", ["aab", "aba"])
 def test_products_with_an_entry_in_range_do_not_overflow_on_the_way(order):
     a = Morphism(UNIT, UNIT, [[1e200]])

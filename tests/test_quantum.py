@@ -22,7 +22,7 @@ from putget.quantum import (
     quantum_db_postselected,
     quantum_measurement,
     reduced_get,
-    trace_preservation_defect,
+    trace_preserving,
     transform_update,
 )
 from putget.lenses import identity_lens, lens_to_update
@@ -105,14 +105,16 @@ def test_discarding_a_doubled_state_yields_its_norm(seed):
 def test_doubled_unitaries_preserve_the_trace(seed):
     rng = np.random.default_rng(seed)
     u = rand_unitary(rng, 3)
-    assert trace_preservation_defect(cpm_double(u)) < 1e-9
+    result = trace_preserving(cpm_double(u))
+    assert result.holds and result.residual < 1e-9
 
 
 def test_decoherence_is_an_idempotent_trace_preserving_projector():
     deco = decoherence(3)
     assert (deco >> deco).distance(deco) == 0.0
     assert deco.distance(deco.dagger()) == 0.0
-    assert trace_preservation_defect(deco) < 1e-12
+    result = trace_preserving(deco)
+    assert result.holds and result.residual < 1e-12
 
 
 # -- spectra ----------------------------------------------------------------
@@ -173,24 +175,25 @@ def test_spectrum_update_structure_is_strong(make):
 )
 def test_measurement_is_weak_with_predicted_getput_defect(make, defect):
     pvs = make()
-    qm = quantum_measurement(pvs)
-    verdict = classify(qm.structure)
+    U = quantum_measurement(pvs)
+    verdict = classify(U)
     assert verdict.kind == "weak_only"
-    residual = check_law(qm.structure, "GetPut").residual
+    residual = check_law(U, "GetPut").residual
     assert abs(residual - defect) < 1e-6
     assert abs(getput_defect_formula(pvs) - defect) < 1e-12
 
 
 def test_measurement_read_is_causal_but_write_is_not():
-    qm = quantum_measurement(qubit_z())
-    assert trace_preservation_defect(qm.read_out) < 1e-9
+    U = quantum_measurement(qubit_z())
+    read = trace_preserving(U.get)
+    assert read.holds and read.residual < 1e-9
     # undoing a measurement would need postselection
-    assert trace_preservation_defect(qm.write_in) > 1e-6
+    write = trace_preserving(U.put)
+    assert not write.holds and write.residual > 1e-6
 
 
 def test_measurement_outcome_wire_is_classical():
-    qm = quantum_measurement(qubit_z())
-    U = qm.structure
+    U = quantum_measurement(qubit_z())
     deco = decoherence(2)
     ids = U.system.identity()
     assert (U.get >> (ids @ deco)).distance(U.get) < 1e-12
@@ -226,9 +229,9 @@ def test_transform_along_identity_changes_nothing():
 def test_transform_along_decoherence_reproduces_the_measurement():
     U = double_structure(pvs_to_update(qubit_z()))
     T = transform_update(U, decoherence(2))
-    qm = quantum_measurement(qubit_z())
+    M = quantum_measurement(qubit_z())
     for name in ("put", "get", "mult", "comult"):
-        assert getattr(T, name).distance(getattr(qm.structure, name)) < 1e-9
+        assert getattr(T, name).distance(getattr(M, name)) < 1e-9
     assert classify(T).kind == "weak_only"
 
 
@@ -321,9 +324,10 @@ def test_postselected_database_is_strong_but_unphysical():
     assert classify(U).kind == "strong"
     assert check_law(U, "TrivialOutcome").holds
     # the doubled write loses trace: deletion is a postselection
-    defect = trace_preservation_defect(cpm_double(U.put))
+    write = trace_preserving(cpm_double(U.put))
     d1, d2 = 2, 2
-    assert abs(defect - np.sqrt(d1 * d2 * (d2**2 - d2))) < 1e-9
+    assert not write.holds
+    assert abs(write.residual - np.sqrt(d1 * d2 * (d2**2 - d2))) < 1e-9
 
 
 def test_postselected_database_with_point_register_is_harmless():
@@ -331,14 +335,16 @@ def test_postselected_database_with_point_register_is_harmless():
     U = quantum_db_postselected(3, 1)
     assert classify(U).kind == "strong"
     assert check_law(U, "PutGetA").holds
-    assert trace_preservation_defect(cpm_double(U.put)) < 1e-9
+    write = trace_preserving(cpm_double(U.put))
+    assert write.holds and write.residual < 1e-9
 
 
 def test_causal_database_is_weak_and_trace_preserving():
     U = quantum_db_causal(2, 2)
     assert classify(U).kind == "weak_only"
-    assert trace_preservation_defect(U.put) < 1e-9
-    assert trace_preservation_defect(U.get) < 1e-9
+    for arrow in (U.put, U.get):
+        result = trace_preserving(arrow)
+        assert result.holds and result.residual < 1e-9
 
 
 def test_causal_read_dephases_only_the_stored_register():

@@ -98,6 +98,18 @@ def test_strictest_tolerance_still_matches_exact_examples():
     assert report.matched  # set-backed residuals are exact counts
 
 
+def test_extras_follow_the_tolerance():
+    from putget.tensors import Tolerance
+
+    def extras(tol):
+        return {x.name: x for x in run_example("quantum_db_postselected_2_2", tol).extras}
+
+    assert extras(Tolerance())["doubled_write_postselects"].holds
+    # a trace defect of sqrt(8) is inside a threshold of 10 + 10 * norm
+    loose = extras(Tolerance(10, 10))["doubled_write_postselects"]
+    assert not loose.holds and loose.residual == pytest.approx(8**0.5)
+
+
 # -- command line -------------------------------------------------------------
 
 

@@ -134,7 +134,6 @@ def test_tolerance_threshold_combines_absolute_and_relative():
     assert DEFAULT_TOL.threshold(1.0) == pytest.approx(2e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_compare_takes_norms_without_squaring_overflow():
     one = Morphism(UNIT, UNIT, [[1e200]])
     two = Morphism(UNIT, UNIT, [[2e200]])
@@ -144,7 +143,6 @@ def test_compare_takes_norms_without_squaring_overflow():
     assert result.threshold == pytest.approx(DEFAULT_TOL.threshold(2e200))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_compare_refuses_residuals_and_thresholds_that_are_not_finite():
     t = TensorType((2,))
     huge = Morphism(UNIT, t, [[1.5e308], [1.5e308]])  # the norm, 2.1e308, overflows
