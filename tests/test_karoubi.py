@@ -81,7 +81,6 @@ def test_security_db_restriction_is_strong_on_breached_states():
     R = restriction.structure
     assert R.backend == "split"
     assert classify(R).kind == "strong"
-    assert all(r.holds and r.residual == 0 for r in absorption(R).values())
     for result in check_laws(R):
         if result.law in ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate"):
             assert result.holds and result.residual == 0
@@ -148,3 +147,13 @@ def test_causal_database_restriction():
     e = R.system_identity
     expected = TensorType((2, 2)).identity() @ decoherence(2)
     assert e.distance(expected) < 1e-9
+
+
+def test_wrapped_writer_and_reader_are_absorbed():
+    U = security_db(ENTRIES)
+    R = getput_restriction(U).structure
+    e = R.system_identity
+    assert (R.put >> e).distance(R.put) == 0
+    assert (R.get >> (e @ R.id_prop())).distance(R.get) == 0
+    assert R.put.dom == U.system @ U.prop
+    assert all(r.holds and r.residual == 0 for r in absorption(R).values())
