@@ -89,7 +89,6 @@ from .registry import (
     build_example,
     get_example,
     names,
-    run_all,
     run_example,
 )
 from .structures import (

@@ -27,19 +27,26 @@ class SplitError(ValueError):
     """An idempotent or absorption requirement fails."""
 
 
+_ABSORPTION = object()  # memo key in UpdateStructure._verdicts that no law name can equal
+
+
 def absorption(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> dict[str, Comparison]:
     """The equations of a structure on a split object, by name.
 
     ``splitting_idempotent``: ``e ; e = e`` for ``e = U.id_system()``;
     ``writer_absorbed`` and ``reader_absorbed``: put and get are unchanged
-    by ``e`` (beside the property identity) on either side.
+    by ``e`` (beside the property identity) on either side.  Memoised on
+    ``U`` like the law verdicts; each call returns a fresh dict.
     """
-    e, idp = U.id_system(), U.id_prop()
-    return {
-        "splitting_idempotent": compare(e >> e, e, tol),
-        "writer_absorbed": compare_all([((e @ idp) >> U.put, U.put), (U.put >> e, U.put)], tol),
-        "reader_absorbed": compare_all([(e >> U.get, U.get), (U.get >> (e @ idp), U.get)], tol),
-    }
+    key = (_ABSORPTION, tol)
+    if key not in U._verdicts:
+        e, idp, put, get = U.id_system(), U.id_prop(), U.put, U.get
+        U._verdicts[key] = {
+            "splitting_idempotent": compare(e >> e, e, tol),
+            "writer_absorbed": compare_all([((e @ idp) >> put, put), (put >> e, put)], tol),
+            "reader_absorbed": compare_all([(e >> get, get), (get >> (e @ idp), get)], tol),
+        }
+    return dict(U._verdicts[key])
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +73,6 @@ def getput_restriction(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> GetP
     e = U.get >> U.put
     idp = U.id_prop()
     restricted = U.with_components(
-        backend="split",
         put=(e @ idp) >> U.put >> e,
         get=e >> U.get >> (e @ idp),
         system_identity=e,

@@ -104,7 +104,6 @@ def lens_to_update(lens: VwbLens) -> UpdateStructure:
     """Embed a lens: copy comagma, left-delete magma, get = <id, get_fn>."""
     s, v = SetType((lens.source,)), SetType((lens.view,))
     return UpdateStructure(
-        backend="set",
         system=s,
         prop=v,
         put=lens.put_fn,
@@ -118,14 +117,14 @@ def lens_to_update(lens: VwbLens) -> UpdateStructure:
 def update_to_lens(U: UpdateStructure) -> VwbLens:
     """Recover the lens from a set-backed update structure of lens shape.
 
-    Preconditions, each reported by name when violated: the backend is
-    "set" with single-factor wires, mult is the left delete, comult is
-    the copy map, and the trivial-outcome law holds (so get leaves the
-    system untouched and merely reports the view).
+    Preconditions, each reported by name when violated: the structure is
+    unsplit with single-factor ``SetType`` wires, mult is the left
+    delete, comult is the copy map, and the trivial-outcome law holds
+    (so get leaves the system untouched and merely reports the view).
     """
     problems = []
-    if U.backend != "set":
-        raise LensError(f"backend must be 'set', got {U.backend!r}")
+    if not isinstance(U.system, SetType) or U.system_identity is not None:
+        raise LensError("need an unsplit structure on finite sets")
     if len(U.system.factors) != 1 or len(U.prop.factors) != 1:
         raise LensError("system and property must each be a single finite set")
     v = U.prop
@@ -234,7 +233,6 @@ def security_db(entries: FinSet) -> UpdateStructure:
     put = FinFunction.from_callable(s @ p, s, lambda x: (x[2], "breached"))
     get = FinFunction.from_callable(s, s @ p, lambda x: (x[0], "breached", x[0]))
     return UpdateStructure(
-        backend="set",
         system=s,
         prop=p,
         put=put,
@@ -256,7 +254,6 @@ def security_db_update_flag(entries: FinSet) -> UpdateStructure:
     put = FinFunction.from_callable(s @ p, s, lambda x: (x[2], "updated"))
     get = FinFunction.from_callable(s, s @ p, lambda x: (x[0], x[1], x[0]))
     return UpdateStructure(
-        backend="set",
         system=s,
         prop=p,
         put=put,

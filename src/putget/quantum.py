@@ -138,12 +138,16 @@ def trace_preserving(f: Morphism, tol: Tolerance = DEFAULT_TOL) -> Comparison:
 
 
 def double_structure(U: UpdateStructure) -> UpdateStructure:
-    """Apply the doubling functor to every component of a pure structure."""
-    if U.backend != "linear":
-        raise StructureError(f"can only double a 'linear' structure, got {U.backend!r}")
+    """Apply the doubling functor to every component of a matrix structure.
+
+    Doubling is a functor, so a split structure stays split: its
+    ``system_identity`` is doubled with the rest.  An already doubled
+    structure doubles again.
+    """
+    if not isinstance(U.system, TensorType):
+        raise StructureError(f"can only double a structure on TensorType wires, got {U.system}")
     lift = lambda a: None if a is None else cpm_double(a)
     return UpdateStructure(
-        backend="doubled",
         system=double_type(U.system),
         prop=double_type(U.prop),
         put=cpm_double(U.put),
@@ -152,6 +156,7 @@ def double_structure(U: UpdateStructure) -> UpdateStructure:
         comult=cpm_double(U.comult),
         trivial_update=lift(U.trivial_update),
         trivial_outcome=lift(U.trivial_outcome),
+        system_identity=lift(U.system_identity),
     )
 
 
@@ -161,7 +166,9 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
     put and get absorb m on the property wire; mult and comult are
     conjugated by it.  The premise -- m idempotent, a magma and a
     comagma homomorphism -- is verified first, and the result is
-    re-verified to be at least weak.
+    re-verified to be at least weak.  A split structure stays split on
+    the same ``system_identity``, which the transported put and get
+    still absorb.
     """
     if m.dom != U.prop or m.cod != U.prop:
         raise StructureError(f"m must be an endomap of {U.prop}, got {m.dom} -> {m.cod}")
@@ -175,13 +182,13 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
         raise PremiseError("m is not an idempotent magma/comagma homomorphism", bad)
     ids = U.system.identity()
     transported = UpdateStructure(
-        backend=U.backend,
         system=U.system,
         prop=U.prop,
         put=(ids @ m) >> U.put,
         get=U.get >> (ids @ m),
         mult=(m @ m) >> U.mult >> m,
         comult=m >> U.comult >> (m @ m),
+        system_identity=U.system_identity,
     )
     failing = {
         law: r.residual
@@ -207,10 +214,6 @@ class ProjectorValuedSpectrum:
     @property
     def system(self) -> TensorType:
         return self.spectrum.dom
-
-    @property
-    def outcomes(self) -> TensorType:
-        return self.algebra.carrier
 
 
 def pvs_from_projectors(
@@ -283,7 +286,6 @@ def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     """The strong structure with get the spectrum and put its dagger."""
     alg = pvs.algebra
     return UpdateStructure(
-        backend="linear",
         system=pvs.system,
         prop=alg.carrier,
         put=pvs.spectrum.dagger(),
@@ -295,29 +297,22 @@ def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     )
 
 
-def quantum_measurement(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> UpdateStructure:
+def quantum_measurement(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     """The weak measurement structure of a spectrum.
 
     Reading doubles the spectrum and decoheres the outcome; writing is
     its dagger.  The magma and comagma are the doubled spider conjugated
     by the same decoherence, so the property wire is fully classical.
+    Decoherence is an exact 0/1 idempotent, so get and put absorb it on
+    the nose (the registry extra ``outcome_wire_classical`` reports it).
     """
-    k = pvs.algebra.carrier.dim
-    deco = decoherence(k)
+    deco = decoherence(pvs.algebra.carrier.dim)
     system2 = double_type(pvs.system)
-    ids2 = system2.identity()
-    read_out = cpm_double(pvs.spectrum) >> (ids2 @ deco)
-    write_in = read_out.dagger()
-    invariance = compare_all(
-        [(read_out >> (ids2 @ deco), read_out), ((ids2 @ deco) >> write_in, write_in)], tol)
-    if not invariance.holds:
-        raise StructureError(
-            f"outcome wire is not decoherence-invariant (residual {invariance.residual:.3e})")
+    read_out = cpm_double(pvs.spectrum) >> (system2.identity() @ deco)
     return UpdateStructure(
-        backend="doubled",
         system=system2,
         prop=double_type(pvs.algebra.carrier),
-        put=write_in,
+        put=read_out.dagger(),
         get=read_out,
         mult=(deco @ deco) >> cpm_double(pvs.algebra.mult) >> deco,
         comult=deco >> cpm_double(pvs.algebra.comult) >> (deco @ deco),
@@ -393,7 +388,6 @@ def pair_of_pants_update(d: int) -> UpdateStructure:
     put = cap(d) @ wire.identity()
     get = (1.0 / d) * put.dagger()
     return UpdateStructure(
-        backend="linear",
         system=wire,
         prop=magma.carrier,
         put=put,
@@ -417,7 +411,6 @@ def quantum_db_postselected(d1: int, d2: int) -> UpdateStructure:
     spider = scfa_from_dimension(d2)
     delete = spider.counit
     return UpdateStructure(
-        backend="linear",
         system=TensorType((d1, d2)),
         prop=TensorType((d2,)),
         put=first @ delete @ second,
@@ -441,7 +434,6 @@ def quantum_db_causal(d1: int, d2: int) -> UpdateStructure:
     system = TensorType((d1, d1, d2, d2))
     read = cpm_double(TensorType((d1,)).identity() @ spider.comult) >> (system.identity() @ deco)
     return UpdateStructure(
-        backend="doubled",
         system=system,
         prop=TensorType((d2, d2)),
         put=TensorType((d1, d1)).identity() @ cap(d2) @ deco,

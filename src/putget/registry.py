@@ -81,7 +81,6 @@ __all__ = [
     "get_example",
     "build_example",
     "run_example",
-    "run_all",
 ]
 
 
@@ -616,7 +615,3 @@ def run_example(name: str, tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
         matched=not mismatches,
         mismatches=tuple(mismatches),
     )
-
-
-def run_all(tol: Tolerance = DEFAULT_TOL) -> list[ExampleReport]:
-    return [run_example(name, tol) for name in names()]

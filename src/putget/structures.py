@@ -5,7 +5,9 @@ read map ``get : S -> S (x) p`` with a magma and a comagma on the
 property wire p.  The strong laws are PutPut, GetGet, PutGet and
 GetPut; the weak ones replace GetPut by RepeatUpdate.  Everything here
 is backend-generic: the same recipes run over exact finite-set tables
-and over complex matrices.
+and over complex matrices, and the wires say which: ``SetType`` wires
+take ``FinFunction`` arrows, ``TensorType`` wires take ``Morphism``
+arrows.
 
 Law reference (``;`` is left-to-right composition):
 
@@ -22,8 +24,9 @@ Law reference (``;`` is left-to-right composition):
     Faithful      the curried put  p -> Hom(S, S)  is injective
     CommutativePut / CommutativeGet   two writes (reads) commute
 
-On a split system (see :mod:`putget.karoubi`) ``1_S`` means the
-splitting idempotent, which is the identity of the restricted object.
+A structure is split (see :mod:`putget.karoubi`) exactly when it sets
+``system_identity``: ``1_S`` then means that splitting idempotent,
+which is the identity of the restricted object.
 
 Each structure memoises its verdicts: :func:`check_law` evaluates a law
 in full the first time it is asked for at a given tolerance and returns
@@ -66,8 +69,6 @@ class StructureError(ValueError):
 Wires = TensorType | SetType
 Arrow = Morphism | FinFunction
 
-BACKENDS = ("set", "linear", "doubled", "split")
-
 LAW_NAMES = (
     "PutPut",
     "GetGet",
@@ -95,14 +96,15 @@ WEAK_LAWS = ("PutPut", "GetGet", "PutGet", "RepeatUpdate")
 class UpdateStructure:
     """A (system, property, put, get, mult, comult) tuple over one backend.
 
-    ``trivial_update`` (a state ``I -> p``) and ``trivial_outcome`` (an
-    effect ``p -> I``) are optional; laws mentioning them only apply
-    when present.  ``system_identity`` overrides the identity on S in
-    every law, which is how structures restricted to a splitting
-    idempotent are checked.
+    The wires fix the backend: both ``SetType`` (arrows are
+    ``FinFunction`` tables) or both ``TensorType`` (arrows are
+    ``Morphism`` matrices, doubled or not).  ``trivial_update`` (a state
+    ``I -> p``) and ``trivial_outcome`` (an effect ``p -> I``) are
+    optional; laws mentioning them only apply when present.
+    ``system_identity`` overrides the identity on S in every law; it is
+    set exactly on structures restricted to a splitting idempotent.
     """
 
-    backend: str
     system: Wires
     prop: Wires
     put: Arrow
@@ -112,25 +114,20 @@ class UpdateStructure:
     trivial_update: Arrow | None = None
     trivial_outcome: Arrow | None = None
     system_identity: Arrow | None = None
-    # (law, tolerance) -> verdict, filled by check_law
+    # (law, tolerance) -> verdict, filled by check_law; karoubi.absorption keeps its own entries
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise StructureError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        # "split" inherits its arrow flavour from the wires; the other
-        # tags pin it down.
-        if self.backend == "set":
-            want_type: type = SetType
-        elif self.backend == "split":
-            want_type = SetType if isinstance(self.system, SetType) else TensorType
-        else:
-            want_type = TensorType
-        want = FinFunction if want_type is SetType else Morphism
-        if not isinstance(self.system, want_type) or not isinstance(self.prop, want_type):
-            raise StructureError(f"backend {self.backend!r} needs {want_type.__name__} wires")
         s, p = self.system, self.prop
-        unit = want_type.unit()
+        if isinstance(s, SetType) and isinstance(p, SetType):
+            want: type = FinFunction
+        elif isinstance(s, TensorType) and isinstance(p, TensorType):
+            want = Morphism
+        else:
+            raise StructureError(
+                f"system and property must both be SetType or both TensorType wires, "
+                f"got {type(s).__name__} and {type(p).__name__}")
+        unit = type(s).unit()
         expected = {
             "put": (s @ p, s),
             "get": (s, s @ p),
@@ -145,7 +142,7 @@ class UpdateStructure:
             if arrow is None:
                 continue
             if not isinstance(arrow, want):
-                raise StructureError(f"{name} must be a {want.__name__} on backend {self.backend!r}")
+                raise StructureError(f"{name} must be a {want.__name__} on these wires")
             if arrow.dom != dom or arrow.cod != cod:
                 raise StructureError(
                     f"{name} must be a map {dom} -> {cod}, got {arrow.dom} -> {arrow.cod}"

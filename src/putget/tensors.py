@@ -8,10 +8,10 @@ most significant, which is exactly the Kronecker product convention.
 
 A morphism is held either as one dense matrix or as a lazy Kronecker
 product: the list of its blocks, in which an identity block is stored as
-its wires only.  ``tensor`` and ``identity`` build lazy products, and
-``compose`` works along the wires: it cuts the shared middle wires
-wherever both operands have a block boundary and composes each piece on
-its own.  A piece with an identity on one side is the other side's
+its wires only.  ``tensor`` and ``TensorType.identity`` build lazy
+products, and ``compose`` works along the wires: it cuts the shared
+middle wires wherever both operands have a block boundary and composes
+each piece on its own.  A piece with an identity on one side is the other side's
 blocks, untouched; a dense block is applied along its own axes by a
 batched matmul; two larger products are contracted in one
 ``np.einsum(..., optimize=True)``.  So ``1 (x) f`` is never built as a
@@ -53,7 +53,6 @@ __all__ = [
     "Morphism",
     "compose",
     "tensor",
-    "identity",
     "swap",
     "cup",
     "cap",
@@ -560,10 +559,6 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """The tensor product, held lazily as the blocks of both factors."""
     return _product(f.dom @ g.dom, f.cod @ g.cod, _blocks_of(f) + _blocks_of(g))
-
-
-def identity(t: TensorType) -> Morphism:
-    return t.identity()
 
 
 def swap(a: TensorType, b: TensorType) -> Morphism:

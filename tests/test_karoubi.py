@@ -10,19 +10,31 @@ from putget.karoubi import (
     getput_restriction,
 )
 from putget.lenses import security_db
-from putget.quantum import decoherence, pvs_from_projectors, pvs_to_update, quantum_db_causal
-from putget.registry import build_example
-from putget.structures import check_law, check_laws, classify
+from putget.quantum import (
+    cpm_double,
+    decoherence,
+    double_structure,
+    pvs_from_projectors,
+    pvs_to_update,
+    quantum_db_causal,
+    quantum_measurement,
+    transform_update,
+)
+from putget.registry import build_example, run_example
+from putget.structures import StructureError, check_law, check_laws, classify
 from putget.tensors import DEFAULT_TOL, Comparison, Morphism, TensorType, Tolerance
 
 ENTRIES = FinSet(("alice", "bob", "carol"))
 
 
+def qubit_z():
+    t = TensorType((2,))
+    return pvs_from_projectors([Morphism(t, t, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])])
+
+
 def qubit_z_on(e: Morphism):
     """The qubit Z-spectrum structure with ``e`` as its system identity."""
-    t = TensorType((2,))
-    pvs = pvs_from_projectors([Morphism(t, t, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])])
-    return pvs_to_update(pvs).with_components(system_identity=e)
+    return pvs_to_update(qubit_z()).with_components(system_identity=e)
 
 
 # -- the equations of a split object -----------------------------------------
@@ -79,7 +91,7 @@ def test_security_db_restriction_is_strong_on_breached_states():
     restriction = getput_restriction(U)
     assert isinstance(restriction, GetPutRestriction)
     R = restriction.structure
-    assert R.backend == "split"
+    assert R.system_identity is not None
     assert classify(R).kind == "strong"
     for result in check_laws(R):
         if result.law in ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate"):
@@ -122,7 +134,7 @@ def test_restriction_requires_the_weak_laws():
     s, p = SetType((s4,)), SetType((v,))
     # ignore-every-write breaks PutGet, so there is nothing to split
     U = UpdateStructure(
-        backend="set", system=s, prop=p,
+        system=s, prop=p,
         put=FinFunction.from_callable(s @ p, s, lambda x: (x[0],)),
         get=FinFunction.from_callable(s, s @ p, lambda x: (x[0], "a" if x[0] in ("s0", "s1") else "b")),
         mult=projection(p @ p, 1), comult=diagonal(p),
@@ -157,3 +169,51 @@ def test_wrapped_writer_and_reader_are_absorbed():
     assert (R.get >> (e @ R.id_prop())).distance(R.get) == 0
     assert R.put.dom == U.system @ U.prop
     assert all(r.holds and r.residual == 0 for r in absorption(R).values())
+
+
+def test_absorption_is_evaluated_once_per_structure_and_tolerance(monkeypatch):
+    calls = {"compare": 0, "compare_all": 0}
+
+    def spy(name):
+        original = getattr(karoubi, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(karoubi, name, spy(name))
+    # getput_restriction evaluates it; the registry extras read the memo
+    assert run_example("karoubi_security_db_3").matched
+    assert calls == {"compare": 1, "compare_all": 2}
+    R = getput_restriction(security_db(ENTRIES)).structure
+    first = absorption(R)
+    first.clear()  # callers get a copy, not the memo itself
+    assert set(absorption(R)) == {"splitting_idempotent", "writer_absorbed", "reader_absorbed"}
+    with pytest.raises(StructureError):
+        check_law(R, "absorption")
+
+
+# -- split structures through the quantum constructors ----------------------
+
+
+def split_measurement():
+    return getput_restriction(quantum_measurement(qubit_z())).structure
+
+
+def test_transport_keeps_a_split_structure_split():
+    R = split_measurement()
+    T = transform_update(R, decoherence(2))
+    assert T.system_identity is R.system_identity
+    assert classify(T).kind == "strong"
+    assert all(r.holds for r in absorption(T).values())
+
+
+def test_doubling_a_split_structure_doubles_its_idempotent():
+    R = split_measurement()
+    D = double_structure(R)
+    assert D.system_identity.distance(cpm_double(R.system_identity)) == 0.0
+    assert classify(D).kind == "strong"
+    assert all(r.holds for r in absorption(D).values())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from putget.finsets import FinFunction, FinSet, SetType, projection
+from putget.karoubi import getput_restriction
 from putget.lenses import (
     LensError,
     VwbLens,
@@ -188,6 +189,12 @@ def test_update_to_lens_rejects_state_disturbing_get():
     )
     with pytest.raises(LensError, match="trivial-outcome"):
         update_to_lens(U)
+
+
+def test_update_to_lens_rejects_split_structures():
+    R = getput_restriction(lens_to_update(identity_lens(AB))).structure
+    with pytest.raises(LensError):
+        update_to_lens(R)
 
 
 def test_update_to_lens_rejects_compound_wires():

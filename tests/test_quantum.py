@@ -58,6 +58,11 @@ def qubit_x():
     return pvs_from_projectors([Morphism(t, t, plus), Morphism(t, t, minus)])
 
 
+def qutrit():
+    t = TensorType((3,))
+    return pvs_from_projectors([Morphism(t, t, np.diag(row)) for row in np.eye(3)])
+
+
 def qutrit_degenerate():
     t = TensorType((3,))
     return pvs_from_projectors(
@@ -193,19 +198,23 @@ def test_measurement_read_is_causal_but_write_is_not():
 
 
 def test_measurement_outcome_wire_is_classical():
-    U = quantum_measurement(qubit_z())
-    deco = decoherence(2)
-    ids = U.system.identity()
-    assert (U.get >> (ids @ deco)).distance(U.get) < 1e-12
-    assert ((ids @ deco) >> U.put).distance(U.put) < 1e-12
+    # decoherence is an exact 0/1 diagonal idempotent: both halves absorb it on the nose
+    for make in (qubit_z, qubit_x, qutrit, qutrit_degenerate):
+        pvs = make()
+        U = quantum_measurement(pvs)
+        deco = decoherence(len(pvs.projectors))
+        ids = U.system.identity()
+        assert (U.get >> (ids @ deco)).distance(U.get) == 0.0, make.__name__
+        assert ((ids @ deco) >> U.put).distance(U.put) == 0.0, make.__name__
 
 
 def test_doubling_a_spectrum_structure_keeps_it_strong():
     U = double_structure(pvs_to_update(qubit_z()))
-    assert U.backend == "doubled"
+    assert U.system_identity is None
     assert classify(U).kind == "strong"
-    with pytest.raises(StructureError):
-        double_structure(U)  # already doubled
+    twice = double_structure(U)  # the doubled wires double again
+    assert twice.system == TensorType((2, 2, 2, 2))
+    assert classify(twice).kind == "strong"
     with pytest.raises(StructureError):
         double_structure(lens_to_update(identity_lens_for_tests()))
 

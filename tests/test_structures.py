@@ -39,7 +39,7 @@ def ignore_put_structure() -> UpdateStructure:
     get = FinFunction.from_callable(s, s @ v, lambda x: (x[0], "a" if x[0] in ("s0", "s1") else "b"))
     put = FinFunction.from_callable(s @ v, s, lambda x: (x[0],))
     return UpdateStructure(
-        backend="set", system=s, prop=v, put=put, get=get,
+        system=s, prop=v, put=put, get=get,
         mult=projection(v @ v, 1), comult=diagonal(v),
     )
 
@@ -50,7 +50,7 @@ def random_set_structure(seed: int) -> UpdateStructure:
     put = FinFunction(s @ v, s, {k: rng.choice(s.elements()) for k in (s @ v).elements()})
     get = FinFunction(s, s @ v, {k: rng.choice((s @ v).elements()) for k in s.elements()})
     return UpdateStructure(
-        backend="set", system=s, prop=v, put=put, get=get,
+        system=s, prop=v, put=put, get=get,
         mult=projection(v @ v, 1), comult=diagonal(v),
     )
 
@@ -141,7 +141,7 @@ def test_faithful_rank_deficiency_on_linear_backend():
     put = s.identity() @ Morphism(p, TensorType(()), np.ones((1, 3)))
     U = build_example("qubit_z_pvs")
     probe = UpdateStructure(
-        backend="linear", system=s, prop=p, put=put,
+        system=s, prop=p, put=put,
         get=put.dagger(), mult=Morphism(p @ p, p, np.eye(3, 9)),
         comult=Morphism(p, p @ p, np.eye(9, 3)),
     )
@@ -160,7 +160,7 @@ def test_faithful_rank_cutoff_follows_the_tolerance():
     arr = np.stack(actions, axis=-1).reshape(2, 4)  # column s*dp + v
     put = Morphism(s @ p, s, arr)
     probe = UpdateStructure(
-        backend="linear", system=s, prop=p, put=put,
+        system=s, prop=p, put=put,
         get=put.dagger(), mult=Morphism(p @ p, p, np.eye(2, 4)),
         comult=Morphism(p, p @ p, np.eye(4, 2)),
     )
@@ -271,15 +271,13 @@ def test_with_components_revalidates():
     with pytest.raises(StructureError):
         U.with_components(put=U.get)  # wrong shape
     with pytest.raises(StructureError):
-        U.with_components(backend="linear")  # set wires under a linear tag
-    with pytest.raises(StructureError):
-        U.with_components(backend="teleport")
+        U.with_components(prop=TensorType((2,)))  # matrix wire beside set wires
 
 
 def test_system_identity_override_feeds_the_laws():
     U = security_db(FinSet(("alice", "bob")))
     e = U.get >> U.put  # image = breached stratum, idempotent
-    split = U.with_components(backend="split", system_identity=e)
+    split = U.with_components(system_identity=e)
     assert split.id_system() is e
     # GetPut now compares get;put against e itself, which holds on the nose
     assert not check_law(U, "GetPut").holds
