@@ -48,6 +48,7 @@ from .tensors import (
     cap,
     compare,
     compare_all,
+    double_blocks,
 )
 
 __all__ = [
@@ -103,25 +104,30 @@ def paired_dims(t: TensorType) -> tuple[int, ...]:
     return tuple(f[2 * i] for i in range(len(f) // 2))
 
 
-def cpm_double(f: Morphism) -> Morphism:
-    """Double a pure map: ``f (x) conj(f)`` with per-wire interleaving."""
-    cod_f, dom_f = f.cod.factors, f.dom.factors
-    n, m = len(cod_f), len(dom_f)
-    arr = np.kron(f.array, f.array.conj()).reshape(cod_f + cod_f + dom_f + dom_f)
+def _double_matrix(arr: np.ndarray, dom: tuple[int, ...], cod: tuple[int, ...]) -> np.ndarray:
+    """``arr (x) conj(arr)`` on factors ``dom -> cod``, each conjugate wire next to its original."""
+    n, m = len(cod), len(dom)
+    out = np.kron(arr, arr.conj()).reshape(cod + cod + dom + dom)
     cod_perm = [k for i in range(n) for k in (i, n + i)]
     dom_perm = [2 * n + k for i in range(m) for k in (i, m + i)]
-    arr = arr.transpose(cod_perm + dom_perm)
-    dom2, cod2 = double_type(f.dom), double_type(f.cod)
-    return Morphism(dom2, cod2, arr.reshape(cod2.dim, dom2.dim))
+    return out.transpose(cod_perm + dom_perm).reshape(arr.shape[0] ** 2, arr.shape[1] ** 2)
+
+
+def cpm_double(f: Morphism) -> Morphism:
+    """Double a pure map: ``f (x) conj(f)`` with per-wire interleaving.
+
+    Doubling is a monoidal functor, so a lazy product is doubled block by
+    block and stays lazy: a dense block is doubled as a matrix, an
+    identity becomes the identity on the doubled wires, and a wire
+    crossing becomes the crossing of the wire pairs.
+    """
+    return double_blocks(f, _double_matrix)
 
 
 def decoherence(d: int) -> Morphism:
     """Projection of a doubled wire onto its diagonal (classical) states."""
     t = TensorType((d, d))
-    m = np.zeros((d * d, d * d))
-    for i in range(d):
-        m[i * d + i, i * d + i] = 1.0
-    return Morphism(t, t, m)
+    return Morphism(t, t, np.diag(np.eye(d).reshape(d * d)))
 
 
 def doubled_discard(t: TensorType) -> Morphism:
@@ -142,7 +148,8 @@ def double_structure(U: UpdateStructure) -> UpdateStructure:
 
     Doubling is a functor, so a split structure stays split: its
     ``system_identity`` is doubled with the rest.  An already doubled
-    structure doubles again.
+    structure doubles again.  Components held as lazy products are
+    doubled block by block (see :func:`cpm_double`) and stay lazy.
     """
     if not isinstance(U.system, TensorType):
         raise StructureError(f"can only double a structure on TensorType wires, got {U.system}")
@@ -168,7 +175,9 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
     comagma homomorphism -- is verified first, and the result is
     re-verified to be at least weak.  A split structure stays split on
     the same ``system_identity``, which the transported put and get
-    still absorb.
+    still absorb.  ``trivial_update`` and ``trivial_outcome`` are dropped,
+    not transported: the result has neither, so its TrivialUpdate and
+    TrivialOutcome laws are not checked even when U's hold.
     """
     if m.dom != U.prop or m.cod != U.prop:
         raise StructureError(f"m must be an endomap of {U.prop}, got {m.dom} -> {m.cod}")

@@ -30,6 +30,7 @@ from .lenses import (
     update_to_lens,
 )
 from .quantum import (
+    ProjectorValuedSpectrum,
     causal_lens_like_get,
     cpm_double,
     decoherence,
@@ -99,12 +100,21 @@ class ExtraCheck:
 
 @dataclass(frozen=True)
 class ExampleSpec:
+    """One registry entry.
+
+    ``build`` makes the structure and ``extras(U, tol)`` its family checks.
+    An entry whose extras need the projector family it is built from sets
+    ``family``: each run then makes the family once, ``build`` takes it,
+    and the extras get the pair ``(family, U)`` in place of ``U``.
+    """
+
     name: str
     description: str
-    build: Callable[[], UpdateStructure]
+    build: Callable[..., UpdateStructure]
     expected: str
     expected_failing: frozenset[str]
-    extras: Callable[[UpdateStructure, Tolerance], list[ExtraCheck]] | None = None
+    extras: Callable[..., list[ExtraCheck]] | None = None
+    family: Callable[[], ProjectorValuedSpectrum] | None = None
 
 
 @dataclass(frozen=True)
@@ -178,10 +188,10 @@ def _qutrit_degenerate_pvs():
     return pvs_from_projectors([_projector(3, (1, 1, 0)), _projector(3, (0, 0, 1))])
 
 
-def _decohered_pvs_build() -> UpdateStructure:
+def _decohered_pvs_build(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     # The transformed route: double the strong spectrum structure, then
     # push it through the decoherence idempotent on the outcome wire.
-    return transform_update(double_structure(pvs_to_update(_qubit_z_pvs())), decoherence(2))
+    return transform_update(double_structure(pvs_to_update(pvs)), decoherence(2))
 
 
 def _ignore_put_lens() -> VwbLens:
@@ -202,35 +212,30 @@ def _ignore_put_update() -> UpdateStructure:
 # -- family extras ----------------------------------------------------------
 
 
-def _pvs_extras(make_pvs):
-    def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-        pvs = make_pvs()
-        out = [ExtraCheck(f"spectrum_{r.law}", r.holds, r.residual)
-               for r in pvs_equations(pvs, tol)]
-        ok, failing = characterize_pvs(U, tol)
-        out.append(ExtraCheck("characterised_as_spectrum", ok, float(len(failing))))
-        return out
-
-    return run
+def _pvs_extras(built, tol: Tolerance) -> list[ExtraCheck]:
+    pvs, U = built
+    out = [ExtraCheck(f"spectrum_{r.law}", r.holds, r.residual)
+           for r in pvs_equations(pvs, tol)]
+    ok, failing = characterize_pvs(U, tol)
+    out.append(ExtraCheck("characterised_as_spectrum", ok, float(len(failing))))
+    return out
 
 
-def _measurement_extras(make_pvs):
-    def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-        pvs = make_pvs()
-        actual = scalar(check_law(U, "GetPut", tol).residual)
-        formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
-        deco = decoherence(len(pvs.projectors))
-        inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
-        return [
-            ExtraCheck("getput_defect_matches_rank_formula", formula.holds, formula.residual),
-            ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
-        ]
-
-    return run
+def _measurement_extras(built, tol: Tolerance) -> list[ExtraCheck]:
+    pvs, U = built
+    actual = scalar(check_law(U, "GetPut", tol).residual)
+    formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
+    deco = decoherence(len(pvs.projectors))
+    inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
+    return [
+        ExtraCheck("getput_defect_matches_rank_formula", formula.holds, formula.residual),
+        ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
+    ]
 
 
-def _decohered_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    direct = quantum_measurement(_qubit_z_pvs())
+def _decohered_extras(built, tol: Tolerance) -> list[ExtraCheck]:
+    pvs, U = built
+    direct = quantum_measurement(pvs)
     components = compare_all(
         [(U.put, direct.put), (U.get, direct.get), (U.mult, direct.mult),
          (U.comult, direct.comult)], tol)
@@ -358,13 +363,15 @@ def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
 # -- the registry ------------------------------------------------------------
 
 
-def _spec(name, description, build, expected, failing, extras=None) -> ExampleSpec:
-    return ExampleSpec(name, description, build, expected, frozenset(failing), extras)
+def _spec(name, description, build, expected, failing, extras=None, family=None) -> ExampleSpec:
+    return ExampleSpec(name, description, build, expected, frozenset(failing), extras, family)
 
 
 _STRONG_LENS_FAILS = ("PutGetA", "PutGetC", "CommutativePut")
 _MEASUREMENT_FAILS = ("GetPut", "PutGetA", "Faithful")
 
+# Builds reach library functions through lambdas, so that every call goes
+# through the module binding current at run time.
 _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "lens_constant_complement_3_2",
@@ -409,50 +416,56 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qubit_z_pvs",
         "computational-basis spectrum on a qubit; strong and put-commutative",
-        lambda: pvs_to_update(_qubit_z_pvs()),
+        lambda pvs: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
-        _pvs_extras(_qubit_z_pvs),
+        _pvs_extras,
+        family=_qubit_z_pvs,
     ),
     _spec(
         "qubit_x_pvs",
         "plus/minus-basis spectrum on a qubit",
-        lambda: pvs_to_update(_qubit_x_pvs()),
+        lambda pvs: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
-        _pvs_extras(_qubit_x_pvs),
+        _pvs_extras,
+        family=_qubit_x_pvs,
     ),
     _spec(
         "qutrit_pvs",
         "computational-basis spectrum on a qutrit",
-        lambda: pvs_to_update(_qutrit_pvs()),
+        lambda pvs: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
-        _pvs_extras(_qutrit_pvs),
+        _pvs_extras,
+        family=_qutrit_pvs,
     ),
     _spec(
         "qubit_measurement",
         "doubled qubit Z-spectrum with decohered outcome; GetPut defect sqrt(2)",
-        lambda: quantum_measurement(_qubit_z_pvs()),
+        lambda pvs: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
-        _measurement_extras(_qubit_z_pvs),
+        _measurement_extras,
+        family=_qubit_z_pvs,
     ),
     _spec(
         "qutrit_measurement",
         "doubled qutrit basis spectrum; GetPut defect sqrt(6)",
-        lambda: quantum_measurement(_qutrit_pvs()),
+        lambda pvs: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
-        _measurement_extras(_qutrit_pvs),
+        _measurement_extras,
+        family=_qutrit_pvs,
     ),
     _spec(
         "qutrit_degenerate_measurement",
         "two-outcome qutrit measurement with ranks 2 and 1; GetPut defect 2",
-        lambda: quantum_measurement(_qutrit_degenerate_pvs()),
+        lambda pvs: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
-        _measurement_extras(_qutrit_degenerate_pvs),
+        _measurement_extras,
+        family=_qutrit_degenerate_pvs,
     ),
     _spec(
         "decohered_pvs",
@@ -461,6 +474,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "weak_only",
         _MEASUREMENT_FAILS,
         _decohered_extras,
+        family=_qubit_z_pvs,
     ),
     _spec(
         "pair_of_pants_2",
@@ -545,7 +559,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "karoubi_decohered_pvs",
         "transformed qubit spectrum restricted to its stable states",
-        lambda: getput_restriction(_decohered_pvs_build()).structure,
+        lambda: getput_restriction(_decohered_pvs_build(_qubit_z_pvs())).structure,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
@@ -576,18 +590,28 @@ def get_example(name: str) -> ExampleSpec:
         ) from None
 
 
+def _build(spec: ExampleSpec) -> tuple[ProjectorValuedSpectrum | None, UpdateStructure]:
+    """An entry's projector family (None if it names none) and its structure."""
+    if spec.family is None:
+        return None, spec.build()
+    family = spec.family()
+    return family, spec.build(family)
+
+
 def build_example(name: str) -> UpdateStructure:
-    return get_example(name).build()
+    return _build(get_example(name))[1]
 
 
 def run_example(name: str, tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
     spec = get_example(name)
-    U = build_example(name)
+    family, U = _build(spec)
     laws = tuple(check_laws(U, tol))
     failing = {r.law for r in laws if not r.holds}
     verdict = classify(U, tol)
     derived = tuple(verify_derived(U, prop, tol) for prop in DERIVED_PROPS)
-    extras = tuple(spec.extras(U, tol)) if spec.extras is not None else ()
+    extras = ()
+    if spec.extras is not None:
+        extras = tuple(spec.extras(U if family is None else (family, U), tol))
 
     mismatches = []
     if verdict.kind != spec.expected:

@@ -7,16 +7,19 @@ an explicit swap.  Basis order is lexicographic with the leftmost factor
 most significant, which is exactly the Kronecker product convention.
 
 A morphism is held either as one dense matrix or as a lazy Kronecker
-product: the list of its blocks, in which an identity block is stored as
-its wires only.  ``tensor`` and ``TensorType.identity`` build lazy
-products, and ``compose`` works along the wires: it cuts the shared
-middle wires wherever both operands have a block boundary and composes
-each piece on its own.  A piece with an identity on one side is the other side's
-blocks, untouched; a dense block is applied along its own axes by a
-batched matmul; two larger products are contracted in one
-``np.einsum(..., optimize=True)``.  So ``1 (x) f`` is never built as a
-matrix, and ``Morphism.array`` builds the dense matrix only when
-something reads it.
+product: the list of its blocks.  An identity block is stored as its
+wires only, and a wire crossing (:func:`swap`) as a permutation block:
+its wires and the permutation that takes inputs to outputs.  ``tensor``,
+``swap`` and ``TensorType.identity`` build lazy products, and ``compose``
+works along the wires: it cuts the shared middle wires wherever both
+operands have a block boundary and composes each piece on its own.  A
+piece with an identity on one side is the other side's blocks,
+untouched; a dense block is applied along its own axes by a batched
+matmul, across which a permutation block is a transpose of axes; two
+larger products are contracted in one ``np.einsum(..., optimize=True)``,
+in which a permutation block only relabels wires.  So neither ``1 (x) f``
+nor a crossing is ever built as a matrix, and ``Morphism.array`` builds
+the dense matrix only when something reads it.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -54,6 +57,7 @@ __all__ = [
     "compose",
     "tensor",
     "swap",
+    "double_blocks",
     "cup",
     "cap",
     "Comparison",
@@ -142,12 +146,18 @@ def _fmt_entry(z: complex) -> str:
 
 
 class _Block(NamedTuple):
-    """One factor of a lazy product: a dense ``cod x dom`` matrix, or the
-    identity on ``dom`` (equal to ``cod``) when ``array`` is None."""
+    """One factor of a lazy product: a dense ``cod x dom`` matrix; or, when
+    ``array`` is None, the wire permutation ``perm`` (output wire k is input
+    wire ``perm[k]``), or the identity on ``dom`` when ``perm`` is None too."""
 
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     array: np.ndarray | None
+    perm: tuple[int, ...] | None = None
+
+    @property
+    def is_identity(self) -> bool:
+        return self.array is None and self.perm is None
 
 
 class Morphism:
@@ -197,16 +207,13 @@ class Morphism:
     def __rmul__(self, z: complex) -> "Morphism":
         blocks = list(_blocks_of(self))
         for i, b in enumerate(blocks):
-            if b.array is not None:  # scale one dense block; identities stay lazy
+            if b.array is not None:  # scale one dense block; the others stay lazy
                 blocks[i] = b._replace(array=_finite(complex(z) * b.array))
                 return _product(self.dom, self.cod, blocks)
         return _dense(self.dom, self.cod, complex(z) * self.array)
 
     def dagger(self) -> "Morphism":
-        return _product(self.cod, self.dom, [
-            _Block(b.cod, b.dom, None if b.array is None else _finite(b.array.conj().T))
-            for b in _blocks_of(self)
-        ])
+        return _product(self.cod, self.dom, _transpose(_blocks_of(self.conj())))
 
     def conj(self) -> "Morphism":
         return _product(self.dom, self.cod, [
@@ -275,10 +282,10 @@ def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
     """
     merged: list[_Block] = []
     for b in blocks:
-        if b.array is None:
+        if b.is_identity:
             if not b.dom:
                 continue
-            if merged and merged[-1].array is None:
+            if merged and merged[-1].is_identity:
                 wires = merged.pop().dom + b.dom
                 b = _Block(wires, wires, None)
         merged.append(b)
@@ -346,8 +353,10 @@ def _kron(blocks) -> np.ndarray:
     """The dense matrix of a Kronecker product of blocks, each scaled near 1 on the way."""
     out, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for b in blocks:
-        if b.array is None:
+        if b.is_identity:
             m = np.eye(math.prod(b.dom))
+        elif b.array is None:  # a permutation: its columns are the permuted basis
+            m = _apply((b,), np.eye(math.prod(b.dom)))
         else:
             e = _exponent(b.array)
             m, exponent = _scaled(b.array, e), exponent + e
@@ -357,16 +366,22 @@ def _kron(blocks) -> np.ndarray:
     return out if exponent == 0 else out * _ldexp(1.0, exponent)
 
 
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def _transpose(blocks) -> list[_Block]:
-    return [_Block(b.cod, b.dom, None if b.array is None else b.array.T) for b in blocks]
+    return [_Block(b.cod, b.dom, None if b.array is None else b.array.T,
+                   None if b.perm is None else _inverse(b.perm)) for b in blocks]
 
 
 def _apply(blocks, x: np.ndarray) -> np.ndarray:
-    """``kron(blocks) @ x``, applying one dense block at a time along its own axes.
+    """``kron(blocks) @ x``, applying one block at a time along its own axes.
 
     Before block i, ``x`` is viewed as (outputs of the blocks before i,
-    inputs of block i, inputs of the blocks after i times columns), so
-    the block acts as one batched matmul; identity blocks are skipped.
+    inputs of block i, inputs of the blocks after i times columns), so a
+    dense block acts as one batched matmul and a permutation block as a
+    transpose of its axes; identity blocks are skipped.
     """
     columns = x.shape[1]
     done, rest = 1, x.size
@@ -375,6 +390,9 @@ def _apply(blocks, x: np.ndarray) -> np.ndarray:
         rest //= width
         if b.array is not None:
             x = np.matmul(b.array, x.reshape(done, width, rest))
+        elif b.perm is not None:
+            axes = (0, *(1 + p for p in b.perm), 1 + len(b.perm))
+            x = x.reshape(done, *b.dom, rest).transpose(axes)
         done *= math.prod(b.cod)
     return x.reshape(done, columns)
 
@@ -382,8 +400,11 @@ def _apply(blocks, x: np.ndarray) -> np.ndarray:
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
     """``kron(g_blocks) @ kron(f_blocks)``, contracted wire by wire in one einsum.
 
-    Every wire gets its own label.  An identity block gives its input and
-    output wires the same label, so it takes no part in the contraction.
+    Every wire gets its own label.  An identity or permutation block gives
+    each output wire the label of the input wire it carries, so it takes
+    no part in the contraction.  A wire that is carried through both
+    sides would then label an output and an input at once; it gets an
+    explicit identity operand instead.
     """
     label = itertools.count()
     args: list = []
@@ -393,7 +414,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         out = [next(label) for _ in b.cod]
         middle += out
         if b.array is None:
-            dom += out
+            dom += out if b.perm is None else [out[k] for k in _inverse(b.perm)]
         else:
             inputs = [next(label) for _ in b.dom]
             dom += inputs
@@ -403,11 +424,16 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     for b in g_blocks:
         inputs = [next(shared) for _ in b.dom]
         if b.array is None:
-            cod += inputs
+            cod += inputs if b.perm is None else [inputs[p] for p in b.perm]
         else:
             out = [next(label) for _ in b.cod]
             cod += out
             args += [b.array.reshape(b.cod + b.dom), out + inputs]
+    dom_dims = dict(zip(dom, (d for b in f_blocks for d in b.dom)))
+    for i, wire in enumerate(cod):
+        if wire in dom_dims:  # carried straight through
+            cod[i] = next(label)
+            args += [np.eye(dom_dims[wire]), [cod[i], wire]]
     result = np.einsum(*args, cod + dom, optimize=True)
     rows = math.prod(d for b in g_blocks for d in b.cod)
     return result.reshape(rows, result.size // rows)
@@ -417,12 +443,13 @@ def _contract(g_blocks, f_blocks) -> np.ndarray:
     """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all identity.
 
     A side that is one dense block is the matrix the other side's blocks
-    are applied to; two products of several blocks go to einsum, so that
-    neither is built.
+    are applied to; other pairs of products go to einsum, so that neither
+    is built.  A piece of identities and permutations alone is contracted
+    there too, into a dense block.
     """
-    if len(f_blocks) == 1:
+    if len(f_blocks) == 1 and f_blocks[0].array is not None:
         return _apply(g_blocks, f_blocks[0].array)
-    if len(g_blocks) == 1:
+    if len(g_blocks) == 1 and g_blocks[0].array is not None:
         return _apply(_transpose(f_blocks), g_blocks[0].array.T).T
     return _einsum(g_blocks, f_blocks)
 
@@ -430,7 +457,7 @@ def _contract(g_blocks, f_blocks) -> np.ndarray:
 def _split_identities(blocks) -> list[_Block]:
     out = []
     for b in blocks:
-        if b.array is None:
+        if b.is_identity:
             out.extend(_Block((d,), (d,), None) for d in b.dom)
         else:
             out.append(b)
@@ -442,7 +469,9 @@ def _block_norm(b: _Block) -> float:
 
 
 def _same_block(x: _Block, y: _Block) -> bool:
-    if x.dom != y.dom or x.cod != y.cod or (x.array is None) != (y.array is None):
+    if x.dom != y.dom or x.cod != y.cod or x.perm != y.perm:
+        return False
+    if (x.array is None) != (y.array is None):
         return False
     return x.array is y.array or np.array_equal(x.array, y.array)
 
@@ -536,9 +565,9 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     for (_, has_wires), (fs, gs) in sorted(pieces.items()):
         if not has_wires:
             out += fs + gs
-        elif all(b.array is None for b in fs):
+        elif all(b.is_identity for b in fs):
             out += gs
-        elif all(b.array is None for b in gs):
+        elif all(b.is_identity for b in gs):
             out += fs
         else:
             dom = tuple(d for b in fs for d in b.dom)
@@ -562,21 +591,42 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 
 def swap(a: TensorType, b: TensorType) -> Morphism:
-    """The crossing ``a (x) b -> b (x) a``."""
-    n = a.dim * b.dim
-    m = np.zeros((n, n))
-    for i in range(a.dim):
-        for j in range(b.dim):
-            m[j * a.dim + i, i * b.dim + j] = 1.0
-    return Morphism(a @ b, b @ a, m)
+    """The crossing ``a (x) b -> b (x) a``, held as one permutation block."""
+    n, m = len(a.factors), len(b.factors)
+    if not n or not m:
+        return (a @ b).identity()
+    perm = (*range(n, n + m), *range(n))
+    return _product(a @ b, b @ a, (_Block((a @ b).factors, (b @ a).factors, None, perm),))
+
+
+def double_blocks(f: Morphism, dense) -> Morphism:
+    """The image of ``f`` under a monoidal functor that doubles every wire.
+
+    A wire ``d`` becomes the adjacent pair ``(d, d)``.  A dense block
+    ``array`` on factors ``dom -> cod`` becomes ``dense(array, dom, cod)``;
+    an identity stays the identity, now on the doubled wires; and a
+    permutation ``p`` moves whole pairs, ``(2 p[k], 2 p[k] + 1)``.  A lazy
+    product is mapped block by block, so it stays lazy.
+    """
+    def pairs(wires):
+        return tuple(w for d in wires for w in (d, d))
+
+    blocks = []
+    for b in _blocks_of(f):
+        dom, cod = pairs(b.dom), pairs(b.cod)
+        if b.array is not None:
+            b = _Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
+                                          dense(b.array, b.dom, b.cod)))
+        else:
+            perm = None if b.perm is None else tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))
+            b = _Block(dom, cod, None, perm)
+        blocks.append(b)
+    return _product(TensorType(pairs(f.dom.factors)), TensorType(pairs(f.cod.factors)), blocks)
 
 
 def cup(d: int) -> Morphism:
     """The Bell state ``I -> [d, d]``, sum over i of |ii>."""
-    col = np.zeros((d * d, 1))
-    for i in range(d):
-        col[i * d + i, 0] = 1.0
-    return Morphism(UNIT, TensorType((d, d)), col)
+    return Morphism(UNIT, TensorType((d, d)), np.eye(d).reshape(d * d, 1))
 
 
 def cap(d: int) -> Morphism:

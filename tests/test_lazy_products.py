@@ -1,11 +1,12 @@
 """The lazy Kronecker engine of the linear backend against a dense oracle.
 
-``tensor`` keeps products as lists of blocks and ``compose`` works on
-them wire by wire.  The oracle here is plain NumPy on ``.array``s:
-``np.kron`` for products and ``@`` for composites, with permutation
-matrices for swaps built by index arithmetic.  ``norm`` and ``distance``
-factor out the blocks two products share, and are checked against
-``np.linalg.norm`` of the dense matrices.
+``tensor`` keeps products as lists of blocks, ``swap`` is one
+permutation block, and ``compose`` works on them wire by wire.  The
+oracle here is plain NumPy on ``.array``s: ``np.kron`` for products and
+``@`` for composites, with swaps built entry by entry in a double loop
+and doubling taken as ``kron(f, conj(f))`` with interleaved wires.
+``norm`` and ``distance`` factor out the blocks two products share, and
+are checked against ``np.linalg.norm`` of the dense matrices.
 """
 from functools import reduce
 from types import SimpleNamespace
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from putget import structures, tensors
-from putget.quantum import pair_of_pants_update, quantum_db_causal, quantum_db_postselected
+from putget.quantum import (
+    cpm_double,
+    double_type,
+    pair_of_pants_update,
+    quantum_db_causal,
+    quantum_db_postselected,
+)
 from putget.structures import (
     DERIVED_PROPS,
     applicable_laws,
@@ -30,11 +37,21 @@ AGREE = 1e-12
 
 
 def permutation(a: int, b: int) -> np.ndarray:
-    """The swap ``[a, b] -> [b, a]`` as a matrix: |i, j> goes to |j, i>."""
-    i, j = np.divmod(np.arange(a * b), b)
+    """The swap of spaces of dimensions a and b as a matrix: |i, j> goes to |j, i>."""
     m = np.zeros((a * b, a * b))
-    m[j * a + i, i * b + j] = 1.0
+    for i in range(a):
+        for j in range(b):
+            m[j * a + i, i * b + j] = 1.0
     return m
+
+
+def doubled(arr: np.ndarray, dom: TensorType, cod: TensorType) -> np.ndarray:
+    """``kron(arr, conj(arr))`` with each conjugate wire moved next to its original."""
+    n, m = len(cod.factors), len(dom.factors)
+    t = np.kron(arr, arr.conj()).reshape(cod.factors * 2 + dom.factors * 2)
+    axes = [k for i in range(n) for k in (i, n + i)] + [2 * n + k for i in range(m)
+                                                        for k in (i, m + i)]
+    return t.transpose(axes).reshape(cod.dim ** 2, dom.dim ** 2)
 
 
 def random_matrix(rng, rows: int, cols: int) -> np.ndarray:
@@ -51,8 +68,9 @@ def products(draw, wires: TensorType, side: str, rng):
     """A lazy product whose ``side`` ("cod" or "dom") is ``wires``, with its dense oracle.
 
     ``wires`` is cut into consecutive groups.  Each group becomes an
-    identity (adjacent ones are merged by the library), a swap of two
-    wires, or a dense block to or from a random type; blocks with no
+    identity (adjacent ones are merged by the library), a swap of its
+    first wires past the rest (either side may be empty, and the two may
+    be equal), or a dense block to or from a random type; blocks with no
     wire on ``side`` (effects or states) are slipped in between groups.
     """
     items = []  # (morphism, oracle array)
@@ -61,18 +79,20 @@ def products(draw, wires: TensorType, side: str, rng):
         if draw(st.integers(0, 4)) == 4:  # not the shrink target, so loops end
             group = ()
         elif rest:
-            group = tuple(rest[: draw(st.integers(1, min(3, len(rest))))])
+            group = tuple(rest[: draw(st.integers(1, min(4, len(rest))))])
         else:
             break
         rest = rest[len(group):]
-        kinds = ("dense",) if not group else ("identity", "dense", "swap")[: 2 + (len(group) == 2)]
+        kinds = ("dense",) if not group else ("identity", "dense", "swap")
         kind = draw(st.sampled_from(kinds))
         here, there = TensorType(group), draw(types())
         if kind == "identity":
             items.append((here.identity(), np.eye(here.dim)))
         elif kind == "swap":
-            a, b = group if side == "dom" else group[::-1]
-            items.append((swap(TensorType((a,)), TensorType((b,))), permutation(a, b)))
+            k = draw(st.integers(0, len(group)))
+            a, b = (group[:k], group[k:]) if side == "dom" else (group[k:], group[:k])
+            a, b = TensorType(a), TensorType(b)
+            items.append((swap(a, b), permutation(a.dim, b.dim)))
         else:
             dom, cod = (there, here) if side == "cod" else (here, there)
             arr = random_matrix(rng, cod.dim, dom.dim)
@@ -121,6 +141,72 @@ def test_dagger_conj_and_scaling_act_block_by_block(data, middle, seed):
     assert (f.dagger().dom, f.dagger().cod) == (f.cod, f.dom)
     g = f.dagger()  # f.cod -> f.dom, so f ; f^dagger is defined on lazy products
     assert_close((f >> g).array, f_arr.conj().T @ f_arr)
+
+
+def assert_norms(m: Morphism, arr: np.ndarray) -> None:
+    want = np.linalg.norm(arr)
+    assert abs(m.norm() - want) <= 1e-12 * want + 1e-300
+
+
+LIMIT = 2 ** 14  # entries of the largest oracle matrix the tests below build
+
+
+@given(st.data(), types(max_len=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_operations_on_products_with_crossings_match_the_dense_oracle(data, middle, seed):
+    rng = np.random.default_rng(seed)
+    f, f_arr = data.draw(products(middle, "cod", rng))
+    g, g_arr = data.draw(products(middle, "dom", rng))
+    h, h_arr = f >> g, g_arr @ f_arr
+    a = data.draw(types())
+    b = a if data.draw(st.booleans()) else data.draw(types())
+    s, s_arr = swap(a, b), permutation(a.dim, b.dim)
+    assert (s.dom, s.cod) == (a @ b, b @ a)
+    results = [(s, s_arr), (h, h_arr), (s.dagger(), s_arr.T), (h.dagger(), h_arr.conj().T),
+               (h.conj(), h_arr.conj()), ((0.5 - 2j) * h, (0.5 - 2j) * h_arr)]
+    if f_arr.size * g_arr.size <= LIMIT:
+        results.append((f @ g, np.kron(f_arr, g_arr)))
+    distances = []
+    if max(h_arr.shape) ** 2 * s_arr.size <= LIMIT:
+        hs, sh = np.kron(h_arr, s_arr), np.kron(s_arr, h_arr)
+        results += [(h @ s, hs), (s @ h, sh), ((h @ s) >> (h @ s).dagger(), hs.conj().T @ hs)]
+        # products that share the crossing, or hold one side densely
+        distances = [(h @ s, dense(h) @ s, hs, hs), (h @ s, h @ dense(s), hs, hs),
+                     (s @ h, s @ (2.0 * h), sh, np.kron(s_arr, 2.0 * h_arr)),
+                     (h @ s, h.conj() @ s.conj(), hs, hs.conj())]
+    for m, arr in results:
+        assert_close(m.array, arr)
+        assert_norms(m, arr)
+    for x, y, x_arr, y_arr in distances:
+        want = np.linalg.norm(x_arr - y_arr)
+        scale = max(np.linalg.norm(x_arr), np.linalg.norm(y_arr))
+        assert abs(x.distance(y) - want) <= 1e-12 * scale + 1e-300
+
+
+@given(st.data(), types(max_len=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_doubling_lazy_products_matches_the_dense_oracle(data, middle, seed):
+    rng = np.random.default_rng(seed)
+    f, f_arr = data.draw(products(middle, "cod", rng))
+    g, g_arr = data.draw(products(middle, "dom", rng))
+    small = [(m, arr) for m, arr in ((f, f_arr), (g, g_arr), (f >> g, g_arr @ f_arr))
+             if arr.size ** 2 <= LIMIT]
+    for m, arr in small:
+        d = cpm_double(m)
+        assert (d.dom, d.cod) == (double_type(m.dom), double_type(m.cod))
+        assert_close(d.array, doubled(arr, m.dom, m.cod))
+        assert_close(cpm_double(dense(m)).array, d.array)
+    if len(small) == 3:
+        both = cpm_double(f) >> cpm_double(g)
+        assert_close(both.array, doubled(g_arr @ f_arr, f.dom, g.cod))
+
+
+def test_doubled_crossings_and_identities_stay_lazy():
+    a, b = TensorType((2, 1)), TensorType((3,))
+    d = cpm_double(swap(a, b) @ b.identity())
+    assert d._array is None
+    assert_close(d.array, doubled(np.kron(permutation(2, 3), np.eye(3)), a @ b @ b, b @ a @ b))
+    assert cpm_double(swap(a, b)).distance(swap(double_type(a), double_type(b))) == 0.0
 
 
 def test_merged_identities_are_split_back_into_wires():
@@ -391,6 +477,49 @@ def test_law_and_derived_residuals_match_the_dense_oracle(U):
                  else conclusion(oracle))
         want = max(lhs.distance(rhs) for lhs, rhs in pairs)
         assert abs(result.residual - want) <= AGREE, prop
+
+
+@pytest.fixture
+def largest_build(monkeypatch):
+    """The size of the largest matrix that the linear engine builds or checks."""
+    sizes = [0]
+
+    def recording(fn):
+        def run(arg):
+            out = fn(arg)
+            sizes[0] = max(sizes[0], out.size)
+            return out
+        return run
+
+    for name in ("_kron", "_finite"):
+        monkeypatch.setattr(tensors, name, recording(getattr(tensors, name)))
+    return sizes
+
+
+@pytest.mark.parametrize("build, args, bound", [
+    (pair_of_pants_update, (5,), 5 ** 6),  # dense swaps: 5 ** 8
+    (pair_of_pants_update, (7,), 7 ** 6),  # dense swaps: 7 ** 8
+    (quantum_db_causal, (3, 3), 3 ** 10),  # dense doubling: 3 ** 12
+])
+def test_the_suite_builds_no_crossing_or_doubled_identity(largest_build, build, args, bound):
+    U = build(*args)
+    check_laws(U)
+    classify(U)
+    for prop in DERIVED_PROPS:
+        verify_derived(U, prop)
+    assert 0 < largest_build[0] <= bound
+
+
+def test_a_crossing_is_built_only_when_read(largest_build):
+    t = TensorType((5, 5))
+    s = swap(t, t)
+    for m in (s, s.dagger(), s.conj(), s @ s, cpm_double(s)):
+        assert m._array is None
+        m.norm()
+    assert s.distance(swap(t, t)) == 0.0
+    assert largest_build[0] <= 1
+    assert s.array.shape == (625, 625)
+    assert largest_build[0] == 625 ** 2
 
 
 def test_pair_of_pants_6_runs_under_the_default_caps():

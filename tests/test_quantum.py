@@ -27,7 +27,7 @@ from putget.quantum import (
 )
 from putget.lenses import identity_lens, lens_to_update
 from putget.structures import StructureError, check_law, classify
-from putget.tensors import Morphism, TensorType, UNIT, basis_state
+from putget.tensors import Morphism, TensorType, UNIT, basis_state, cup
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -233,6 +233,28 @@ def test_transform_along_identity_changes_nothing():
     T = transform_update(U, U.prop.identity())
     for name in ("put", "get", "mult", "comult"):
         assert getattr(T, name).distance(getattr(U, name)) < 1e-12
+
+
+def test_transform_drops_the_trivial_components():
+    # They are not carried over as ``u ; m`` and ``m ; o``; see ROADMAP.
+    U = pvs_to_update(qubit_z())
+    assert U.trivial_update is not None and U.trivial_outcome is not None
+    assert check_law(U, "TrivialUpdate").holds and check_law(U, "TrivialOutcome").holds
+    T = transform_update(U, U.prop.identity())
+    assert T.trivial_update is None and T.trivial_outcome is None
+    with pytest.raises(StructureError, match="not applicable"):
+        check_law(T, "TrivialUpdate")
+
+
+def test_decoherence_and_cup_equal_their_loop_built_matrices():
+    for d in range(1, 6):
+        deco = np.zeros((d * d, d * d))
+        bell = np.zeros((d * d, 1))
+        for i in range(d):
+            deco[i * d + i, i * d + i] = 1.0
+            bell[i * d + i, 0] = 1.0
+        assert np.array_equal(decoherence(d).array, deco)
+        assert np.array_equal(cup(d).array, bell)
 
 
 def test_transform_along_decoherence_reproduces_the_measurement():

@@ -59,6 +59,20 @@ def test_every_example_matches_its_expectations():
         assert report.mismatches == ()
 
 
+def test_each_run_builds_its_projector_family_once(capsys, monkeypatch):
+    from putget import registry
+
+    calls = []
+    original = registry.pvs_from_projectors
+    monkeypatch.setattr(registry, "pvs_from_projectors",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    assert main(["check", "--all"]) == 0
+    capsys.readouterr()
+    # one per entry built from a spectrum: 3 spectra, 3 measurements,
+    # decohered_pvs, and the 4 Karoubi restrictions of the last four
+    assert len(calls) == 11
+
+
 def test_unknown_examples_are_rejected():
     with pytest.raises(RegistryError, match="unknown example"):
         get_example("flux_capacitor")
