@@ -13,13 +13,10 @@ their expected law profiles; the ``putget`` console script runs them.
 
 from .algebras import (
     ALGEBRA_LAWS,
+    Algebra,
     AlgebraError,
-    Comagma,
-    FrobeniusAlgebra,
-    Magma,
     check_algebra,
     pair_of_pants,
-    pair_of_pants_frobenius,
     scfa_from_dimension,
 )
 from .finsets import (

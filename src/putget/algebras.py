@@ -1,9 +1,12 @@
-"""Magmas, comagmas and Frobenius algebras over either backend.
+"""The algebra on the property wire, over either backend.
 
 An update structure only demands a magma on the property wire (a bare
 binary operation) and dually a comagma; units, counits, associativity
-and the Frobenius laws are all optional extras whose presence is probed
-by :func:`check_algebra`.
+and the Frobenius laws are optional extras.  So one record,
+:class:`Algebra`, holds a carrier and whichever of ``mult``, ``unit``,
+``comult`` and ``counit`` are present, and :func:`check_algebra` probes
+one named law at a time.  Each law is stated once, as the pairs of
+arrows it equates, and judged by :func:`tensors.compare_all`.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import numpy as np
 from .finsets import FinFunction, SetType
 from .tensors import (
     DEFAULT_TOL,
+    Comparison,
     Morphism,
     TensorType,
     Tolerance,
@@ -24,14 +28,11 @@ from .tensors import (
 
 __all__ = [
     "AlgebraError",
-    "Magma",
-    "Comagma",
-    "FrobeniusAlgebra",
+    "Algebra",
     "ALGEBRA_LAWS",
     "check_algebra",
     "scfa_from_dimension",
     "pair_of_pants",
-    "pair_of_pants_frobenius",
 ]
 
 
@@ -43,55 +44,30 @@ Carrier = TensorType | SetType
 Arrow = Morphism | FinFunction
 
 
-def _check_endo_types(carrier: Carrier, mult=None, unit=None, comult=None, counit=None) -> None:
-    two = carrier @ carrier
-    unit_t = type(carrier).unit()
-    for name, arrow, dom, cod in (
-        ("mult", mult, two, carrier),
-        ("unit", unit, unit_t, carrier),
-        ("comult", comult, carrier, two),
-        ("counit", counit, carrier, unit_t),
-    ):
-        if arrow is None:
-            continue
-        if arrow.dom != dom or arrow.cod != cod:
-            raise AlgebraError(
-                f"{name} must be a map {dom} -> {cod}, got {arrow.dom} -> {arrow.cod}"
-            )
-
-
 @dataclass(frozen=True, eq=False)
-class Magma:
+class Algebra:
+    """A carrier with any of a multiplication, unit, comultiplication and counit.
+
+    A magma is ``Algebra(carrier, mult)``, a comagma
+    ``Algebra(carrier, comult=..., counit=...)``.  Every part that is
+    present must have its type on the carrier.
+    """
+
     carrier: Carrier
-    mult: Arrow
+    mult: Arrow | None = None
     unit: Arrow | None = None
-
-    def __post_init__(self) -> None:
-        _check_endo_types(self.carrier, mult=self.mult, unit=self.unit)
-
-
-@dataclass(frozen=True, eq=False)
-class Comagma:
-    carrier: Carrier
-    comult: Arrow
+    comult: Arrow | None = None
     counit: Arrow | None = None
 
     def __post_init__(self) -> None:
-        _check_endo_types(self.carrier, comult=self.comult, counit=self.counit)
-
-
-@dataclass(frozen=True, eq=False)
-class FrobeniusAlgebra:
-    carrier: Carrier
-    mult: Arrow
-    unit: Arrow
-    comult: Arrow
-    counit: Arrow
-
-    def __post_init__(self) -> None:
-        _check_endo_types(
-            self.carrier, mult=self.mult, unit=self.unit, comult=self.comult, counit=self.counit
-        )
+        one, two = type(self.carrier).unit(), self.carrier @ self.carrier
+        for name, dom, cod in (("mult", two, self.carrier), ("unit", one, self.carrier),
+                               ("comult", self.carrier, two), ("counit", self.carrier, one)):
+            arrow = getattr(self, name)
+            if arrow is not None and (arrow.dom != dom or arrow.cod != cod):
+                raise AlgebraError(
+                    f"{name} must be a map {dom} -> {cod}, got {arrow.dom} -> {arrow.cod}"
+                )
 
 
 ALGEBRA_LAWS = (
@@ -107,75 +83,64 @@ ALGEBRA_LAWS = (
 )
 
 
-def _getattr_or_raise(alg, name: str):
-    value = getattr(alg, name, None)
-    if value is None:
-        raise AlgebraError(f"{type(alg).__name__} has no {name}; cannot check this law")
-    return value
+def _require(alg: Algebra, part: str) -> Arrow:
+    arrow = getattr(alg, part)
+    if arrow is None:
+        raise AlgebraError(f"algebra has no {part}; cannot check this law")
+    return arrow
 
 
-def check_algebra(alg, law: str, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check one named law; returns ``(holds, residual)``.
+def _algebra_sides(alg: Algebra, law: str) -> list[tuple[Arrow, Arrow]]:
+    ident = alg.carrier.identity()
+    if law == "assoc":
+        mult = _require(alg, "mult")
+        return [((mult @ ident) >> mult, (ident @ mult) >> mult)]
+    if law == "coassoc":
+        comult = _require(alg, "comult")
+        return [(comult >> (comult @ ident), comult >> (ident @ comult))]
+    if law == "unit":
+        mult, unit = _require(alg, "mult"), _require(alg, "unit")
+        return [((unit @ ident) >> mult, ident), ((ident @ unit) >> mult, ident)]
+    if law == "counit":
+        comult, counit = _require(alg, "comult"), _require(alg, "counit")
+        return [(comult >> (counit @ ident), ident), (comult >> (ident @ counit), ident)]
+    if law == "comm":
+        mult = _require(alg, "mult")
+        return [(alg.carrier.swap(alg.carrier) >> mult, mult)]
+    if law == "cocomm":
+        comult = _require(alg, "comult")
+        return [(comult >> alg.carrier.swap(alg.carrier), comult)]
+    mult, comult = _require(alg, "mult"), _require(alg, "comult")
+    if law == "special":
+        return [(comult >> mult, ident)]
+    if law == "frobenius":
+        middle = mult >> comult
+        return [((ident @ comult) >> (mult @ ident), middle),
+                ((comult @ ident) >> (ident @ mult), middle)]
+    # dagger_frobenius
+    if not isinstance(mult, Morphism):
+        raise AlgebraError("dagger laws need the linear backend")
+    pairs = [(comult, mult.dagger())]
+    if alg.unit is not None and alg.counit is not None:
+        pairs.append((alg.counit, alg.unit.dagger()))
+    return pairs
 
-    Missing components raise :class:`AlgebraError`, except that a
-    finite-set magma without a stored unit gets an exhaustive unit
+
+def check_algebra(alg: Algebra, law: str, tol: Tolerance = DEFAULT_TOL) -> Comparison:
+    """Check one named law of ``alg``.
+
+    A law that needs a missing part raises :class:`AlgebraError`, except
+    that a finite-set magma without a stored unit gets an exhaustive unit
     search instead.
     """
     if law not in ALGEBRA_LAWS:
         raise AlgebraError(f"unknown algebra law {law!r}; expected one of {ALGEBRA_LAWS}")
-    carrier = alg.carrier
-    ident = carrier.identity()
-    sw = carrier.swap(carrier)
-
-    if law == "assoc":
-        mult = _getattr_or_raise(alg, "mult")
-        pairs = [((mult @ ident) >> mult, (ident @ mult) >> mult)]
-    elif law == "coassoc":
-        comult = _getattr_or_raise(alg, "comult")
-        pairs = [(comult >> (comult @ ident), comult >> (ident @ comult))]
-    elif law == "unit":
-        mult = _getattr_or_raise(alg, "mult")
-        unit = getattr(alg, "unit", None)
-        if unit is None:
-            if isinstance(mult, FinFunction):
-                return _searched_unit_check(alg)
-            raise AlgebraError("algebra has no unit; cannot check the unit law")
-        pairs = [((unit @ ident) >> mult, ident), ((ident @ unit) >> mult, ident)]
-    elif law == "counit":
-        comult = _getattr_or_raise(alg, "comult")
-        counit = _getattr_or_raise(alg, "counit")
-        pairs = [(comult >> (counit @ ident), ident), (comult >> (ident @ counit), ident)]
-    elif law == "comm":
-        mult = _getattr_or_raise(alg, "mult")
-        pairs = [(sw >> mult, mult)]
-    elif law == "cocomm":
-        comult = _getattr_or_raise(alg, "comult")
-        pairs = [(comult >> sw, comult)]
-    elif law == "special":
-        mult = _getattr_or_raise(alg, "mult")
-        comult = _getattr_or_raise(alg, "comult")
-        pairs = [(comult >> mult, ident)]
-    elif law == "frobenius":
-        mult = _getattr_or_raise(alg, "mult")
-        comult = _getattr_or_raise(alg, "comult")
-        middle = mult >> comult
-        pairs = [((ident @ comult) >> (mult @ ident), middle),
-                 ((comult @ ident) >> (ident @ mult), middle)]
-    else:  # dagger_frobenius
-        mult = _getattr_or_raise(alg, "mult")
-        comult = _getattr_or_raise(alg, "comult")
-        if not isinstance(mult, Morphism):
-            raise AlgebraError("dagger laws need the linear backend")
-        pairs = [(comult, mult.dagger())]
-        unit = getattr(alg, "unit", None)
-        counit = getattr(alg, "counit", None)
-        if unit is not None and counit is not None:
-            pairs.append((counit, unit.dagger()))
-    result = compare_all(pairs, tol)
-    return result.holds, result.residual
+    if law == "unit" and alg.unit is None and isinstance(alg.mult, FinFunction):
+        return _searched_unit(alg)
+    return compare_all(_algebra_sides(alg, law), tol)
 
 
-def _searched_unit_check(alg) -> tuple[bool, float]:
+def _searched_unit(alg: Algebra) -> Comparison:
     # No stored unit: search the carrier, reporting the least total violation.
     elems = alg.carrier.elements()
     best = None
@@ -184,14 +149,14 @@ def _searched_unit_check(alg) -> tuple[bool, float]:
         bad += sum(1 for x in elems if alg.mult.table[x + u] != x)
         best = bad if best is None else min(best, bad)
     if best is None:  # empty carrier: no unit can exist
-        return False, 1.0
-    return best == 0, float(best)
+        return Comparison(False, 1.0, 0.0)
+    return Comparison(best == 0, float(best), 0.0)
 
 
 # -- stock algebras ------------------------------------------------------
 
 
-def scfa_from_dimension(d: int) -> FrobeniusAlgebra:
+def scfa_from_dimension(d: int) -> Algebra:
     """The computational-basis spider on one wire of dimension d.
 
     comult copies basis states, counit deletes them; mult and unit are
@@ -203,39 +168,19 @@ def scfa_from_dimension(d: int) -> FrobeniusAlgebra:
         comult_arr[i * d + i, i] = 1.0
     comult = Morphism(t, t @ t, comult_arr)
     counit = Morphism(t, TensorType(()), np.ones((1, d)))
-    return FrobeniusAlgebra(
-        carrier=t,
-        mult=comult.dagger(),
-        unit=counit.dagger(),
-        comult=comult,
-        counit=counit,
-    )
+    return Algebra(t, comult.dagger(), counit.dagger(), comult, counit)
 
 
-def pair_of_pants(d: int) -> tuple[Magma, Comagma]:
-    """Composition of d x d matrix units as a magma, and its scaled dagger.
+def pair_of_pants(d: int) -> Algebra:
+    """Composition of d x d matrix units, and its scaled dagger.
 
     The carrier is ``[d, d]`` read as matrices; mult is "first then
-    second" composition, its unit the Bell state.  The comagma is the
-    dagger of mult scaled by 1/d and the counit the Bell effect scaled
-    by 1/d: those scalars are forced by the GetGet and GetPut laws of
-    the matrix update structure built on top of this algebra.
+    second" composition, its unit the Bell state.  comult is the dagger
+    of mult scaled by 1/d and counit the Bell effect scaled by 1/d:
+    those scalars are forced by the GetGet and GetPut laws of the matrix
+    update structure built on top of this algebra.
     """
     t = TensorType((d, d))
     one = TensorType((d,)).identity()
     mult = one @ cap(d) @ one  # |j,k,l,m> -> delta_{kl} |j,m>
-    comult = (1.0 / d) * mult.dagger()
-    magma = Magma(carrier=t, mult=mult, unit=cup(d))
-    comagma = Comagma(carrier=t, comult=comult, counit=(1.0 / d) * cap(d))
-    return magma, comagma
-
-
-def pair_of_pants_frobenius(d: int) -> FrobeniusAlgebra:
-    magma, comagma = pair_of_pants(d)
-    return FrobeniusAlgebra(
-        carrier=magma.carrier,
-        mult=magma.mult,
-        unit=magma.unit,
-        comult=comagma.comult,
-        counit=comagma.counit,
-    )
+    return Algebra(t, mult, cup(d), (1.0 / d) * mult.dagger(), (1.0 / d) * cap(d))

@@ -7,15 +7,13 @@ comparison whose residual or threshold is not finite.
 
 JSON output is deterministic -- keys are sorted and wall times are
 left out -- so runs can be diffed byte for byte.  The text format
-shows one line per law plus timing.  The PUTGET_TOL environment
-variable overrides the default tolerance; the --tol flag overrides
-both.
+shows one line per law plus timing.  The --tol flag overrides the
+default tolerance.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -50,13 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tolerance(flag: float | None) -> Tolerance:
     if flag is None:
-        env = os.environ.get("PUTGET_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            flag = float(env)
-        except ValueError:
-            raise ValueError(f"PUTGET_TOL must be a number, got {env!r}") from None
+        return DEFAULT_TOL
     if flag <= 0:
         raise ValueError(f"tolerance must be positive, got {flag}")
     return Tolerance(absolute=flag, relative=flag)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import (
-    FrobeniusAlgebra,
+    Algebra,
     check_algebra,
     pair_of_pants,
     scfa_from_dimension,
@@ -217,7 +217,7 @@ class ProjectorValuedSpectrum:
     """A complete orthogonal projector family bundled as ``S -> S (x) p``."""
 
     spectrum: Morphism
-    algebra: FrobeniusAlgebra
+    algebra: Algebra
     projectors: tuple[Morphism, ...]
 
     @property
@@ -368,11 +368,10 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
     # Conditions hold: the property must now carry the basis spider and
     # get must satisfy the spectrum equations.  Any failure here is an
     # inconsistency and is reported rather than swallowed.
-    alg = FrobeniusAlgebra(U.prop, U.mult, U.trivial_update, U.comult, U.trivial_outcome)
+    alg = Algebra(U.prop, U.mult, U.trivial_update, U.comult, U.trivial_outcome)
     for law in ("assoc", "coassoc", "unit", "counit", "comm", "special", "frobenius",
                 "dagger_frobenius"):
-        ok, _ = check_algebra(alg, law, tol)
-        if not ok:
+        if not check_algebra(alg, law, tol).holds:
             failing.append(f"derived algebra fails {law}")
     eqs = _spectrum_equations(U.get, U.comult, U.trivial_update, U.trivial_outcome)
     for name, (lhs, rhs) in eqs.items():
@@ -393,17 +392,17 @@ def pair_of_pants_update(d: int) -> UpdateStructure:
     put-commutative, with the Bell state as trivial update.
     """
     wire = TensorType((d,))
-    magma, comagma = pair_of_pants(d)
+    alg = pair_of_pants(d)
     put = cap(d) @ wire.identity()
     get = (1.0 / d) * put.dagger()
     return UpdateStructure(
         system=wire,
-        prop=magma.carrier,
+        prop=alg.carrier,
         put=put,
         get=get,
-        mult=magma.mult,
-        comult=comagma.comult,
-        trivial_update=magma.unit,
+        mult=alg.mult,
+        comult=alg.comult,
+        trivial_update=alg.unit,
     )
 
 

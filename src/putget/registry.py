@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebras import check_algebra, pair_of_pants_frobenius
+from .algebras import check_algebra, pair_of_pants
 from .finsets import FinSet, SET_UNIT, FinFunction, SetType
 from .karoubi import absorption, getput_restriction
 from .lenses import (
@@ -253,13 +253,13 @@ def _decohered_extras(built, tol: Tolerance) -> list[ExtraCheck]:
 
 def _pop_extras(d: int):
     def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-        alg = pair_of_pants_frobenius(d)
+        alg = pair_of_pants(d)
         out = []
         for law, want in (("assoc", True), ("unit", True), ("special", True),
                           ("frobenius", True), ("comm", False)):
-            ok, res = check_algebra(alg, law, tol)
+            got = check_algebra(alg, law, tol)
             name = f"algebra_{law}" if want else f"algebra_{law}_fails"
-            out.append(ExtraCheck(name, ok is want, res))
+            out.append(ExtraCheck(name, got.holds is want, got.residual))
         # |0><1| and |1><0| compose to different matrix units each way round
         x = basis_state(d, 0) @ basis_state(d, 1)
         y = basis_state(d, 1) @ basis_state(d, 0)

@@ -298,19 +298,6 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 # residual is the worst of the list, or the name of a law whose
 # memoised verdict is the conclusion.
 
-DERIVED_PROPS = (
-    "putget_idem",
-    "weak_trivial_implies_strong",
-    "coassoc_under_put_from_B",
-    "assoc_under_get_from_C",
-    "frobenius_under_put_from_BC",
-    "comm_under_put",
-    "unit_under_put",
-    "coassoc_under_faithful_putget",
-    "putget_a_forces_trivial_property",
-)
-
-
 def _pairs_putget_idem(U):
     e = U.get >> U.put
     return [(e >> e, e)]
@@ -400,6 +387,7 @@ _DERIVED: dict[str, tuple[tuple[str, ...], object]] = {
         _pairs_putgeta_trivial,
     ),
 }
+DERIVED_PROPS = tuple(_DERIVED)
 
 
 def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TOL) -> DerivedResult:

@@ -17,9 +17,12 @@ piece with an identity on one side is the other side's blocks,
 untouched; a dense block is applied along its own axes by a batched
 matmul, across which a permutation block is a transpose of axes; two
 larger products are contracted in one ``np.einsum(..., optimize=True)``,
-in which a permutation block only relabels wires.  So neither ``1 (x) f``
-nor a crossing is ever built as a matrix, and ``Morphism.array`` builds
-the dense matrix only when something reads it.
+in which a permutation block only relabels wires; and a piece of
+crossings and identities alone composes into one permutation block.  A
+scalar multiple scales one dense block, or else gains a wire-less 1x1
+block.  So neither ``1 (x) f`` nor a crossing is ever built as a matrix,
+and ``Morphism.array`` builds the dense matrix only when something
+reads it.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -210,7 +213,8 @@ class Morphism:
             if b.array is not None:  # scale one dense block; the others stay lazy
                 blocks[i] = b._replace(array=_finite(complex(z) * b.array))
                 return _product(self.dom, self.cod, blocks)
-        return _dense(self.dom, self.cod, complex(z) * self.array)
+        scalar_block = _Block((), (), _finite(np.full((1, 1), complex(z))))
+        return _product(self.dom, self.cod, blocks + [scalar_block])
 
     def dagger(self) -> "Morphism":
         return _product(self.cod, self.dom, _transpose(_blocks_of(self.conj())))
@@ -440,12 +444,12 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
 
 
 def _contract(g_blocks, f_blocks) -> np.ndarray:
-    """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all identity.
+    """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all
+    identity, and one side has a dense block.
 
     A side that is one dense block is the matrix the other side's blocks
     are applied to; other pairs of products go to einsum, so that neither
-    is built.  A piece of identities and permutations alone is contracted
-    there too, into a dense block.
+    is built.
     """
     if len(f_blocks) == 1 and f_blocks[0].array is not None:
         return _apply(g_blocks, f_blocks[0].array)
@@ -462,6 +466,14 @@ def _split_identities(blocks) -> list[_Block]:
         else:
             out.append(b)
     return out
+
+
+def _wire_perm(blocks) -> list[int]:
+    """A product of identity and permutation blocks as one wire permutation."""
+    perm: list[int] = []
+    for b in blocks:
+        perm += [len(perm) + (k if b.perm is None else b.perm[k]) for k in range(len(b.dom))]
+    return perm
 
 
 def _block_norm(b: _Block) -> float:
@@ -544,10 +556,12 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     After identity blocks are split into single wires, the middle wires
     are cut wherever both products have a block boundary.  By the
     interchange law the composite is the Kronecker product of the pieces'
-    composites, and a piece that is the identity on one side is just the
-    other side's blocks.  Blocks with no middle wires (effects of f,
-    states of g) that sit on a cut form a piece of their own, which is
-    placed before the piece that starts at that cut.
+    composites.  A piece that is the identity on one side is just the
+    other side's blocks, and a piece with no dense block on either side
+    is one permutation block, or an identity where the permutations
+    cancel.  Blocks with no middle wires (effects of f, states of g)
+    that sit on a cut form a piece of their own, which is placed before
+    the piece that starts at that cut.
     """
     f_blocks, g_blocks = _split_identities(f_blocks), _split_identities(g_blocks)
     f_starts = list(itertools.accumulate((len(b.cod) for b in f_blocks), initial=0))
@@ -572,7 +586,12 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
         else:
             dom = tuple(d for b in fs for d in b.dom)
             cod = tuple(d for b in gs for d in b.cod)
-            out.append(_Block(dom, cod, _finite(_contract(gs, fs))))
+            if any(b.array is not None for b in fs + gs):
+                out.append(_Block(dom, cod, _finite(_contract(gs, fs))))
+            else:  # g's output k is f's input f_perm[g_perm[k]]
+                f_perm = _wire_perm(fs)
+                perm = tuple(f_perm[k] for k in _wire_perm(gs))
+                out.append(_Block(dom, cod, None, None if perm == tuple(sorted(perm)) else perm))
     return out
 
 

@@ -34,8 +34,7 @@ def differences(got, want, path: str = "$") -> list[str]:
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-def test_check_all_matches_the_stored_run(capsys, monkeypatch):
-    monkeypatch.delenv("PUTGET_TOL", raising=False)
+def test_check_all_matches_the_stored_run(capsys):
     assert main(["check", "--all", "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads(GOLDEN.read_text())

@@ -522,6 +522,69 @@ def test_a_crossing_is_built_only_when_read(largest_build):
     assert largest_build[0] == 625 ** 2
 
 
+def assert_wires_agree(m: Morphism) -> None:
+    """The blocks of a lazy product cover its domain and codomain, wire by wire."""
+    assert tuple(d for b in m._blocks for d in b.dom) == m.dom.factors
+    assert tuple(d for b in m._blocks for d in b.cod) == m.cod.factors
+
+
+def test_crossings_compose_without_being_built(largest_build):
+    t, u = TensorType((5, 5)), TensorType((2, 3))
+    twice = swap(t, t) >> swap(t, t)
+    assert twice._array is None
+    assert len(twice._blocks) == 1 and twice._blocks[0].is_identity
+    assert twice.distance((t @ t).identity()) == 0.0
+    five = TensorType((5,))
+    moved = swap(t, u) >> (u.identity() @ swap(five, five))
+    assert moved._array is None and moved._blocks[0].perm is not None
+    assert_wires_agree(moved)
+    assert largest_build[0] <= 1
+    want = np.kron(np.eye(6), permutation(5, 5)) @ permutation(25, 6)
+    assert_close(moved.array, want)
+    assert_close(moved.dagger().array, want.T)
+
+
+@st.composite
+def crossings(draw, wires: TensorType) -> Morphism:
+    """A product of identities and swaps on ``wires``: each group of consecutive
+    wires is left alone or has its first wires swapped past the rest."""
+    parts, rest = [], list(wires.factors)
+    while rest:
+        group = rest[: draw(st.integers(1, len(rest)))]
+        rest = rest[len(group):]
+        k = draw(st.integers(0, len(group)))
+        a, b = TensorType(tuple(group[:k])), TensorType(tuple(group[k:]))
+        parts.append(swap(a, b) if draw(st.booleans()) else (a @ b).identity())
+    return reduce(lambda f, g: f @ g, parts, UNIT.identity())
+
+
+@given(st.data(), types(max_len=4), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_composites_of_crossings_are_permutations_matching_the_dense_oracle(data, wires, steps):
+    h = data.draw(crossings(wires))
+    h_arr = h.array
+    for _ in range(steps):
+        step = data.draw(crossings(h.cod))
+        h, h_arr = h >> step, step.array @ h_arr
+        assert h._array is None and all(b.array is None for b in h._blocks)
+        assert_wires_agree(h)
+    assert_close(h.array, h_arr)
+    assert_close(h.dagger().array, h_arr.T)
+
+
+@pytest.mark.parametrize("z", [2.0, 3.0, -0.5j])
+def test_scaling_a_product_without_a_dense_block_stays_lazy(largest_build, z):
+    t = TensorType((5, 5))
+    pairs = [(m, z * m) for m in (swap(t, t), t.identity())]
+    for m, scaled in pairs:
+        assert scaled._array is None
+        want = abs(z) * np.sqrt(m.dom.dim)
+        assert abs(scaled.norm() - want) <= 1e-15 * want
+    assert largest_build[0] <= 1
+    for m, scaled in pairs:
+        assert_close(scaled.array, z * m.array)
+
+
 def test_pair_of_pants_6_runs_under_the_default_caps():
     U6, U5 = pair_of_pants_update(6), pair_of_pants_update(5)
     assert classify(U6).kind == "strong"

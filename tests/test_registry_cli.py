@@ -164,20 +164,15 @@ def test_max_dim_is_a_usage_error(capsys):
     assert "unrecognized arguments: --max-dim" in capsys.readouterr().err
 
 
-def test_tolerance_validation(capsys, monkeypatch):
+def test_tolerance_validation(capsys):
     assert main(["check", "qubit_z_pvs", "--tol", "-1"]) == 2
     assert "must be positive" in capsys.readouterr().err
-    monkeypatch.setenv("PUTGET_TOL", "not-a-number")
-    assert main(["check", "qubit_z_pvs"]) == 2
-    assert "PUTGET_TOL" in capsys.readouterr().err
+    assert main(["check", "qubit_z_pvs", "--tol", "1e-6"]) == 0
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_non_finite_tolerance_is_a_usage_error(capsys, monkeypatch, bad):
+def test_non_finite_tolerance_is_a_usage_error(capsys, bad):
     assert main(["check", "qubit_z_pvs", "--tol", bad]) == 2
-    assert "error:" in capsys.readouterr().err
-    monkeypatch.setenv("PUTGET_TOL", bad)
-    assert main(["check", "qubit_z_pvs"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -185,14 +180,6 @@ def test_a_threshold_that_overflows_is_an_error(capsys):
     # 1e308 + 1e308 * norm is inf: every law would pass if it were allowed
     assert main(["check", "qubit_z_pvs", "--tol", "1e308"]) == 2
     assert "not finite" in capsys.readouterr().err
-
-
-def test_tolerance_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("PUTGET_TOL", "1e-3")
-    assert main(["check", "qubit_z_pvs"]) == 0
-    # an explicit flag wins even over a broken environment
-    monkeypatch.setenv("PUTGET_TOL", "not-a-number")
-    assert main(["check", "qubit_z_pvs", "--tol", "1e-6"]) == 0
 
 
 def test_json_output_is_deterministic_and_timing_free(capsys):
