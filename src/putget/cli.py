@@ -7,8 +7,10 @@ comparison whose residual or threshold is not finite.
 
 JSON output is deterministic -- keys are sorted and wall times are
 left out -- so runs can be diffed byte for byte.  The text format
-shows one line per law plus timing.  The --tol flag overrides the
-default tolerance.
+shows one line per law plus timing; one check run builds each
+projector family and each restricted entry's base once, so an entry's
+time leaves out what an earlier entry already built.  The --tol flag
+overrides the default tolerance.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import json
 import sys
 import time
 
-from .registry import ExampleReport, get_example, names, run_example
+from .registry import ExampleReport, RunScope, get_example, names, run_example
 from .tensors import DEFAULT_TOL, Tolerance
 
 __all__ = ["main"]
@@ -98,10 +100,11 @@ def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
     tol = _resolve_tolerance(args.tol)
     chosen = names() if args.all else (args.name,)
 
+    scope = RunScope()  # shared by this command's examples, dropped when it returns
     reports: list[tuple[ExampleReport, float]] = []
     for name in chosen:
         start = time.perf_counter()
-        report = run_example(name, tol)
+        report = run_example(name, tol, scope)
         reports.append((report, time.perf_counter() - start))
 
     if args.format == "json":

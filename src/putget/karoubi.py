@@ -40,7 +40,7 @@ def absorption(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> dict[str, Co
     """
     key = (_ABSORPTION, tol)
     if key not in U._verdicts:
-        e, idp, put, get = U.id_system(), U.id_prop(), U.put, U.get
+        e, idp, put, get = U.term("ids"), U.term("idp"), U.put, U.get
         U._verdicts[key] = {
             "splitting_idempotent": compare(e >> e, e, tol),
             "writer_absorbed": compare_all([((e @ idp) >> put, put), (put >> e, put)], tol),
@@ -70,8 +70,8 @@ def getput_restriction(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> GetP
         r = check_law(U, law, tol)
         if not r.holds:
             raise SplitError(f"restriction needs {law}; it fails with residual {r.residual:.3e}")
-    e = U.get >> U.put
-    idp = U.id_prop()
+    e = U.term("get_put")
+    idp = U.term("idp")
     restricted = U.with_components(
         put=(e @ idp) >> U.put >> e,
         get=e >> U.get >> (e @ idp),

@@ -22,7 +22,7 @@ doubled write map fails trace preservation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,8 @@ class ProjectorValuedSpectrum:
     spectrum: Morphism
     algebra: Algebra
     projectors: tuple[Morphism, ...]
+    # tolerance -> results of pvs_equations, filled by it
+    _equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def system(self) -> TensorType:
@@ -278,17 +280,24 @@ def _spectrum_equations(spec, comult, unit, counit) -> dict:
 
 
 def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> list[LawCheckResult]:
-    """The defining equations of a spectrum, plus isometry and recovery."""
-    spec = pvs.spectrum
-    alg = pvs.algebra
-    ids = spec.dom.identity()
-    k = alg.carrier.dim
-    equations = _spectrum_equations(spec, alg.comult, alg.unit, alg.counit)
-    equations["isometry"] = (spec >> spec.dagger(), ids)
-    out = [LawCheckResult(name, *compare(lhs, rhs, tol)) for name, (lhs, rhs) in equations.items()]
-    recovery = [(spec >> (ids @ basis_effect(k, i)), p) for i, p in enumerate(pvs.projectors)]
-    out.append(LawCheckResult("projector_recovery", *compare_all(recovery, tol)))
-    return out
+    """The defining equations of a spectrum, plus isometry and recovery.
+
+    Memoised on ``pvs`` per tolerance, like the law verdicts of a
+    structure; each call returns a fresh list.
+    """
+    if tol not in pvs._equations:
+        spec = pvs.spectrum
+        alg = pvs.algebra
+        ids = spec.dom.identity()
+        k = alg.carrier.dim
+        equations = _spectrum_equations(spec, alg.comult, alg.unit, alg.counit)
+        equations["isometry"] = (spec >> spec.dagger(), ids)
+        out = [LawCheckResult(name, *compare(lhs, rhs, tol))
+               for name, (lhs, rhs) in equations.items()]
+        recovery = [(spec >> (ids @ basis_effect(k, i)), p) for i, p in enumerate(pvs.projectors)]
+        out.append(LawCheckResult("projector_recovery", *compare_all(recovery, tol)))
+        pvs._equations[tol] = out
+    return list(pvs._equations[tol])
 
 
 def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:

@@ -10,7 +10,7 @@ extras all come out as declared -- an expected failure is a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,6 +77,8 @@ __all__ = [
     "ExtraCheck",
     "ExampleSpec",
     "ExampleReport",
+    "Built",
+    "RunScope",
     "REGISTRY",
     "names",
     "get_example",
@@ -102,19 +104,23 @@ class ExtraCheck:
 class ExampleSpec:
     """One registry entry.
 
-    ``build`` makes the structure and ``extras(U, tol)`` its family checks.
-    An entry whose extras need the projector family it is built from sets
-    ``family``: each run then makes the family once, ``build`` takes it,
-    and the extras get the pair ``(family, U)`` in place of ``U``.
+    ``build()`` makes the structure and ``extras(U, tol)`` its family checks.
+    An entry built from a projector family sets ``family``, a factory that
+    takes the tolerance: each run makes each family once, ``build`` takes
+    the family and the tolerance, and the extras get the entry's
+    :class:`Built` record in place of ``U``.  An entry that splits another
+    one names it in ``restricts`` and has no ``build``: its structure is
+    that entry's structure restricted along ``get ; put``.
     """
 
     name: str
     description: str
-    build: Callable[..., UpdateStructure]
+    build: Callable[..., UpdateStructure] | None
     expected: str
     expected_failing: frozenset[str]
     extras: Callable[..., list[ExtraCheck]] | None = None
-    family: Callable[[], ProjectorValuedSpectrum] | None = None
+    family: Callable[[Tolerance], ProjectorValuedSpectrum] | None = None
+    restricts: str | None = None
 
 
 @dataclass(frozen=True)
@@ -167,31 +173,31 @@ def _projector(d: int, diag) -> Morphism:
     return Morphism(t, t, np.diag(np.asarray(diag, dtype=np.complex128)))
 
 
-def _qubit_z_pvs():
-    return pvs_from_projectors([_projector(2, (1, 0)), _projector(2, (0, 1))])
+def _qubit_z_pvs(tol: Tolerance):
+    return pvs_from_projectors([_projector(2, (1, 0)), _projector(2, (0, 1))], tol)
 
 
-def _qubit_x_pvs():
+def _qubit_x_pvs(tol: Tolerance):
     t = TensorType((2,))
     plus = Morphism(t, t, np.full((2, 2), 0.5))
     minus = Morphism(t, t, np.array([[0.5, -0.5], [-0.5, 0.5]]))
-    return pvs_from_projectors([plus, minus])
+    return pvs_from_projectors([plus, minus], tol)
 
 
-def _qutrit_pvs():
+def _qutrit_pvs(tol: Tolerance):
     return pvs_from_projectors(
-        [_projector(3, (1, 0, 0)), _projector(3, (0, 1, 0)), _projector(3, (0, 0, 1))]
+        [_projector(3, (1, 0, 0)), _projector(3, (0, 1, 0)), _projector(3, (0, 0, 1))], tol
     )
 
 
-def _qutrit_degenerate_pvs():
-    return pvs_from_projectors([_projector(3, (1, 1, 0)), _projector(3, (0, 0, 1))])
+def _qutrit_degenerate_pvs(tol: Tolerance):
+    return pvs_from_projectors([_projector(3, (1, 1, 0)), _projector(3, (0, 0, 1))], tol)
 
 
-def _decohered_pvs_build(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
+def _decohered_pvs_build(pvs: ProjectorValuedSpectrum, tol: Tolerance) -> UpdateStructure:
     # The transformed route: double the strong spectrum structure, then
     # push it through the decoherence idempotent on the outcome wire.
-    return transform_update(double_structure(pvs_to_update(pvs)), decoherence(2))
+    return transform_update(double_structure(pvs_to_update(pvs)), decoherence(2), tol)
 
 
 def _ignore_put_lens() -> VwbLens:
@@ -213,7 +219,7 @@ def _ignore_put_update() -> UpdateStructure:
 
 
 def _pvs_extras(built, tol: Tolerance) -> list[ExtraCheck]:
-    pvs, U = built
+    pvs, U, _ = built
     out = [ExtraCheck(f"spectrum_{r.law}", r.holds, r.residual)
            for r in pvs_equations(pvs, tol)]
     ok, failing = characterize_pvs(U, tol)
@@ -222,7 +228,7 @@ def _pvs_extras(built, tol: Tolerance) -> list[ExtraCheck]:
 
 
 def _measurement_extras(built, tol: Tolerance) -> list[ExtraCheck]:
-    pvs, U = built
+    pvs, U, _ = built
     actual = scalar(check_law(U, "GetPut", tol).residual)
     formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
     deco = decoherence(len(pvs.projectors))
@@ -234,8 +240,10 @@ def _measurement_extras(built, tol: Tolerance) -> list[ExtraCheck]:
 
 
 def _decohered_extras(built, tol: Tolerance) -> list[ExtraCheck]:
-    pvs, U = built
-    direct = quantum_measurement(pvs)
+    # qubit_measurement measures the same family directly; its verdicts
+    # are already in its memo when the run has checked it
+    _, U, scope = built
+    direct = scope.build("qubit_measurement", tol)[1]
     components = compare_all(
         [(U.put, direct.put), (U.get, direct.get), (U.mult, direct.mult),
          (U.comult, direct.comult)], tol)
@@ -273,7 +281,7 @@ def _pop_extras(d: int):
 
 
 def _security_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    e = U.get >> U.put
+    e = U.term("get_put")
     broken = set(e.disagreements(U.system.identity()))
     safe = {x for x in U.system.elements() if x[1] == "safe"}
     gap = broken ^ safe
@@ -287,7 +295,7 @@ def _security_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
 
 
 def _flag_db_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    e = U.get >> U.put
+    e = U.term("get_put")
     broken = set(e.disagreements(U.system.identity()))
     unwritten = {x for x in U.system.elements() if x[1] == "untouched"}
     gap = broken ^ unwritten
@@ -363,8 +371,10 @@ def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
 # -- the registry ------------------------------------------------------------
 
 
-def _spec(name, description, build, expected, failing, extras=None, family=None) -> ExampleSpec:
-    return ExampleSpec(name, description, build, expected, frozenset(failing), extras, family)
+def _spec(name, description, build, expected, failing, extras=None, family=None,
+          restricts=None) -> ExampleSpec:
+    return ExampleSpec(name, description, build, expected, frozenset(failing), extras, family,
+                       restricts)
 
 
 _STRONG_LENS_FAILS = ("PutGetA", "PutGetC", "CommutativePut")
@@ -416,7 +426,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qubit_z_pvs",
         "computational-basis spectrum on a qubit; strong and put-commutative",
-        lambda pvs: pvs_to_update(pvs),
+        lambda pvs, tol: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
         _pvs_extras,
@@ -425,7 +435,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qubit_x_pvs",
         "plus/minus-basis spectrum on a qubit",
-        lambda pvs: pvs_to_update(pvs),
+        lambda pvs, tol: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
         _pvs_extras,
@@ -434,7 +444,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qutrit_pvs",
         "computational-basis spectrum on a qutrit",
-        lambda pvs: pvs_to_update(pvs),
+        lambda pvs, tol: pvs_to_update(pvs),
         "strong",
         ("PutGetA",),
         _pvs_extras,
@@ -443,7 +453,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qubit_measurement",
         "doubled qubit Z-spectrum with decohered outcome; GetPut defect sqrt(2)",
-        lambda pvs: quantum_measurement(pvs),
+        lambda pvs, tol: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras,
@@ -452,7 +462,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qutrit_measurement",
         "doubled qutrit basis spectrum; GetPut defect sqrt(6)",
-        lambda pvs: quantum_measurement(pvs),
+        lambda pvs, tol: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras,
@@ -461,7 +471,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "qutrit_degenerate_measurement",
         "two-outcome qutrit measurement with ranks 2 and 1; GetPut defect 2",
-        lambda pvs: quantum_measurement(pvs),
+        lambda pvs, tol: quantum_measurement(pvs),
         "weak_only",
         _MEASUREMENT_FAILS,
         _measurement_extras,
@@ -519,58 +529,65 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "karoubi_security_db_3",
         "access-flag database restricted to its breached (stable) states",
-        lambda: getput_restriction(security_db(_DB_ENTRIES)).structure,
+        None,
         "strong",
         _STRONG_LENS_FAILS,
         _karoubi_extras,
+        restricts="security_db_3",
     ),
     _spec(
         "karoubi_security_db_update_flag_3",
         "write-flag database restricted to its already-written states",
-        lambda: getput_restriction(security_db_update_flag(_DB_ENTRIES)).structure,
+        None,
         "strong",
         _STRONG_LENS_FAILS,
         _karoubi_extras,
+        restricts="security_db_update_flag_3",
     ),
     _spec(
         "karoubi_qubit_measurement",
         "qubit measurement restricted to its measured (block-diagonal) states",
-        lambda: getput_restriction(quantum_measurement(_qubit_z_pvs())).structure,
+        None,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
+        restricts="qubit_measurement",
     ),
     _spec(
         "karoubi_qutrit_measurement",
         "qutrit measurement restricted to its measured states",
-        lambda: getput_restriction(quantum_measurement(_qutrit_pvs())).structure,
+        None,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
+        restricts="qutrit_measurement",
     ),
     _spec(
         "karoubi_qutrit_degenerate_measurement",
         "degenerate qutrit measurement restricted to its measured states",
-        lambda: getput_restriction(quantum_measurement(_qutrit_degenerate_pvs())).structure,
+        None,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
+        restricts="qutrit_degenerate_measurement",
     ),
     _spec(
         "karoubi_decohered_pvs",
         "transformed qubit spectrum restricted to its stable states",
-        lambda: getput_restriction(_decohered_pvs_build(_qubit_z_pvs())).structure,
+        None,
         "strong",
         ("PutGetA", "Faithful"),
         _karoubi_extras,
+        restricts="decohered_pvs",
     ),
     _spec(
         "karoubi_quantum_db_causal_2_2",
         "causal quantum database restricted to its dephased states",
-        lambda: getput_restriction(quantum_db_causal(2, 2)).structure,
+        None,
         "strong",
         ("PutGetA", "PutGetC", "CommutativePut", "Faithful"),
         _karoubi_extras,
+        restricts="quantum_db_causal_2_2",
     ),
 )
 
@@ -590,28 +607,67 @@ def get_example(name: str) -> ExampleSpec:
         ) from None
 
 
-def _build(spec: ExampleSpec) -> tuple[ProjectorValuedSpectrum | None, UpdateStructure]:
-    """An entry's projector family (None if it names none) and its structure."""
-    if spec.family is None:
-        return None, spec.build()
-    family = spec.family()
-    return family, spec.build(family)
+class RunScope:
+    """What the entries of one check run share, for as long as the run lasts.
+
+    Entries that name the same ``family`` factory get one family, and each
+    entry is built once, so the entry that ``restricts`` it and any extras
+    that read it reuse its structure and its verdict memo.  Both are kept
+    per tolerance.  Nothing in the scope refers back to it, so it is freed
+    as soon as its run drops it.
+    """
+
+    def __init__(self) -> None:
+        self._families: dict = {}
+        self._entries: dict[tuple[str, Tolerance],
+                            tuple[ProjectorValuedSpectrum | None, UpdateStructure]] = {}
+
+    def build(self, name: str, tol: Tolerance) -> tuple[ProjectorValuedSpectrum | None,
+                                                        UpdateStructure]:
+        """An entry's projector family (None if it names none) and its structure."""
+        key = (name, tol)
+        if key not in self._entries:
+            self._entries[key] = self._make(get_example(name), tol)
+        return self._entries[key]
+
+    def _make(self, spec: ExampleSpec, tol: Tolerance):
+        if spec.restricts is not None:
+            family, base = self.build(spec.restricts, tol)
+            return family, getput_restriction(base, tol).structure
+        if spec.family is None:
+            return None, spec.build()
+        key = (spec.family, tol)
+        if key not in self._families:
+            self._families[key] = spec.family(tol)
+        return self._families[key], spec.build(self._families[key], tol)
+
+
+class Built(NamedTuple):
+    """What the extras of an entry with a ``family`` get in place of ``U``."""
+
+    family: ProjectorValuedSpectrum
+    structure: UpdateStructure
+    scope: RunScope
 
 
 def build_example(name: str) -> UpdateStructure:
-    return _build(get_example(name))[1]
+    return RunScope().build(name, DEFAULT_TOL)[1]
 
 
-def run_example(name: str, tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
+def run_example(name: str, tol: Tolerance = DEFAULT_TOL,
+                scope: RunScope | None = None) -> ExampleReport:
+    """Run the full suite on one entry, sharing builds through ``scope``
+    (a fresh one when it is None)."""
     spec = get_example(name)
-    family, U = _build(spec)
+    scope = RunScope() if scope is None else scope
+    family, U = scope.build(name, tol)
     laws = tuple(check_laws(U, tol))
     failing = {r.law for r in laws if not r.holds}
     verdict = classify(U, tol)
     derived = tuple(verify_derived(U, prop, tol) for prop in DERIVED_PROPS)
     extras = ()
     if spec.extras is not None:
-        extras = tuple(spec.extras(U if family is None else (family, U), tol))
+        extras = tuple(spec.extras(U if spec.family is None else Built(family, U, scope), tol))
 
     mismatches = []
     if verdict.kind != spec.expected:

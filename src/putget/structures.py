@@ -33,8 +33,11 @@ in full the first time it is asked for at a given tolerance and returns
 the stored result afterwards, so ``check_laws``, ``classify``, the
 derived premises and every other consumer share one evaluation; PutGetB
 is read from the PutGet entry, and so is the conclusion of
-weak_trivial_implies_strong from the GetPut entry.  ``with_components``
-copies start empty.
+weak_trivial_implies_strong from the GetPut entry.  It memoises the
+composites that several law sides and derived pairs share the same way
+(see :meth:`UpdateStructure.term`), each built once in one fixed
+association order.  ``with_components`` copies start with both memos
+empty.
 """
 from __future__ import annotations
 
@@ -116,6 +119,8 @@ class UpdateStructure:
     system_identity: Arrow | None = None
     # (law, tolerance) -> verdict, filled by check_law; karoubi.absorption keeps its own entries
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # term name -> composite, filled by term
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s, p = self.system, self.prop
@@ -157,6 +162,32 @@ class UpdateStructure:
 
     def with_components(self, **kwargs) -> "UpdateStructure":
         return replace(self, **kwargs)
+
+    def term(self, name: str) -> Arrow:
+        """A shared composite of the law recipes by name (see ``_TERMS``), built once."""
+        terms = self._terms
+        if name not in terms:
+            terms[name] = _TERMS[name](self)
+        return terms[name]
+
+
+# The composites that several law sides and derived pairs share.
+# A term reads other terms, so each is built in one association order.
+_TERMS = {
+    "ids": lambda U: U.id_system(),
+    "idp": lambda U: U.id_prop(),
+    "put_p": lambda U: U.put @ U.term("idp"),  # put x 1_p
+    "get_p": lambda U: U.get @ U.term("idp"),  # get x 1_p
+    "s_mult": lambda U: U.term("ids") @ U.mult,  # 1_S x mult
+    "s_comult": lambda U: U.term("ids") @ U.comult,  # 1_S x comult
+    "put_get": lambda U: U.put >> U.get,  # put ; get
+    "get_put": lambda U: U.get >> U.put,  # get ; put
+    "put_put": lambda U: U.term("put_p") >> U.put,  # (put x 1_p) ; put
+    "get_get": lambda U: U.get >> U.term("get_p"),  # get ; (get x 1_p)
+    "copy_put": lambda U: U.term("s_comult") >> U.term("put_p"),  # (1_S x comult) ; (put x 1_p)
+    "merge_put": lambda U: U.term("s_mult") >> U.put,  # (1_S x mult) ; put
+    "get_merge": lambda U: U.term("get_p") >> U.term("s_mult"),  # (get x 1_p) ; (1_S x mult)
+}
 
 
 @dataclass(frozen=True)
@@ -204,22 +235,22 @@ def _require(U: UpdateStructure, component: str) -> Arrow:
 
 
 def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
-    ids, idp = U.id_system(), U.id_prop()
-    put, get, mult, comult = U.put, U.get, U.mult, U.comult
+    t = U.term
+    ids, put, get = t("ids"), U.put, U.get
     if law == "PutPut":
-        return (put @ idp) >> put, (ids @ mult) >> put
+        return t("put_put"), t("merge_put")
     if law == "GetGet":
-        return get >> (get @ idp), get >> (ids @ comult)
+        return t("get_get"), get >> t("s_comult")
     if law == "PutGet":
-        return put >> get, (ids @ comult) >> (put @ idp)
+        return t("put_get"), t("copy_put")
     if law == "GetPut":
-        return get >> put, ids
+        return t("get_put"), ids
     if law == "RepeatUpdate":
-        return (ids @ comult) >> (put @ idp) >> put, put
+        return t("copy_put") >> put, put
     if law == "PutGetA":
-        return put >> get, ids @ idp
+        return t("put_get"), ids @ t("idp")
     if law == "PutGetC":
-        return put >> get, (get @ idp) >> (ids @ mult)
+        return t("put_get"), t("get_merge")
     if law == "TrivialUpdate":
         u = _require(U, "trivial_update")
         return (ids @ u) >> put, ids
@@ -227,11 +258,9 @@ def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
         o = _require(U, "trivial_outcome")
         return get >> (ids @ o), ids
     if law == "CommutativePut":
-        both = (put @ idp) >> put
-        return (ids @ U.prop.swap(U.prop)) >> both, both
+        return (ids @ U.prop.swap(U.prop)) >> t("put_put"), t("put_put")
     if law == "CommutativeGet":
-        both = get >> (get @ idp)
-        return both >> (ids @ U.prop.swap(U.prop)), both
+        return t("get_get") >> (ids @ U.prop.swap(U.prop)), t("get_get")
     raise StructureError(f"unknown law {law!r}; expected one of {LAW_NAMES}")
 
 
@@ -299,36 +328,32 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 # memoised verdict is the conclusion.
 
 def _pairs_putget_idem(U):
-    e = U.get >> U.put
+    e = U.term("get_put")
     return [(e >> e, e)]
 
 
 def _pairs_coassoc_under_put(U):
     # Both sides factored by the interchange law so no morphism ever
     # carries three property wires at once.
-    ids, idp = U.id_system(), U.id_prop()
-    put, comult = U.put, U.comult
-    copy_in = ids @ comult
-    left = copy_in >> ((copy_in >> (put @ idp)) @ idp)
-    right = copy_in >> (put @ comult)
+    copy_in = U.term("s_comult")
+    left = copy_in >> (U.term("copy_put") @ U.term("idp"))
+    right = copy_in >> (U.put @ U.comult)
     return [(left, right)]
 
 
 def _pairs_assoc_under_get(U):
-    ids, idp = U.id_system(), U.id_prop()
-    get, mult = U.get, U.mult
-    merge_out = ids @ mult
-    left = (((get @ idp) >> merge_out) @ idp) >> merge_out
-    right = (get @ mult) >> merge_out
+    merge_out = U.term("s_mult")
+    left = (U.term("get_merge") @ U.term("idp")) >> merge_out
+    right = (U.get @ U.mult) >> merge_out
     return [(left, right)]
 
 
 def _pairs_frobenius_under_put(U):
-    ids, idp = U.id_system(), U.id_prop()
-    put, mult, comult = U.put, U.mult, U.comult
+    ids, idp, put_p = U.term("ids"), U.term("idp"), U.term("put_p")
+    mult, comult = U.mult, U.comult
 
     def under(x):
-        return (ids @ x) >> (put @ idp)
+        return (ids @ x) >> put_p
 
     left = under((idp @ comult) >> (mult @ idp))
     middle = under(mult >> comult)
@@ -337,15 +362,13 @@ def _pairs_frobenius_under_put(U):
 
 
 def _pairs_comm_under_put(U):
-    ids, idp = U.id_system(), U.id_prop()
     sw = U.prop.swap(U.prop)
-    left = (ids @ (sw >> U.mult)) >> U.put
-    right = (ids @ U.mult) >> U.put
-    return [(left, right)]
+    left = (U.term("ids") @ (sw >> U.mult)) >> U.put
+    return [(left, U.term("merge_put"))]
 
 
 def _pairs_unit_under_put(U):
-    ids, idp = U.id_system(), U.id_prop()
+    ids, idp = U.term("ids"), U.term("idp")
     u, mult, put = U.trivial_update, U.mult, U.put
     absorb_left = (ids @ ((u @ idp) >> mult)) >> put
     absorb_right = (ids @ ((idp @ u) >> mult)) >> put
@@ -353,7 +376,7 @@ def _pairs_unit_under_put(U):
 
 
 def _pairs_coassoc_under_faithful(U):
-    ids, idp = U.id_system(), U.id_prop()
+    ids, idp = U.term("ids"), U.term("idp")
     put, get, mult, comult = U.put, U.get, U.mult, U.comult
     assoc_l = (mult @ idp) >> mult
     assoc_r = (idp @ mult) >> mult
@@ -370,7 +393,7 @@ def _pairs_coassoc_under_faithful(U):
 def _pairs_putgeta_trivial(U):
     # PutGetA together with units collapses the property wire: report
     # whether the identity on p indeed separates through the point.
-    return [(U.id_prop(), U.trivial_outcome >> U.trivial_update)]
+    return [(U.term("idp"), U.trivial_outcome >> U.trivial_update)]
 
 
 _DERIVED: dict[str, tuple[tuple[str, ...], object]] = {

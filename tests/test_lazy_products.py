@@ -439,19 +439,26 @@ class DenseArrow:
         return float(np.linalg.norm(self.array - other.array))
 
 
-def dense_structure(U) -> SimpleNamespace:
-    """U's components as oracle arrows, shaped for the law recipes."""
+class DenseStructure(SimpleNamespace):
+    """Oracle arrows shaped for the law recipes; they build its terms from them."""
+
+    term = structures.UpdateStructure.term
+
+
+def dense_structure(U) -> DenseStructure:
+    """U's components as oracle arrows, with an empty term memo."""
     def lift(m):
         return None if m is None else DenseArrow(m.dom, m.cod, np.array(m.array))
 
     p = U.prop
     crossing = DenseArrow(p @ p, p @ p, permutation(p.dim, p.dim))
-    return SimpleNamespace(
+    return DenseStructure(
         put=lift(U.put), get=lift(U.get), mult=lift(U.mult), comult=lift(U.comult),
         trivial_update=lift(U.trivial_update), trivial_outcome=lift(U.trivial_outcome),
         id_system=lambda: DenseArrow(U.system, U.system, np.eye(U.system.dim)),
         id_prop=lambda: DenseArrow(p, p, np.eye(p.dim)),
         prop=SimpleNamespace(swap=lambda other: crossing),
+        _terms={},
     )
 
 

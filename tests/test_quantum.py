@@ -143,6 +143,22 @@ def test_spectrum_equations_hold(make):
         assert r.holds, (r.law, r.residual)
 
 
+def test_spectrum_equations_are_memoised_per_tolerance(monkeypatch):
+    from putget import quantum
+    from putget.tensors import Tolerance
+
+    pvs = qubit_z()  # validating the family evaluated them at the default tolerance
+    first = pvs_equations(pvs)
+    first.clear()  # callers get a copy, not the memo itself
+    compared = []
+    original = quantum.compare
+    monkeypatch.setattr(quantum, "compare", lambda *args: compared.append(args) or original(*args))
+    assert len(pvs_equations(pvs)) == 5 and compared == []
+    loose = pvs_equations(pvs, Tolerance(1e-3, 1e-3))
+    assert len(compared) == 4 and all(r.holds for r in loose)
+    assert pvs_equations(pvs, Tolerance(1e-3, 1e-3)) == loose and len(compared) == 4
+
+
 def test_projector_family_validation_names_the_problem():
     t = TensorType((2,))
     ident = t.identity()

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -59,18 +60,100 @@ def test_every_example_matches_its_expectations():
         assert report.mismatches == ()
 
 
-def test_each_run_builds_its_projector_family_once(capsys, monkeypatch):
+def profiled(functions: dict, run) -> dict:
+    """The arguments of every call of each named function during ``run()``.
+
+    Calls are caught by code object, so every binding of a function is seen.
+    """
+    codes = {fn.__code__: name for name, fn in functions.items()}
+    calls = {name: [] for name in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]].append(dict(frame.f_locals))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def check_all_calls(capsys, *argv) -> dict:
+    from putget import quantum, structures, tensors
+
+    functions = {"compose": tensors.compose, "compare": tensors.compare,
+                 "check_law": structures.check_law,
+                 "pvs_from_projectors": quantum.pvs_from_projectors}
+    exits = []
+    calls = profiled(functions, lambda: exits.append(main(["check", "--all", *argv])))
+    capsys.readouterr()
+    assert exits == [0]
+    return calls
+
+
+def test_each_run_builds_its_projector_family_once(capsys):
+    # the 11 entries built from a spectrum name 4 distinct families
+    assert len(check_all_calls(capsys)["pvs_from_projectors"]) == 4
+
+
+def test_one_run_shares_its_terms_families_and_bases(capsys):
+    first = {name: len(calls) for name, calls in check_all_calls(capsys).items()}
+    assert first["compose"] <= 800 and first["compare"] <= 650  # 1 016 and 746 unshared
+    # the run scope ends with the command: a second run repeats the work exactly
+    assert {name: len(calls) for name, calls in check_all_calls(capsys).items()} == first
+
+
+def test_the_tolerance_reaches_every_comparison(capsys):
+    from putget.tensors import Morphism, TensorType, Tolerance
+
+    calls = check_all_calls(capsys, "--tol", "1e-3")
+    # sets compare exactly, whatever the tolerance; every matrix verdict uses --tol
+    tolerances = [call["tol"] for call in calls["compare"] if isinstance(call["lhs"], Morphism)]
+    tolerances += [call["tol"] for call in calls["check_law"]
+                   if isinstance(call["U"].system, TensorType)]
+    tolerances += [call["tol"] for call in calls["pvs_from_projectors"]]
+    assert len(tolerances) > 500
+    assert set(tolerances) == {Tolerance(1e-3, 1e-3)}
+
+
+def test_a_run_frees_what_it_built_without_the_cycle_collector(capsys):
+    from putget.structures import UpdateStructure
+
+    def alive():
+        return sum(isinstance(o, UpdateStructure) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        assert main(["check", "--all"]) == 0
+        after = alive()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert after == before
+
+
+def test_a_restriction_run_alone_builds_its_base_once(monkeypatch):
     from putget import registry
 
-    calls = []
-    original = registry.pvs_from_projectors
-    monkeypatch.setattr(registry, "pvs_from_projectors",
-                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-    assert main(["check", "--all"]) == 0
-    capsys.readouterr()
-    # one per entry built from a spectrum: 3 spectra, 3 measurements,
-    # decohered_pvs, and the 4 Karoubi restrictions of the last four
-    assert len(calls) == 11
+    calls = {"quantum_measurement": 0, "pvs_from_projectors": 0}
+
+    def spy(name):
+        original = getattr(registry, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(registry, name, spy(name))
+    assert run_example("karoubi_qutrit_measurement").matched
+    assert calls == {"quantum_measurement": 1, "pvs_from_projectors": 1}
 
 
 def test_unknown_examples_are_rejected():
@@ -223,9 +306,10 @@ def test_console_script_roundtrip():
     # the child imports the same putget sources as this test, installed or not
     src = os.path.dirname(os.path.dirname(putget.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "putget.cli", "check", "identity_lens_4"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    assert "identity_lens_4" in proc.stdout
+    for module in ("putget", "putget.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "check", "identity_lens_4"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, module
+        assert "identity_lens_4" in proc.stdout
