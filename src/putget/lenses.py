@@ -25,6 +25,7 @@ from .finsets import (
     projection,
 )
 from .structures import LawCheckResult, UpdateStructure, check_law
+from .tensors import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "LensError",
@@ -114,13 +115,13 @@ def lens_to_update(lens: VwbLens) -> UpdateStructure:
     )
 
 
-def update_to_lens(U: UpdateStructure) -> VwbLens:
+def update_to_lens(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> VwbLens:
     """Recover the lens from a set-backed update structure of lens shape.
 
     Preconditions, each reported by name when violated: the structure is
-    unsplit with single-factor ``SetType`` wires, mult is the left
-    delete, comult is the copy map, and the trivial-outcome law holds
-    (so get leaves the system untouched and merely reports the view).
+    unsplit with single-factor ``SetType`` wires, mult is the left delete,
+    comult is the copy map, and U's trivial-outcome law (with the delete if
+    U has no outcome) holds at ``tol``, so get merely reports the view.
     """
     problems = []
     if not isinstance(U.system, SetType) or U.system_identity is not None:
@@ -132,9 +133,8 @@ def update_to_lens(U: UpdateStructure) -> VwbLens:
         problems.append("mult is not the left delete on the property")
     if U.comult.table != diagonal(v).table:
         problems.append("comult is not the copy map on the property")
-    outcome = U.trivial_outcome if U.trivial_outcome is not None else bang(v)
-    probe = U.with_components(trivial_outcome=outcome)
-    if not check_law(probe, "TrivialOutcome").holds:
+    probe = U if U.trivial_outcome is not None else U.with_components(trivial_outcome=bang(v))
+    if not check_law(probe, "TrivialOutcome", tol).holds:
         problems.append("the trivial-outcome law fails (get disturbs the system)")
     if problems:
         raise LensError("not lens-shaped: " + "; ".join(problems))

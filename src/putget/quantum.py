@@ -10,10 +10,11 @@ doubled map is causal when followed by the trace it is the trace;
 
 Projector-valued spectra package a complete family of orthogonal
 projectors as a single map ``S -> S (x) p`` whose outcome wire carries
-the basis spider.  Undoubled they give strong update structures; after
-doubling and decohering the outcome wire, ``quantum_measurement``
-gives a genuinely weak measurement structure (get reads out, put writes
-in) whose GetPut defect is exactly ``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
+the basis spider.  Undoubled they give strong update structures, and a
+spectrum is held as its structure, whose GetGet and TrivialOutcome are
+its equations beside self-adjointness.  Doubled with a decohered outcome
+wire, ``quantum_measurement`` gives a genuinely weak structure (get reads
+out, put writes in) whose GetPut defect is ``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
 
 Scalar conventions: the pair-of-pants read map and comagma carry a 1/d
 so that GetGet and GetPut hold on the nose; the postselected database
@@ -22,7 +23,7 @@ doubled write map fails trace preservation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,9 +34,11 @@ from .algebras import (
     scfa_from_dimension,
 )
 from .structures import (
+    WEAK_LAWS,
     LawCheckResult,
     StructureError,
     UpdateStructure,
+    applicable_laws,
     check_law,
 )
 from .tensors import (
@@ -201,7 +204,7 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
     )
     failing = {
         law: r.residual
-        for law in ("PutPut", "GetGet", "PutGet", "RepeatUpdate")
+        for law in WEAK_LAWS
         if not (r := check_law(transported, law, tol)).holds
     }
     if failing:
@@ -214,17 +217,17 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
 
 @dataclass(frozen=True, eq=False)
 class ProjectorValuedSpectrum:
-    """A complete orthogonal projector family bundled as ``S -> S (x) p``."""
+    """A complete orthogonal projector family bundled as ``S -> S (x) p``, held as
+    the strong structure whose get is that map, so that they share one verdict memo."""
 
-    spectrum: Morphism
-    algebra: Algebra
+    structure: UpdateStructure
     projectors: tuple[Morphism, ...]
     # tolerance -> results of pvs_equations, filled by it
     _equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def system(self) -> TensorType:
-        return self.spectrum.dom
+        return self.structure.system
 
 
 def pvs_from_projectors(
@@ -260,59 +263,53 @@ def pvs_from_projectors(
     for i, p in enumerate(projectors):
         view[:, i, :] = p.array
     spectrum = Morphism(s, s @ TensorType((k,)), arr)
-    pvs = ProjectorValuedSpectrum(spectrum, scfa_from_dimension(k), projectors)
+    spider = scfa_from_dimension(k)
+    pvs = ProjectorValuedSpectrum(UpdateStructure(
+        system=s, prop=spider.carrier, put=spectrum.dagger(), get=spectrum,
+        mult=spider.mult, comult=spider.comult,
+        trivial_update=spider.unit, trivial_outcome=spider.counit), projectors)
     bad = [r.law for r in pvs_equations(pvs, tol) if not r.holds]
     if bad:  # cannot happen for a family passing the checks above
         raise PvsError(f"spectrum equations fail: {bad}")
     return pvs
 
 
-def _spectrum_equations(spec, comult, unit, counit) -> dict:
-    """The three defining equations of a spectrum ``spec`` whose outcome wire
-    carries the given spider components, as name -> (lhs, rhs)."""
-    ids = spec.dom.identity()
-    idp = comult.dom.identity()
-    return {
-        "p_idempotent": (spec >> (spec @ idp), spec >> (ids @ comult)),
-        "p_self_adjoint": (spec, (ids @ (unit >> comult)) >> (spec.dagger() @ idp)),
-        "p_complete": (spec >> (ids @ counit), ids),
-    }
+_SELF_ADJOINT = object()  # memo key in UpdateStructure._verdicts that no law name can equal
+
+
+def _self_adjoint(U: UpdateStructure, tol: Tolerance) -> Comparison:
+    """The spectrum equation that is no law of U, memoised on it like the law
+    verdicts: with put the dagger of get, ``get = (1_S (x) (u ; comult)) ; (put (x) 1_p)``."""
+    key = (_SELF_ADJOINT, tol)
+    if key not in U._verdicts:
+        split = U.term("ids") @ (U.trivial_update >> U.comult)
+        U._verdicts[key] = compare(U.get, split >> U.term("put_p"), tol)
+    return U._verdicts[key]
 
 
 def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> list[LawCheckResult]:
     """The defining equations of a spectrum, plus isometry and recovery.
 
-    Memoised on ``pvs`` per tolerance, like the law verdicts of a
-    structure; each call returns a fresh list.
+    ``p_idempotent``, ``p_complete`` and ``isometry`` are the GetGet,
+    TrivialOutcome and GetPut verdicts of the spectrum's structure.
+    Memoised on ``pvs`` per tolerance; each call returns a fresh list.
     """
     if tol not in pvs._equations:
-        spec = pvs.spectrum
-        alg = pvs.algebra
-        ids = spec.dom.identity()
-        k = alg.carrier.dim
-        equations = _spectrum_equations(spec, alg.comult, alg.unit, alg.counit)
-        equations["isometry"] = (spec >> spec.dagger(), ids)
-        out = [LawCheckResult(name, *compare(lhs, rhs, tol))
-               for name, (lhs, rhs) in equations.items()]
-        recovery = [(spec >> (ids @ basis_effect(k, i)), p) for i, p in enumerate(pvs.projectors)]
+        U, k = pvs.structure, pvs.structure.prop.dim
+        read = lambda name, law: replace(check_law(U, law, tol), law=name)
+        out = [read("p_idempotent", "GetGet"),
+               LawCheckResult("p_self_adjoint", *_self_adjoint(U, tol)),
+               read("p_complete", "TrivialOutcome"), read("isometry", "GetPut")]
+        recovery = [(U.get >> (U.term("ids") @ basis_effect(k, i)), p)
+                    for i, p in enumerate(pvs.projectors)]
         out.append(LawCheckResult("projector_recovery", *compare_all(recovery, tol)))
         pvs._equations[tol] = out
     return list(pvs._equations[tol])
 
 
 def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
-    """The strong structure with get the spectrum and put its dagger."""
-    alg = pvs.algebra
-    return UpdateStructure(
-        system=pvs.system,
-        prop=alg.carrier,
-        put=pvs.spectrum.dagger(),
-        get=pvs.spectrum,
-        mult=alg.mult,
-        comult=alg.comult,
-        trivial_update=alg.unit,
-        trivial_outcome=alg.counit,
-    )
+    """The strong structure with get the spectrum and put its dagger (``pvs.structure``)."""
+    return pvs.structure
 
 
 def quantum_measurement(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
@@ -324,16 +321,17 @@ def quantum_measurement(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
     Decoherence is an exact 0/1 idempotent, so get and put absorb it on
     the nose (the registry extra ``outcome_wire_classical`` reports it).
     """
-    deco = decoherence(pvs.algebra.carrier.dim)
-    system2 = double_type(pvs.system)
-    read_out = cpm_double(pvs.spectrum) >> (system2.identity() @ deco)
+    U = pvs.structure
+    deco = decoherence(U.prop.dim)
+    system2 = double_type(U.system)
+    read_out = cpm_double(U.get) >> (system2.identity() @ deco)
     return UpdateStructure(
         system=system2,
-        prop=double_type(pvs.algebra.carrier),
+        prop=double_type(U.prop),
         put=read_out.dagger(),
         get=read_out,
-        mult=(deco @ deco) >> cpm_double(pvs.algebra.mult) >> deco,
-        comult=deco >> cpm_double(pvs.algebra.comult) >> (deco @ deco),
+        mult=(deco @ deco) >> cpm_double(U.mult) >> deco,
+        comult=deco >> cpm_double(U.comult) >> (deco @ deco),
     )
 
 
@@ -353,39 +351,31 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
     A dagger-symmetric tuple is spectrum-shaped exactly when it is
     strong, faithful, put-commutative and has both trivial components.
     Returns the verdict with the names of any failing conditions; when
-    the conditions all pass the derived algebra and spectrum equations
-    are re-verified so both directions of the equivalence are checked.
+    the conditions all pass the derived algebra and the self-adjointness
+    of get are verified so both directions of the equivalence are checked.
     """
-    if isinstance(U.system, TensorType) is False:
+    if not isinstance(U.system, TensorType):
         raise StructureError("characterisation needs a linear or doubled structure")
     failing = []
     if not compare(U.get, U.put.dagger(), tol).holds:
         failing.append("DaggerSymmetry")
-    if U.trivial_update is None:
-        failing.append("TrivialUpdate (missing)")
-    if U.trivial_outcome is None:
-        failing.append("TrivialOutcome (missing)")
-    for law in _PVS_CONDITIONS:
-        if law == "TrivialUpdate" and U.trivial_update is None:
-            continue
-        if law == "TrivialOutcome" and U.trivial_outcome is None:
-            continue
-        if not check_law(U, law, tol).holds:
-            failing.append(law)
+    applicable = applicable_laws(U)
+    failing += [f"{law} (missing)" for law in ("TrivialUpdate", "TrivialOutcome")
+                if law not in applicable]
+    failing += [law for law in _PVS_CONDITIONS
+                if law in applicable and not check_law(U, law, tol).holds]
     if failing:
         return False, tuple(failing)
-    # Conditions hold: the property must now carry the basis spider and
-    # get must satisfy the spectrum equations.  Any failure here is an
-    # inconsistency and is reported rather than swallowed.
+    # Conditions hold (GetGet and TrivialOutcome are spectrum equations): the
+    # property must now carry the basis spider and get be self-adjoint.  Any
+    # failure here is an inconsistency and is reported rather than swallowed.
     alg = Algebra(U.prop, U.mult, U.trivial_update, U.comult, U.trivial_outcome)
     for law in ("assoc", "coassoc", "unit", "counit", "comm", "special", "frobenius",
                 "dagger_frobenius"):
         if not check_algebra(alg, law, tol).holds:
             failing.append(f"derived algebra fails {law}")
-    eqs = _spectrum_equations(U.get, U.comult, U.trivial_update, U.trivial_outcome)
-    for name, (lhs, rhs) in eqs.items():
-        if not compare(lhs, rhs, tol).holds:
-            failing.append(f"spectrum equation {name}")
+    if not _self_adjoint(U, tol).holds:
+        failing.append("spectrum equation p_self_adjoint")
     return not failing, tuple(failing)
 
 

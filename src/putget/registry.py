@@ -313,7 +313,7 @@ def _vwb_lens_extras(make_lens):
         lens = make_lens()
         report = check_vwb(lens)
         violations = report.put_put.residual + report.put_get.residual + report.get_put.residual
-        recovered = update_to_lens(U)
+        recovered = update_to_lens(U, tol)
         same = (recovered.get_fn.table == lens.get_fn.table
                 and recovered.put_fn.table == lens.put_fn.table)
         sep = trivial_update_separability(lens)

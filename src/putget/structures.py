@@ -42,9 +42,12 @@ empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
+from .algebras import ALGEBRA_LAWS, _algebra_sides
 from .finsets import FinFunction, SetType
 from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare, compare_all
 
@@ -163,31 +166,36 @@ class UpdateStructure:
     def with_components(self, **kwargs) -> "UpdateStructure":
         return replace(self, **kwargs)
 
-    def term(self, name: str) -> Arrow:
-        """A shared composite of the law recipes by name (see ``_TERMS``), built once."""
+    def term(self, name: str):
+        """A shared composite, or an algebra law's sides, by name (see ``_TERMS``), built once."""
         terms = self._terms
         if name not in terms:
             terms[name] = _TERMS[name](self)
         return terms[name]
 
 
-# The composites that several law sides and derived pairs share.
-# A term reads other terms, so each is built in one association order.
+# The composites that several law sides and derived pairs share.  A term
+# reads other terms, so each is built in one association order.  "ids:x" is
+# 1_S x x, and "put:x" ("get:x") is the part x acting through put (get); an
+# algebra law's name gives its sides as words (see ``_Word``).
 _TERMS = {
     "ids": lambda U: U.id_system(),
     "idp": lambda U: U.id_prop(),
     "put_p": lambda U: U.put @ U.term("idp"),  # put x 1_p
     "get_p": lambda U: U.get @ U.term("idp"),  # get x 1_p
-    "s_mult": lambda U: U.term("ids") @ U.mult,  # 1_S x mult
-    "s_comult": lambda U: U.term("ids") @ U.comult,  # 1_S x comult
+    "ids:mult": lambda U: U.term("ids") @ U.mult,  # 1_S x mult
+    "ids:comult": lambda U: U.term("ids") @ U.comult,  # 1_S x comult
     "put_get": lambda U: U.put >> U.get,  # put ; get
     "get_put": lambda U: U.get >> U.put,  # get ; put
     "put_put": lambda U: U.term("put_p") >> U.put,  # (put x 1_p) ; put
     "get_get": lambda U: U.get >> U.term("get_p"),  # get ; (get x 1_p)
-    "copy_put": lambda U: U.term("s_comult") >> U.term("put_p"),  # (1_S x comult) ; (put x 1_p)
-    "merge_put": lambda U: U.term("s_mult") >> U.put,  # (1_S x mult) ; put
-    "get_merge": lambda U: U.term("get_p") >> U.term("s_mult"),  # (get x 1_p) ; (1_S x mult)
+    "put:comult": lambda U: U.term("ids:comult") >> U.term("put_p"),  # (1_S x comult) ; (put x 1_p)
+    "put:mult": lambda U: U.term("ids:mult") >> U.put,  # (1_S x mult) ; put
+    "get:mult": lambda U: U.term("get_p") >> U.term("ids:mult"),  # (get x 1_p) ; (1_S x mult)
+    "put:idp": lambda U: U.put,  # 1_S x 1_p is the identity
+    "get:idp": lambda U: U.get,
 }
+_TERMS.update({law: lambda U, law=law: _algebra_sides(_words(U), law) for law in ALGEBRA_LAWS})
 
 
 @dataclass(frozen=True)
@@ -238,19 +246,19 @@ def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
     t = U.term
     ids, put, get = t("ids"), U.put, U.get
     if law == "PutPut":
-        return t("put_put"), t("merge_put")
+        return t("put_put"), t("put:mult")
     if law == "GetGet":
-        return t("get_get"), get >> t("s_comult")
+        return t("get_get"), get >> t("ids:comult")
     if law == "PutGet":
-        return t("put_get"), t("copy_put")
+        return t("put_get"), t("put:comult")
     if law == "GetPut":
         return t("get_put"), ids
     if law == "RepeatUpdate":
-        return t("copy_put") >> put, put
+        return t("put:comult") >> put, put
     if law == "PutGetA":
         return t("put_get"), ids @ t("idp")
     if law == "PutGetC":
-        return t("put_get"), t("get_merge")
+        return t("put_get"), t("get:mult")
     if law == "TrivialUpdate":
         u = _require(U, "trivial_update")
         return (ids @ u) >> put, ids
@@ -286,11 +294,9 @@ def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> Law
     key = (target, tol)
     result = U._verdicts.get(key)
     if result is None:
-        if target == "Faithful":
-            result = _check_faithful(U, tol)
-        else:
-            result = LawCheckResult(target, *compare(*_law_sides(U, target), tol))
-        U._verdicts[key] = result
+        result = U._verdicts[key] = (
+            _check_faithful(U, tol) if target == "Faithful"
+            else LawCheckResult(target, *compare(*_law_sides(U, target), tol)))
     return result if target == law else replace(result, law=law)
 
 
@@ -325,90 +331,102 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 # Each entry maps a proposition name to its premise laws and its
 # conclusion: a builder producing a list of (lhs, rhs) comparisons, whose
 # residual is the worst of the list, or the name of a law whose
-# memoised verdict is the conclusion.
+# memoised verdict is the conclusion.  Six conclusions show the algebra
+# laws of the property wire arising from how put and get act: they are
+# the laws as :mod:`putget.algebras` states them, acting on the system
+# through put or get, or on the nose under Faithful.
 
-def _pairs_putget_idem(U):
-    e = U.term("get_put")
-    return [(e >> e, e)]
+class _Word(NamedTuple):
+    """An algebra law's side as :mod:`putget.algebras` builds it: two words
+    composed (``op`` ">>") or tensored ("@"), or a part of U (``op`` its name).
+    ``arrow()`` keeps what it builds; ``build()`` keeps no intermediate."""
 
+    op: str
+    parts: tuple
+    kept: list
 
-def _pairs_coassoc_under_put(U):
-    # Both sides factored by the interchange law so no morphism ever
-    # carries three property wires at once.
-    copy_in = U.term("s_comult")
-    left = copy_in >> (U.term("copy_put") @ U.term("idp"))
-    right = copy_in >> (U.put @ U.comult)
-    return [(left, right)]
+    def __rshift__(self, other: "_Word") -> "_Word":
+        return _Word(">>", (self, other), [])
 
+    def __matmul__(self, other: "_Word") -> "_Word":
+        return _Word("@", (self, other), [])
 
-def _pairs_assoc_under_get(U):
-    merge_out = U.term("s_mult")
-    left = (U.term("get_merge") @ U.term("idp")) >> merge_out
-    right = (U.get @ U.mult) >> merge_out
-    return [(left, right)]
+    def arrow(self) -> Arrow:
+        if not self.kept:
+            self.kept.append(self.build())
+        return self.kept[0]
 
+    def build(self) -> Arrow:
+        if self.op == ">>":
+            return self.parts[0].build() >> self.parts[1].build()
+        return self.parts[0].build() @ self.parts[1].build() if self.op == "@" else self.parts[0]
 
-def _pairs_frobenius_under_put(U):
-    ids, idp, put_p = U.term("ids"), U.term("idp"), U.term("put_p")
-    mult, comult = U.mult, U.comult
-
-    def under(x):
-        return (ids @ x) >> put_p
-
-    left = under((idp @ comult) >> (mult @ idp))
-    middle = under(mult >> comult)
-    right = under((comult @ idp) >> (idp @ mult))
-    return [(left, middle), (middle, right), (left, right)]
-
-
-def _pairs_comm_under_put(U):
-    sw = U.prop.swap(U.prop)
-    left = (U.term("ids") @ (sw >> U.mult)) >> U.put
-    return [(left, U.term("merge_put"))]
+    def width(self, end: str) -> int:  # wires at "dom" or "cod", counted without building
+        if self.op == ">>":
+            return self.parts[end == "cod"].width(end)
+        if self.op == "@":
+            return self.parts[0].width(end) + self.parts[1].width(end)
+        return len(getattr(self.parts[0], end).factors)
 
 
-def _pairs_unit_under_put(U):
-    ids, idp = U.term("ids"), U.term("idp")
-    u, mult, put = U.trivial_update, U.mult, U.put
-    absorb_left = (ids @ ((u @ idp) >> mult)) >> put
-    absorb_right = (ids @ ((idp @ u) >> mult)) >> put
-    return [(absorb_left, put), (absorb_right, put)]
+def _words(U: UpdateStructure) -> SimpleNamespace:  # U's algebra, each part a word
+    word = lambda part: None if getattr(U, part) is None else _Word(part, (getattr(U, part),), [])
+    wire = SimpleNamespace(identity=lambda: _Word("idp", (U.term("idp"),), []),
+                           swap=lambda _: _Word("swap", (U.prop.swap(U.prop),), []))
+    return SimpleNamespace(carrier=wire, mult=word("mult"), unit=word("trivial_update"),
+                           comult=word("comult"), counit=word("trivial_outcome"))
 
 
-def _pairs_coassoc_under_faithful(U):
-    ids, idp = U.term("ids"), U.term("idp")
-    put, get, mult, comult = U.put, U.get, U.mult, U.comult
-    assoc_l = (mult @ idp) >> mult
-    assoc_r = (idp @ mult) >> mult
-    coassoc_l = comult >> (comult @ idp)
-    coassoc_r = comult >> (idp @ comult)
-    return [
-        ((ids @ assoc_l) >> put, (ids @ assoc_r) >> put),
-        (get >> (ids @ coassoc_l), get >> (ids @ coassoc_r)),
-        (assoc_l, assoc_r),  # faithfulness promotes to the nose
-        (coassoc_l, coassoc_r),
-    ]
+def _acting(U, where, pairs):
+    """The (lhs, rhs) pairs of an algebra law's sides, each acting on the system.
+
+    A side ``x : p^n -> p^m`` becomes ``(1_S x x) ; (put x 1_p^(m-1))`` through
+    put, ``(get x 1_p^(n-1)) ; (1_S x x)`` through get, and ``x`` on the nose.
+    Past two property wires it acts part by part (the interchange law), so no
+    arrow carries S x p^3 beside S x p^2; a part that is a term is read from it."""
+    if where == "nose":
+        return [(lhs.arrow(), rhs.arrow()) for lhs, rhs in pairs]
+    acted = {id(w): _act(U, where, w) for w in {id(w): w for pair in pairs for w in pair}.values()}
+    return [(acted[id(lhs)], acted[id(rhs)]) for lhs, rhs in pairs]
 
 
-def _pairs_putgeta_trivial(U):
-    # PutGetA together with units collapses the property wire: report
-    # whether the identity on p indeed separates through the point.
-    return [(U.term("idp"), U.trivial_outcome >> U.trivial_update)]
+def _act(U, where, w):
+    put, n = where == "put", len(U.prop.factors)
+    beside = {n: getattr(U, where), 2 * n: U.term(where + "_p")}  # by the wires it acts on
+    with_ids = lambda x: U.term("ids:" + x.op) if "ids:" + x.op in _TERMS else U.term("ids") @ x.arrow()
+    wires = w.width("cod" if put else "dom")
+    if f"{where}:{w.op}" in _TERMS:
+        return U.term(f"{where}:{w.op}")
+    if wires in beside:
+        return with_ids(w) >> beside[wires] if put else beside[wires] >> with_ids(w)
+    first, second = w.parts
+    if w.op == "@":
+        return _act(U, where, first) @ second.arrow()
+    return (with_ids(first) >> _act(U, where, second) if put
+            else _act(U, where, first) >> with_ids(second))
+
+
+def _laws_acting(*conclusions):
+    """A conclusion builder: each (algebra law, where it acts) in turn."""
+    return lambda U: [pair for law, where in conclusions for pair in _acting(U, where, U.term(law))]
 
 
 _DERIVED: dict[str, tuple[tuple[str, ...], object]] = {
-    "putget_idem": (WEAK_LAWS, _pairs_putget_idem),
+    "putget_idem": (WEAK_LAWS, lambda U: [(U.term("get_put") >> U.term("get_put"),
+                                           U.term("get_put"))]),
     "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), "GetPut"),
-    "coassoc_under_put_from_B": (("PutGetB", "GetGet"), _pairs_coassoc_under_put),
-    "assoc_under_get_from_C": (("PutGetC", "PutPut"), _pairs_assoc_under_get),
-    "frobenius_under_put_from_BC": (("PutGetB", "PutGetC", "PutPut"), _pairs_frobenius_under_put),
-    "comm_under_put": (("CommutativePut", "PutPut"), _pairs_comm_under_put),
-    "unit_under_put": (("TrivialUpdate", "PutPut"), _pairs_unit_under_put),
-    "coassoc_under_faithful_putget": (("Faithful", "PutPut", "GetGet"), _pairs_coassoc_under_faithful),
+    "coassoc_under_put_from_B": (("PutGetB", "GetGet"), _laws_acting(("coassoc", "put"))),
+    "assoc_under_get_from_C": (("PutGetC", "PutPut"), _laws_acting(("assoc", "get"))),
+    "frobenius_under_put_from_BC": (("PutGetB", "PutGetC", "PutPut"),
+                                    _laws_acting(("frobenius", "put"))),
+    "comm_under_put": (("CommutativePut", "PutPut"), _laws_acting(("comm", "put"))),
+    "unit_under_put": (("TrivialUpdate", "PutPut"), _laws_acting(("unit", "put"))),
+    "coassoc_under_faithful_putget": (("Faithful", "PutPut", "GetGet"), _laws_acting(
+        ("assoc", "put"), ("coassoc", "get"), ("assoc", "nose"), ("coassoc", "nose"))),
+    # PutGetA with both units collapses the property wire through the point
     "putget_a_forces_trivial_property": (
         ("PutGetA", "TrivialUpdate", "TrivialOutcome"),
-        _pairs_putgeta_trivial,
-    ),
+        lambda U: [(U.term("idp"), U.trivial_outcome >> U.trivial_update)]),
 }
 DERIVED_PROPS = tuple(_DERIVED)
 
@@ -418,20 +436,14 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
     if prop_id not in _DERIVED:
         raise StructureError(f"unknown derived proposition {prop_id!r}")
     premises, conclusion = _DERIVED[prop_id]
-    failed = []
+    failed, applicable = [], applicable_laws(U)
     for law in premises:
-        if law == "TrivialUpdate" and U.trivial_update is None:
-            failed.append("TrivialUpdate (no trivial update attached)")
-            continue
-        if law == "TrivialOutcome" and U.trivial_outcome is None:
-            failed.append("TrivialOutcome (no trivial outcome attached)")
-            continue
-        if not check_law(U, law, tol).holds:
+        if law not in applicable:  # TrivialUpdate or TrivialOutcome without its component
+            failed.append(f"{law} (no {law.replace('Trivial', 'trivial ').lower()} attached)")
+        elif not check_law(U, law, tol).holds:
             failed.append(law)
     if failed:
         return DerivedResult(prop_id, "vacuous", 0.0, tuple(failed))
-    if isinstance(conclusion, str):
-        result = check_law(U, conclusion, tol)
-    else:
-        result = compare_all(conclusion(U), tol)
+    result = (check_law(U, conclusion, tol) if isinstance(conclusion, str)
+              else compare_all(conclusion(U), tol))
     return DerivedResult(prop_id, "holds" if result.holds else "fails", result.residual, ())

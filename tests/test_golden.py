@@ -1,9 +1,11 @@
 """A fresh ``putget check --all`` run against a stored one.
 
 ``data/check_all.json`` holds the output of ``putget check --all --format
-json``.  Every non-float field of a fresh run must equal it exactly, and
-every float must agree within ``rel_tol=1e-12, abs_tol=1e-15``, so any
-change to a verdict, a residual or a threshold shows up here.
+json``, and ``data/check_all_tol1e-3.json`` that of the same command with
+``--tol 1e-3``.  Every non-float field of a fresh run must equal it
+exactly, and every float must agree within ``rel_tol=1e-12,
+abs_tol=1e-15``, so any change to a verdict, a residual or a threshold
+shows up here.
 """
 import copy
 import json
@@ -12,7 +14,8 @@ from pathlib import Path
 
 from putget.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "check_all.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "check_all.json"
 
 
 def differences(got, want, path: str = "$") -> list[str]:
@@ -34,11 +37,18 @@ def differences(got, want, path: str = "$") -> list[str]:
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-def test_check_all_matches_the_stored_run(capsys):
-    assert main(["check", "--all", "--format", "json"]) == 0
+def stored_run_differences(capsys, stored: Path, *argv: str) -> list[str]:
+    assert main(["check", "--all", "--format", "json", *argv]) == 0
     got = json.loads(capsys.readouterr().out)
-    want = json.loads(GOLDEN.read_text())
-    assert differences(got, want) == []
+    return differences(got, json.loads(stored.read_text()))
+
+
+def test_check_all_matches_the_stored_run(capsys):
+    assert stored_run_differences(capsys, GOLDEN) == []
+
+
+def test_check_all_at_a_loose_tolerance_matches_its_stored_run(capsys):
+    assert stored_run_differences(capsys, DATA / "check_all_tol1e-3.json", "--tol", "1e-3") == []
 
 
 def test_differences_catch_every_kind_of_change():

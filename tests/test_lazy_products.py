@@ -421,10 +421,23 @@ def test_products_with_an_entry_in_range_do_not_overflow_on_the_way(order):
 # -- laws and derived residuals against the dense oracle --------------------
 
 
+class DenseWire(TensorType):
+    """An oracle wire: its identity and crossing are oracle arrows."""
+
+    def __matmul__(self, other: "DenseWire") -> "DenseWire":
+        return DenseWire(self.factors + other.factors)
+
+    def identity(self) -> "DenseArrow":
+        return DenseArrow(self, self, np.eye(self.dim))
+
+    def swap(self, other: "DenseWire") -> "DenseArrow":
+        return DenseArrow(self @ other, other @ self, permutation(self.dim, other.dim))
+
+
 class DenseArrow:
     """The oracle arrow: composed with ``@`` and tensored with ``np.kron``."""
 
-    def __init__(self, dom: TensorType, cod: TensorType, array: np.ndarray):
+    def __init__(self, dom: DenseWire, cod: DenseWire, array: np.ndarray):
         self.dom, self.cod, self.array = dom, cod, array
 
     def __rshift__(self, other: "DenseArrow") -> "DenseArrow":
@@ -440,7 +453,8 @@ class DenseArrow:
 
 
 class DenseStructure(SimpleNamespace):
-    """Oracle arrows shaped for the law recipes; they build its terms from them."""
+    """Oracle arrows on oracle wires, shaped for the law recipes; they build
+    its terms and the sides of its algebra laws from these."""
 
     term = structures.UpdateStructure.term
 
@@ -448,16 +462,16 @@ class DenseStructure(SimpleNamespace):
 def dense_structure(U) -> DenseStructure:
     """U's components as oracle arrows, with an empty term memo."""
     def lift(m):
-        return None if m is None else DenseArrow(m.dom, m.cod, np.array(m.array))
+        if m is None:
+            return None
+        return DenseArrow(DenseWire(m.dom.factors), DenseWire(m.cod.factors), np.array(m.array))
 
-    p = U.prop
-    crossing = DenseArrow(p @ p, p @ p, permutation(p.dim, p.dim))
+    system, prop = DenseWire(U.system.factors), DenseWire(U.prop.factors)
     return DenseStructure(
+        system=system, prop=prop,
         put=lift(U.put), get=lift(U.get), mult=lift(U.mult), comult=lift(U.comult),
         trivial_update=lift(U.trivial_update), trivial_outcome=lift(U.trivial_outcome),
-        id_system=lambda: DenseArrow(U.system, U.system, np.eye(U.system.dim)),
-        id_prop=lambda: DenseArrow(p, p, np.eye(p.dim)),
-        prop=SimpleNamespace(swap=lambda other: crossing),
+        id_system=system.identity, id_prop=prop.identity,
         _terms={},
     )
 
@@ -515,6 +529,22 @@ def test_the_suite_builds_no_crossing_or_doubled_identity(largest_build, build, 
     for prop in DERIVED_PROPS:
         verify_derived(U, prop)
     assert 0 < largest_build[0] <= bound
+
+
+def test_the_derived_suite_makes_no_arrow_wider_than_a_law_side(monkeypatch):
+    # the benchmark tracer and the dense oracle build every composite densely;
+    # acting part by part keeps put x 1_p x 1_p (S x p^3 -> S x p^2) out
+    widest = [0]
+    for name in ("compose", "tensor"):
+        def recording(*args, original=getattr(tensors, name)):
+            out = original(*args)
+            widest[0] = max(widest[0], out.dom.dim * out.cod.dim)
+            return out
+        monkeypatch.setattr(tensors, name, recording)
+    U = pair_of_pants_update(5)
+    for prop in DERIVED_PROPS:
+        verify_derived(U, prop)
+    assert widest[0] == 25 ** 5  # mult x 1_p, p^3 -> p^2: 25 times less than the padded put
 
 
 def test_a_crossing_is_built_only_when_read(largest_build):

@@ -127,7 +127,7 @@ def test_decoherence_is_an_idempotent_trace_preserving_projector():
 
 def test_spectrum_stacks_projectors_along_the_outcome_wire():
     pvs = qubit_z()
-    arr = pvs.spectrum.array.reshape(2, 2, 2)
+    arr = pvs.structure.get.array.reshape(2, 2, 2)
     for i, p in enumerate(pvs.projectors):
         assert np.allclose(arr[:, i, :], p.array)
 
@@ -144,19 +144,49 @@ def test_spectrum_equations_hold(make):
 
 
 def test_spectrum_equations_are_memoised_per_tolerance(monkeypatch):
-    from putget import quantum
+    from putget import quantum, structures
     from putget.tensors import Tolerance
 
     pvs = qubit_z()  # validating the family evaluated them at the default tolerance
     first = pvs_equations(pvs)
     first.clear()  # callers get a copy, not the memo itself
     compared = []
-    original = quantum.compare
-    monkeypatch.setattr(quantum, "compare", lambda *args: compared.append(args) or original(*args))
+    for module in (quantum, structures):
+        original = module.compare
+        monkeypatch.setattr(module, "compare",
+                            lambda *args, original=original: compared.append(args) or original(*args))
     assert len(pvs_equations(pvs)) == 5 and compared == []
     loose = pvs_equations(pvs, Tolerance(1e-3, 1e-3))
     assert len(compared) == 4 and all(r.holds for r in loose)
     assert pvs_equations(pvs, Tolerance(1e-3, 1e-3)) == loose and len(compared) == 4
+
+
+def test_spectrum_equations_are_the_structures_law_verdicts():
+    pvs = qubit_z()
+    U = pvs_to_update(pvs)
+    assert U is pvs.structure and pvs_to_update(pvs) is U
+    equations = {r.law: r for r in pvs_equations(pvs)}
+    for name, law in (("p_idempotent", "GetGet"), ("p_complete", "TrivialOutcome"),
+                      ("isometry", "GetPut")):
+        verdict = check_law(U, law)
+        assert (equations[name].holds, equations[name].residual) == (verdict.holds, verdict.residual)
+
+
+def test_characterisation_reuses_the_spectrum_verdicts(monkeypatch):
+    from putget import quantum, structures
+
+    pvs = qubit_z()
+    U = pvs_to_update(pvs)
+    pvs_equations(pvs)
+    for law in structures.LAW_NAMES:
+        check_law(U, law)
+    compared = []
+    for module in (quantum, structures):
+        original = module.compare
+        monkeypatch.setattr(module, "compare",
+                            lambda *args, original=original: compared.append(args) or original(*args))
+    assert characterize_pvs(U) == (True, ())
+    assert len(compared) == 1  # dagger symmetry; every equation is read from the memo
 
 
 def test_projector_family_validation_names_the_problem():

@@ -106,13 +106,16 @@ def test_one_run_shares_its_terms_families_and_bases(capsys):
 
 
 def test_the_tolerance_reaches_every_comparison(capsys):
-    from putget.tensors import Morphism, TensorType, Tolerance
+    from putget.finsets import SetType
+    from putget.tensors import Morphism, Tolerance
 
     calls = check_all_calls(capsys, "--tol", "1e-3")
-    # sets compare exactly, whatever the tolerance; every matrix verdict uses --tol
+    # sets compare exactly, whatever the tolerance, so a set comparison may
+    # take any; every matrix comparison, and every law verdict on either
+    # backend (it is memoised per tolerance), uses --tol
     tolerances = [call["tol"] for call in calls["compare"] if isinstance(call["lhs"], Morphism)]
-    tolerances += [call["tol"] for call in calls["check_law"]
-                   if isinstance(call["U"].system, TensorType)]
+    assert any(isinstance(call["U"].system, SetType) for call in calls["check_law"])
+    tolerances += [call["tol"] for call in calls["check_law"]]
     tolerances += [call["tol"] for call in calls["pvs_from_projectors"]]
     assert len(tolerances) > 500
     assert set(tolerances) == {Tolerance(1e-3, 1e-3)}

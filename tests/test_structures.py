@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from putget.algebras import Algebra, check_algebra
 from putget.finsets import FinFunction, FinSet, SetType, diagonal, projection
 from putget.lenses import (
     constant_complement_lens,
@@ -236,6 +237,18 @@ def test_all_derived_props_resolve_on_a_strong_example():
         assert result.status in ("holds", "vacuous")
         if result.status == "holds":
             assert result.residual < 1e-9
+
+
+def test_put_sees_algebra_laws_that_fail_on_the_nose():
+    # ignore_put_lens_4 writes nothing, so put sees every two views alike:
+    # its left-delete magma fails comm and unit, yet both hold through put
+    U = build_example("ignore_put_lens_4")
+    alg = Algebra(U.prop, U.mult, U.trivial_update)
+    assert check_algebra(alg, "comm") == (False, 2.0, 0.0)
+    assert check_algebra(alg, "unit") == (False, 1.0, 0.0)
+    for prop in ("comm_under_put", "unit_under_put"):
+        result = verify_derived(U, prop)
+        assert (result.status, result.residual) == ("holds", 0.0), prop
 
 
 def test_derived_fails_when_any_pair_fails(monkeypatch):
