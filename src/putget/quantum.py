@@ -27,12 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebras import (
-    Algebra,
-    check_algebra,
-    pair_of_pants,
-    scfa_from_dimension,
-)
+from .algebras import pair_of_pants, scfa_from_dimension
 from .structures import (
     WEAK_LAWS,
     LawCheckResult,
@@ -369,10 +364,9 @@ def characterize_pvs(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[
     # Conditions hold (GetGet and TrivialOutcome are spectrum equations): the
     # property must now carry the basis spider and get be self-adjoint.  Any
     # failure here is an inconsistency and is reported rather than swallowed.
-    alg = Algebra(U.prop, U.mult, U.trivial_update, U.comult, U.trivial_outcome)
     for law in ("assoc", "coassoc", "unit", "counit", "comm", "special", "frobenius",
                 "dagger_frobenius"):
-        if not check_algebra(alg, law, tol).holds:
+        if not check_law(U, law, tol).holds:
             failing.append(f"derived algebra fails {law}")
     if not _self_adjoint(U, tol).holds:
         failing.append("spectrum equation p_self_adjoint")

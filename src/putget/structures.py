@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebras import ALGEBRA_LAWS, _algebra_sides
+from .algebras import ALGEBRA_LAWS, _adjoint, _algebra_sides
 from .finsets import FinFunction, SetType
 from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare, compare_all
 
@@ -289,14 +289,24 @@ def _check_faithful(U: UpdateStructure, tol: Tolerance) -> LawCheckResult:
 
 
 def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> LawCheckResult:
-    """Check one named law of ``U`` at the given tolerance (memoised on ``U``)."""
+    """Check one named law of ``U`` at the given tolerance (memoised on ``U``).
+
+    ``law`` may also name an algebra law of the property wire (see
+    :data:`putget.algebras.ALGEBRA_LAWS`), which is then checked on the
+    nose, with U's mult, comult, trivial update and trivial outcome as
+    the algebra; its sides are read from ``U.term(law)``.
+    """
     target = _ALIASES.get(law, law)
     key = (target, tol)
     result = U._verdicts.get(key)
     if result is None:
-        result = U._verdicts[key] = (
-            _check_faithful(U, tol) if target == "Faithful"
-            else LawCheckResult(target, *compare(*_law_sides(U, target), tol)))
+        if target == "Faithful":
+            result = _check_faithful(U, tol)
+        elif target in ALGEBRA_LAWS:
+            result = LawCheckResult(target, *compare_all(_acting(U, "nose", U.term(target)), tol))
+        else:
+            result = LawCheckResult(target, *compare(*_law_sides(U, target), tol))
+        U._verdicts[key] = result
     return result if target == law else replace(result, law=law)
 
 
@@ -338,8 +348,9 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 
 class _Word(NamedTuple):
     """An algebra law's side as :mod:`putget.algebras` builds it: two words
-    composed (``op`` ">>") or tensored ("@"), or a part of U (``op`` its name).
-    ``arrow()`` keeps what it builds; ``build()`` keeps no intermediate."""
+    composed (``op`` ">>") or tensored ("@"), or a part of U (``op`` its name)
+    or its adjoint ("dagger").  ``arrow()`` keeps what it builds; ``build()``
+    keeps no intermediate."""
 
     op: str
     parts: tuple
@@ -350,6 +361,9 @@ class _Word(NamedTuple):
 
     def __matmul__(self, other: "_Word") -> "_Word":
         return _Word("@", (self, other), [])
+
+    def dagger(self) -> "_Word":  # of a part only, so it is a part too
+        return _Word("dagger", (_adjoint(self.arrow()),), [])
 
     def arrow(self) -> Arrow:
         if not self.kept:

@@ -16,8 +16,9 @@ operands have a block boundary and composes each piece on its own.  A
 piece with an identity on one side is the other side's blocks,
 untouched; a dense block is applied along its own axes by a batched
 matmul, across which a permutation block is a transpose of axes; two
-larger products are contracted in one ``np.einsum(..., optimize=True)``,
-in which a permutation block only relabels wires; and a piece of
+larger products are contracted wire by wire, two dense blocks at a time
+by matmul in the order that keeps each result smallest, in which a
+permutation block only relabels wires; and a piece of
 crossings and identities alone composes into one permutation block.  A
 scalar multiple scales one dense block, or else gains a wire-less 1x1
 block.  So neither ``1 (x) f`` nor a crossing is ever built as a matrix,
@@ -28,9 +29,10 @@ Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
 the finest parts that cover the same wires: a part with the same blocks
 on both sides is a common factor and contributes only its norm, so only
-the parts where the sides differ are built densely.  Products and norms
-are taken with every factor scaled by a power of two, which is exact, so
-no partial product overflows unless the result does.
+the parts where the sides differ are built densely.  A dense norm is
+one sum of squares over the entries in memory order.  Products and
+norms are taken with every factor scaled by a power of two, which is
+exact, so no partial product overflows unless the result does.
 
 :func:`compare` is the only place in the library where a tolerance
 decides a verdict, for matrices and for finite-set functions alike: it
@@ -45,6 +47,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,7 +113,10 @@ class TensorType:
     factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.factors)
+        try:
+            factors = tuple(map(operator.index, self.factors))
+        except TypeError:
+            raise ValueError(f"factor dimensions must be integers, got {self.factors}") from None
         if any(d < 1 for d in factors):
             raise ValueError(f"factor dimensions must be >= 1, got {factors}")
         object.__setattr__(self, "factors", factors)
@@ -124,7 +130,9 @@ class TensorType:
         return math.prod(self.factors)
 
     def __matmul__(self, other: "TensorType") -> "TensorType":
-        return TensorType(self.factors + other.factors)
+        joined = object.__new__(TensorType)  # both factor lists are already checked
+        object.__setattr__(joined, "factors", self.factors + other.factors)
+        return joined
 
     def identity(self) -> "Morphism":
         return _product(self, self, (_Block(self.factors, self.factors, None),))
@@ -343,10 +351,13 @@ def _scaled(arr: np.ndarray, e: int) -> np.ndarray:
 
 
 def _fro(arr: np.ndarray) -> float:
-    """The Frobenius norm, retaken at a power-of-two scale where squaring the entries
-    left the float range: the norm is inf, or below 2**-500 with an entry that is not 0."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
+    """The Frobenius norm, as one sum of squares over the entries in memory order.
+
+    It is retaken at a power-of-two scale where squaring the entries left
+    the float range: the norm is inf, or below 2**-500 with an entry that
+    is not 0."""
+    flat = arr.ravel(order="K")
+    norm = math.sqrt(np.vdot(flat, flat).real)
     if 2.0 ** -500 < norm < math.inf or not arr.any():
         return norm
     e = _exponent(arr)
@@ -402,16 +413,21 @@ def _apply(blocks, x: np.ndarray) -> np.ndarray:
 
 
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
-    """``kron(g_blocks) @ kron(f_blocks)``, contracted wire by wire in one einsum.
+    """``kron(g_blocks) @ kron(f_blocks)``, summed wire by wire, two dense blocks at a time.
 
     Every wire gets its own label.  An identity or permutation block gives
     each output wire the label of the input wire it carries, so it takes
-    no part in the contraction.  A wire that is carried through both
-    sides would then label an output and an input at once; it gets an
-    explicit identity operand instead.
+    no part in the sum, and the dense blocks are the operands.  A label is
+    on at most two operands, and a label that two operands share is a
+    middle wire, never an output.  So any order of pairwise contractions
+    is exact, with no batch labels and no path search: each step takes the
+    pair with the smallest result and sums their shared labels in one
+    matmul.  A wire carried through both sides is on no operand; the
+    output is the identity on it, so the result is written onto the
+    diagonal of its output and input axes.
     """
     label = itertools.count()
-    args: list = []
+    operands: list[tuple[np.ndarray, list[int]]] = []
     middle: list[int] = []
     dom: list[int] = []
     for b in f_blocks:
@@ -422,7 +438,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         else:
             inputs = [next(label) for _ in b.dom]
             dom += inputs
-            args += [b.array.reshape(b.cod + b.dom), out + inputs]
+            operands.append((b.array.reshape(b.cod + b.dom), out + inputs))
     shared = iter(middle)
     cod: list[int] = []
     for b in g_blocks:
@@ -432,15 +448,37 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         else:
             out = [next(label) for _ in b.cod]
             cod += out
-            args += [b.array.reshape(b.cod + b.dom), out + inputs]
-    dom_dims = dict(zip(dom, (d for b in f_blocks for d in b.dom)))
-    for i, wire in enumerate(cod):
-        if wire in dom_dims:  # carried straight through
-            cod[i] = next(label)
-            args += [np.eye(dom_dims[wire]), [cod[i], wire]]
-    result = np.einsum(*args, cod + dom, optimize=True)
+            operands.append((b.array.reshape(b.cod + b.dom), out + inputs))
+    dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
+    while len(operands) > 1:
+        i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
+            dims[w] for w in set(operands[ij[0]][1]).symmetric_difference(operands[ij[1]][1])))
+        (y, y_wires), (x, x_wires) = operands.pop(j), operands.pop(i)
+        summed = [w for w in x_wires if w in y_wires]
+        x_kept = [w for w in x_wires if w not in summed]
+        y_kept = [w for w in y_wires if w not in summed]
+        x = x.transpose([x_wires.index(w) for w in x_kept + summed])
+        y = y.transpose([y_wires.index(w) for w in summed + y_kept])
+        n = math.prod(x.shape[:len(x_kept)])
+        product = x.reshape(n, -1) @ y.reshape(x.size // n, -1)
+        operands.append((product.reshape(x.shape[:len(x_kept)] + y.shape[len(summed):]),
+                         x_kept + y_kept))
+    (last, wires), = operands
     rows = math.prod(d for b in g_blocks for d in b.cod)
-    return result.reshape(rows, result.size // rows)
+    through = [w for w in cod if w in dom]
+    if not through:
+        return last.transpose([wires.index(w) for w in cod + dom]).reshape(rows, -1)
+    # written through a view whose axis for a carried wire steps along both of its axes
+    result = np.zeros([d for b in g_blocks for d in b.cod] + [d for b in f_blocks for d in b.dom],
+                      dtype=last.dtype)
+    steps = dict.fromkeys(cod + dom, 0)
+    for w, step in zip(cod + dom, result.strides):
+        steps[w] += step
+    view = np.lib.stride_tricks.as_strided(
+        result, last.shape + tuple(result.shape[cod.index(w)] for w in through),
+        [steps[w] for w in wires + through])
+    view[...] = last.reshape(last.shape + (1,) * len(through))
+    return result.reshape(rows, -1)
 
 
 def _contract(g_blocks, f_blocks) -> np.ndarray:
@@ -448,8 +486,8 @@ def _contract(g_blocks, f_blocks) -> np.ndarray:
     identity, and one side has a dense block.
 
     A side that is one dense block is the matrix the other side's blocks
-    are applied to; other pairs of products go to einsum, so that neither
-    is built.
+    are applied to; other pairs of products are contracted wire by wire
+    (:func:`_einsum`), so that neither is built.
     """
     if len(f_blocks) == 1 and f_blocks[0].array is not None:
         return _apply(g_blocks, f_blocks[0].array)

@@ -8,12 +8,14 @@ and doubling taken as ``kron(f, conj(f))`` with interleaved wires.
 ``norm`` and ``distance`` factor out the blocks two products share, and
 are checked against ``np.linalg.norm`` of the dense matrices.
 """
+import itertools
+import math
 from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from putget import structures, tensors
 from putget.quantum import (
@@ -243,6 +245,90 @@ def test_two_multi_block_products_are_contracted_without_being_built(monkeypatch
     assert calls == [1]
     assert_close((g.dagger() >> f.dagger()).array, f_arr.conj().T @ g_arr.conj().T)
     assert calls == [1, 1]
+
+
+def wire_permutation(dom: tuple, perm: tuple) -> np.ndarray:
+    """The matrix taking |i_0 .. i_n-1> on ``dom`` to |i_perm[0] .. i_perm[n-1]>, by entries."""
+    cod = tuple(dom[p] for p in perm)
+    m = np.zeros((math.prod(cod), math.prod(dom)))
+    for index in itertools.product(*map(range, dom)):
+        m[np.ravel_multi_index(tuple(index[p] for p in perm), cod),
+          np.ravel_multi_index(index, dom)] = 1.0
+    return m
+
+
+@st.composite
+def contraction_side(draw, middle: tuple, side: str, carried: set, rng):
+    """Blocks of one side of a contraction over the ``middle`` wires, with their oracle.
+
+    ``middle`` is cut into groups at drawn places, and each group becomes a
+    dense block to or from a drawn type, an identity or a permutation; a
+    group holding a wire of ``carried`` is never dense.  Past the middle
+    wires sit blocks with none of them (``side`` is "cod" for f, whose
+    codomain is the middle, and "dom" for g).
+    """
+    cuts = sorted(draw(st.sets(st.integers(1, len(middle) - 1), max_size=len(middle) - 1)))
+    blocks, oracle = [], []
+    for start, end in zip([0] + cuts, cuts + [len(middle)]):
+        group = middle[start:end]
+        kinds = ["identity", "permutation"]
+        if not carried & set(range(start, end)):
+            kinds.append("dense")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dense":
+            other = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+            dom, cod = (other, group) if side == "cod" else (group, other)
+            arr = random_matrix(rng, math.prod(cod), math.prod(dom))
+            blocks.append(tensors._Block(dom, cod, arr))
+            oracle.append(arr)
+        elif kind == "identity":
+            blocks.append(tensors._Block(group, group, None))
+            oracle.append(np.eye(math.prod(group)))
+        else:  # output wire k is input wire perm[k]
+            perm = tuple(draw(st.permutations(range(len(group)))))
+            if side == "cod":  # the group is the output: find the input it comes from
+                dom = tuple(group[perm.index(j)] for j in range(len(group)))
+            else:
+                dom = group
+            blocks.append(tensors._Block(dom, tuple(dom[p] for p in perm), None, perm))
+            oracle.append(wire_permutation(dom, perm))
+        if draw(st.booleans()):  # a state of f or an effect of g: no middle wire
+            other = tuple(draw(st.lists(st.integers(1, 3), max_size=1)))
+            dom, cod = (other, ()) if side == "cod" else ((), other)
+            arr = random_matrix(rng, math.prod(cod), math.prod(dom))
+            blocks.append(tensors._Block(dom, cod, arr))
+            oracle.append(arr)
+    return blocks, reduce(np.kron, oracle, np.ones((1, 1)))
+
+
+@given(st.data(), st.lists(st.integers(1, 3), min_size=3, max_size=6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_contraction_matches_the_dense_oracle(data, wires, carry, seed):
+    rng = np.random.default_rng(seed)
+    middle = tuple(wires)
+    # a carried wire is an identity or a permutation on both sides, so it
+    # passes straight through the contraction on no dense block
+    carried = {data.draw(st.integers(0, len(middle) - 1))} if carry else set()
+    f, f_arr = data.draw(contraction_side(middle, "cod", carried, rng))
+    g, g_arr = data.draw(contraction_side(middle, "dom", carried, rng))
+    assume(all(sum(b.array is not None for b in side) >= 2 for side in (f, g)))
+    assert_close(tensors._einsum(g, f), g_arr @ f_arr)
+
+
+def test_pairwise_contraction_with_misaligned_cuts_crossings_and_carried_wires():
+    rng = np.random.default_rng(11)
+    a, b, c, d = (random_matrix(rng, *shape) for shape in ((4, 2), (3, 2), (3, 2), (2, 6)))
+    identity = tensors._Block((2,), (2,), None)
+    crossing = tensors._Block((2, 3), (3, 2), None, (1, 0))
+    # the middle [2, 2, 3, 2, 3, 2]: f cuts it after wires 2, 4 and 5, g after 1, 3 and 5;
+    # wire 4 is carried by the crossings of both sides, wire 6 by both identities
+    f = [tensors._Block((2,), (2, 2), a), crossing, tensors._Block((2,), (3,), b), identity]
+    g = [tensors._Block((2,), (3,), c), tensors._Block((2, 3), (2,), d), crossing, identity]
+    swap_arr = wire_permutation((2, 3), (1, 0))
+    f_arr = reduce(np.kron, [a, swap_arr, b, np.eye(2)])
+    g_arr = reduce(np.kron, [c, d, swap_arr, np.eye(2)])
+    assert_close(tensors._einsum(g, f), g_arr @ f_arr)
 
 
 def test_composites_with_an_identity_side_stay_lazy():

@@ -105,6 +105,18 @@ def test_one_run_shares_its_terms_families_and_bases(capsys):
     assert {name: len(calls) for name, calls in check_all_calls(capsys).items()} == first
 
 
+def test_a_run_searches_no_einsum_path(capsys):
+    import numpy as np
+
+    exits = []
+    # np.einsum dispatches to the Python function it wraps, whose calls are caught
+    run = lambda: exits.append(main(["check", "--all"]))
+    calls = profiled({"einsum": np.einsum.__wrapped__}, run)
+    capsys.readouterr()
+    assert exits == [0]
+    assert [call for call in calls["einsum"] if call["optimize"] is not False] == []
+
+
 def test_the_tolerance_reaches_every_comparison(capsys):
     from putget.finsets import SetType
     from putget.tensors import Morphism, Tolerance

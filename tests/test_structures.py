@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from putget.algebras import Algebra, check_algebra
+from putget.algebras import Algebra, AlgebraError, check_algebra
 from putget.finsets import FinFunction, FinSet, SetType, diagonal, projection
 from putget.lenses import (
     constant_complement_lens,
@@ -345,6 +345,26 @@ def test_verdicts_are_memoised_per_tolerance(monkeypatch):
     assert calls == ["PutPut", "PutPut"]
     assert loose.threshold > first.threshold
     assert check_law(U, "PutPut", DEFAULT_TOL) is first
+
+
+@pytest.mark.parametrize("name", ["qubit_z_pvs", "qutrit_pvs", "pair_of_pants_3"])
+def test_algebra_laws_on_the_nose_agree_with_the_algebra_record(name):
+    U = build_example(name)
+    alg = Algebra(U.prop, U.mult, U.trivial_update, U.comult, U.trivial_outcome)
+    laws = [law for law in ("assoc", "coassoc", "unit", "counit", "comm", "cocomm", "special",
+                            "frobenius", "dagger_frobenius")
+            if law != "counit" or U.trivial_outcome is not None]
+    for law in laws:
+        mine, record = check_law(U, law), check_algebra(alg, law)
+        assert mine.law == law
+        assert (mine.holds, mine.residual, mine.threshold) == tuple(record), law
+        assert check_law(U, law) is mine  # memoised like every other law
+    assert U.term("assoc")[0][0].kept  # the sides were built from the structure's terms
+
+
+def test_dagger_laws_of_a_set_structure_need_the_linear_backend():
+    with pytest.raises(AlgebraError, match="linear backend"):
+        check_law(build_example("identity_lens_4"), "dagger_frobenius")
 
 
 def test_with_components_starts_with_an_empty_profile():

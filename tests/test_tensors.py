@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from putget import tensors
 from putget.tensors import (
     DEFAULT_TOL,
     Morphism,
@@ -35,6 +36,18 @@ def test_type_concatenation_and_dim():
     assert (t @ u).dim == 24
     assert TensorType.unit().dim == 1
     assert t @ TensorType.unit() == t
+
+
+def test_factors_must_be_integers():
+    for bad in ((2.7,), ("3",), (2, 1.0), (None,)):
+        with pytest.raises(ValueError, match="integers"):
+            TensorType(bad)
+    t = TensorType((np.int64(3), 2))
+    assert t.factors == (3, 2) and all(type(d) is int for d in t.factors)
+    with pytest.raises(ValueError, match=">= 1"):
+        TensorType((2, 0))
+    # a join trusts its factors, which were checked when each side was made
+    assert (t @ TensorType((4,))).factors == (3, 2, 4)
 
 
 def test_morphism_shape_validation():
@@ -182,3 +195,61 @@ def test_swap_function_matches_method():
 def test_grid_str_smoke():
     text = str(cup(2))
     assert "I" in text or "->" in text
+
+
+# Both norms are sums of at most 2 * FRO_ENTRIES real squares, each
+# computed to within n * eps of the true value, so they differ by at most
+# twice that; the square root halves it.
+FRO_ENTRIES = 32 * 32
+FRO_RTOL = 2 * FRO_ENTRIES * np.finfo(np.float64).eps
+
+
+@st.composite
+def fro_arrays(draw):
+    """A complex array of up to FRO_ENTRIES entries, with its layout and scale drawn.
+
+    The layout is C order, transposed (so not C-contiguous) or a strided
+    slice; the scale puts the squares of the entries in range, above the
+    float range (the norm squared overflows) or below it (the squares
+    underflow), or makes every entry zero.
+    """
+    rows, cols = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(seeds))
+    arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    arr *= draw(st.sampled_from([1.0, 1e-3, 1e5, 1e200, 1e-200, 0.0]))
+    layout = draw(st.sampled_from(["C", "transposed", "strided"]))
+    if layout == "transposed":
+        arr = arr.T
+    elif layout == "strided":
+        arr = arr[::2, ::-1]
+    return arr
+
+
+def oracle_norm(arr: np.ndarray) -> float:
+    """``np.linalg.norm``, taken at the scale of the largest entry so that it cannot overflow."""
+    top = float(np.abs(arr).max())
+    return 0.0 if top == 0.0 else top * float(np.linalg.norm(arr / top))
+
+
+@given(fro_arrays())
+@settings(max_examples=200, deadline=None)
+def test_frobenius_norm_matches_numpy(arr):
+    want = oracle_norm(arr)
+    if 1e-140 < want < 1e140:  # squares in range: numpy's own norm is the oracle
+        assert want == pytest.approx(float(np.linalg.norm(arr)), rel=FRO_RTOL)
+    got = tensors._fro(arr)
+    assert got == pytest.approx(want, rel=FRO_RTOL, abs=0.0)
+
+
+def test_frobenius_norm_retakes_only_out_of_range_norms(monkeypatch):
+    rng = np.random.default_rng(7)
+    arr = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    cases = [(scale * arr, oracle_norm(scale * arr)) for scale in (1.0, 1e200, 1e-200)]
+    cases += [(np.zeros((3, 4), complex), 0.0)]
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(a) or norm(a))
+    got = [tensors._fro(a) for a, _ in cases]
+    assert len(calls) == 2  # the overflowing and the underflowing array, not the others
+    for value, (_, want) in zip(got, cases):
+        assert value == pytest.approx(want, rel=FRO_RTOL, abs=0.0)
