@@ -115,9 +115,10 @@ def cpm_double(f: Morphism) -> Morphism:
     """Double a pure map: ``f (x) conj(f)`` with per-wire interleaving.
 
     Doubling is a monoidal functor, so a lazy product is doubled block by
-    block and stays lazy: a dense block is doubled as a matrix, an
-    identity becomes the identity on the doubled wires, and a wire
-    crossing becomes the crossing of the wire pairs.
+    block and stays lazy: a dense block is doubled as a matrix, a
+    function block (a copy spider, a decoherence, a basis projector) on
+    its indices, an identity becomes the identity on the doubled wires,
+    and a wire crossing becomes the crossing of the wire pairs.
     """
     return double_blocks(f, _double_matrix)
 

@@ -32,12 +32,13 @@ Each structure memoises its verdicts: :func:`check_law` evaluates a law
 in full the first time it is asked for at a given tolerance and returns
 the stored result afterwards, so ``check_laws``, ``classify``, the
 derived premises and every other consumer share one evaluation; PutGetB
-is read from the PutGet entry, and so is the conclusion of
-weak_trivial_implies_strong from the GetPut entry.  It memoises the
-composites that several law sides and derived pairs share the same way
-(see :meth:`UpdateStructure.term`), each built once in one fixed
-association order.  ``with_components`` copies start with both memos
-empty.
+is read from the PutGet entry, the conclusion of
+weak_trivial_implies_strong from the GetPut entry, and the on-the-nose
+part of coassoc_under_faithful_putget from the assoc and coassoc
+entries.  It memoises the composites that several law sides and derived
+pairs share the same way (see :meth:`UpdateStructure.term`), each built
+once in one fixed association order.  ``with_components`` copies start
+with both memos empty.
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ import numpy as np
 
 from .algebras import ALGEBRA_LAWS, _adjoint, _algebra_sides
 from .finsets import FinFunction, SetType
-from .tensors import DEFAULT_TOL, Morphism, TensorType, Tolerance, compare, compare_all
+from .tensors import (DEFAULT_TOL, Comparison, Morphism, TensorType, Tolerance, compare,
+                      compare_all)
 
 __all__ = [
     "StructureError",
@@ -283,7 +285,8 @@ def _check_faithful(U: UpdateStructure, tol: Tolerance) -> LawCheckResult:
     # curried put as a (dS*dS) x dp matrix: column v holds put(- (x) v)
     k = U.put.array.reshape(ds, ds, dp).reshape(ds * ds, dp)
     singular = np.linalg.svd(k, compute_uv=False)
-    rank = int(np.count_nonzero(singular > tol.threshold(np.linalg.norm(k))))
+    # the norm of k is put's, which Morphism.norm takes without overflow
+    rank = int(np.count_nonzero(singular > tol.threshold(U.put.norm())))
     residual = float(dp - rank)
     return LawCheckResult("Faithful", residual == 0, residual, 0.0)
 
@@ -339,12 +342,13 @@ def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification
 # -- derived implications ------------------------------------------------
 #
 # Each entry maps a proposition name to its premise laws and its
-# conclusion: a builder producing a list of (lhs, rhs) comparisons, whose
-# residual is the worst of the list, or the name of a law whose
-# memoised verdict is the conclusion.  Six conclusions show the algebra
-# laws of the property wire arising from how put and get act: they are
-# the laws as :mod:`putget.algebras` states them, acting on the system
-# through put or get, or on the nose under Faithful.
+# conclusion, a tuple of parts that must all hold: a builder producing a
+# list of (lhs, rhs) comparisons, or the name of a law whose memoised
+# verdict is read.  The residual is the worst over all parts.  Six
+# conclusions show the algebra laws of the property wire arising from
+# how put and get act: they are the laws as :mod:`putget.algebras` states
+# them, acting on the system through put or get, or on the nose under
+# Faithful, where they are the algebra laws' own verdicts.
 
 class _Word(NamedTuple):
     """An algebra law's side as :mod:`putget.algebras` builds it: two words
@@ -425,22 +429,22 @@ def _laws_acting(*conclusions):
     return lambda U: [pair for law, where in conclusions for pair in _acting(U, where, U.term(law))]
 
 
-_DERIVED: dict[str, tuple[tuple[str, ...], object]] = {
-    "putget_idem": (WEAK_LAWS, lambda U: [(U.term("get_put") >> U.term("get_put"),
-                                           U.term("get_put"))]),
-    "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), "GetPut"),
-    "coassoc_under_put_from_B": (("PutGetB", "GetGet"), _laws_acting(("coassoc", "put"))),
-    "assoc_under_get_from_C": (("PutGetC", "PutPut"), _laws_acting(("assoc", "get"))),
+_DERIVED: dict[str, tuple[tuple[str, ...], tuple]] = {
+    "putget_idem": (WEAK_LAWS, (lambda U: [(U.term("get_put") >> U.term("get_put"),
+                                            U.term("get_put"))],)),
+    "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), ("GetPut",)),
+    "coassoc_under_put_from_B": (("PutGetB", "GetGet"), (_laws_acting(("coassoc", "put")),)),
+    "assoc_under_get_from_C": (("PutGetC", "PutPut"), (_laws_acting(("assoc", "get")),)),
     "frobenius_under_put_from_BC": (("PutGetB", "PutGetC", "PutPut"),
-                                    _laws_acting(("frobenius", "put"))),
-    "comm_under_put": (("CommutativePut", "PutPut"), _laws_acting(("comm", "put"))),
-    "unit_under_put": (("TrivialUpdate", "PutPut"), _laws_acting(("unit", "put"))),
-    "coassoc_under_faithful_putget": (("Faithful", "PutPut", "GetGet"), _laws_acting(
-        ("assoc", "put"), ("coassoc", "get"), ("assoc", "nose"), ("coassoc", "nose"))),
+                                    (_laws_acting(("frobenius", "put")),)),
+    "comm_under_put": (("CommutativePut", "PutPut"), (_laws_acting(("comm", "put")),)),
+    "unit_under_put": (("TrivialUpdate", "PutPut"), (_laws_acting(("unit", "put")),)),
+    "coassoc_under_faithful_putget": (("Faithful", "PutPut", "GetGet"), (
+        _laws_acting(("assoc", "put"), ("coassoc", "get")), "assoc", "coassoc")),
     # PutGetA with both units collapses the property wire through the point
     "putget_a_forces_trivial_property": (
         ("PutGetA", "TrivialUpdate", "TrivialOutcome"),
-        lambda U: [(U.term("idp"), U.trivial_outcome >> U.trivial_update)]),
+        (lambda U: [(U.term("idp"), U.trivial_outcome >> U.trivial_update)],)),
 }
 DERIVED_PROPS = tuple(_DERIVED)
 
@@ -458,6 +462,6 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
             failed.append(law)
     if failed:
         return DerivedResult(prop_id, "vacuous", 0.0, tuple(failed))
-    result = (check_law(U, conclusion, tol) if isinstance(conclusion, str)
-              else compare_all(conclusion(U), tol))
+    result = Comparison.joint(check_law(U, part, tol) if isinstance(part, str)
+                              else compare_all(part(U), tol) for part in conclusion)
     return DerivedResult(prop_id, "holds" if result.holds else "fails", result.residual, ())

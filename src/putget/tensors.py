@@ -7,32 +7,47 @@ an explicit swap.  Basis order is lexicographic with the leftmost factor
 most significant, which is exactly the Kronecker product convention.
 
 A morphism is held either as one dense matrix or as a lazy Kronecker
-product: the list of its blocks.  An identity block is stored as its
-wires only, and a wire crossing (:func:`swap`) as a permutation block:
-its wires and the permutation that takes inputs to outputs.  ``tensor``,
-``swap`` and ``TensorType.identity`` build lazy products, and ``compose``
-works along the wires: it cuts the shared middle wires wherever both
-operands have a block boundary and composes each piece on its own.  A
-piece with an identity on one side is the other side's blocks,
-untouched; a dense block is applied along its own axes by a batched
-matmul, across which a permutation block is a transpose of axes; two
-larger products are contracted wire by wire, two dense blocks at a time
-by matmul in the order that keeps each result smallest, in which a
-permutation block only relabels wires; and a piece of
-crossings and identities alone composes into one permutation block.  A
-scalar multiple scales one dense block, or else gains a wire-less 1x1
-block.  So neither ``1 (x) f`` nor a crossing is ever built as a matrix,
-and ``Morphism.array`` builds the dense matrix only when something
-reads it.
+product: the list of its blocks.  A block is one of four kinds:
+
+- a dense matrix;
+- a function block, a matrix with at most one nonzero entry in each
+  column, held as one row index and one weight per column.  The
+  constructor keeps every such matrix this way (copy spiders,
+  decoherence, computational-basis projectors, effects and scalars);
+- a permutation block, a wire crossing (:func:`swap`) held as its wires
+  and the permutation that takes inputs to outputs;
+- an identity block, held as its wires only.
+
+``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
+and ``compose`` works along the wires: it cuts the shared middle wires
+wherever both operands have a block boundary and composes each piece on
+its own.  A piece with an identity on one side is the other side's
+blocks, untouched.  A piece of function, permutation and identity
+blocks composes into one function block by a gather of index arrays,
+or, with no function block, into one permutation block.  A piece with
+a dense block is contracted as matrices, and a function block in it is
+densified there: a dense block is applied along its own axes by a
+batched matmul, across which a permutation block is a transpose of
+axes, and two larger products are contracted wire by wire, two dense
+blocks at a time by matmul in the order that keeps each result
+smallest, in which a permutation block only relabels wires.  ``tensor``,
+``conj``, scalar multiples and ``double_blocks`` keep a function block
+a function block, and so does ``dagger`` where no two nonzero columns
+share a row.  A scalar multiple scales one dense or function block, or
+else gains a wire-less 1x1 function block.  So neither ``1 (x) f`` nor
+a crossing is ever built as a matrix, and ``Morphism.array`` builds the
+dense matrix only when something reads it.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
 the finest parts that cover the same wires: a part with the same blocks
 on both sides is a common factor and contributes only its norm, so only
-the parts where the sides differ are built densely.  A dense norm is
-one sum of squares over the entries in memory order.  Products and
-norms are taken with every factor scaled by a power of two, which is
-exact, so no partial product overflows unless the result does.
+the parts where the sides differ are looked at.  Where those hold no
+dense block they are compared column by column as index arrays, and
+otherwise built densely.  A dense norm is one sum of squares over the
+entries in memory order.  Products and norms are taken with every
+factor scaled by a power of two, which is exact, so no partial product
+overflows unless the result does.
 
 :func:`compare` is the only place in the library where a tolerance
 decides a verdict, for matrices and for finite-set functions alike: it
@@ -157,18 +172,31 @@ def _fmt_entry(z: complex) -> str:
 
 
 class _Block(NamedTuple):
-    """One factor of a lazy product: a dense ``cod x dom`` matrix; or, when
-    ``array`` is None, the wire permutation ``perm`` (output wire k is input
-    wire ``perm[k]``), or the identity on ``dom`` when ``perm`` is None too."""
+    """One factor of a lazy product, of one of four kinds.
+
+    - dense: ``array`` is the ``cod x dom`` matrix;
+    - function: column j of the matrix, in the row-major enumeration of
+      ``dom``, is ``weights[j]`` at row ``rows[j]`` and 0 elsewhere (a
+      zero column points at row 0);
+    - permutation: output wire k is input wire ``perm[k]``;
+    - identity on ``dom``: ``array``, ``perm`` and ``rows`` are all None.
+    """
 
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     array: np.ndarray | None
     perm: tuple[int, ...] | None = None
+    rows: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     @property
     def is_identity(self) -> bool:
-        return self.array is None and self.perm is None
+        return self.array is None and self.perm is None and self.rows is None
+
+    @property
+    def is_wiring(self) -> bool:
+        """An identity or a permutation: a block with no entries of its own."""
+        return self.array is None and self.rows is None
 
 
 class Morphism:
@@ -177,13 +205,17 @@ class Morphism:
     The matrix has shape ``(cod.dim, dom.dim)`` and column/row indices
     enumerate the factored basis lexicographically, leftmost factor most
     significant.  Morphisms are immutable and the constructor copies its
-    array.  Lazy products build ``array`` on its first read.
+    array; a matrix with at most one nonzero entry in each column is kept
+    as a function block, its row indices and weights.  Lazy products
+    build ``array`` on its first read.
     """
 
     __slots__ = ("dom", "cod", "_array", "_blocks")
 
     def __init__(self, dom: TensorType, cod: TensorType, array) -> None:
-        self._set(dom, cod, _checked(dom, cod, np.array(array, dtype=np.complex128)), None)
+        arr = _checked(dom, cod, np.array(array, dtype=np.complex128))
+        block = _as_function(dom.factors, cod.factors, arr)
+        self._set(dom, cod, *((arr, None) if block is None else (None, (block,))))
 
     def _set(self, dom, cod, array, blocks) -> None:
         for name, value in zip(Morphism.__slots__, (dom, cod, array, blocks)):
@@ -216,12 +248,13 @@ class Morphism:
         return self + (-1.0) * other
 
     def __rmul__(self, z: complex) -> "Morphism":
+        z = complex(z)
         blocks = list(_blocks_of(self))
         for i, b in enumerate(blocks):
-            if b.array is not None:  # scale one dense block; the others stay lazy
-                blocks[i] = b._replace(array=_finite(complex(z) * b.array))
+            if not b.is_wiring:  # scale one block with entries; the others stay lazy
+                blocks[i] = _mapped(b, lambda arr: z * arr)
                 return _product(self.dom, self.cod, blocks)
-        scalar_block = _Block((), (), _finite(np.full((1, 1), complex(z))))
+        scalar_block = _function_block((), (), np.zeros(1, dtype=np.intp), np.full(1, z))
         return _product(self.dom, self.cod, blocks + [scalar_block])
 
     def dagger(self) -> "Morphism":
@@ -229,9 +262,7 @@ class Morphism:
 
     def conj(self) -> "Morphism":
         return _product(self.dom, self.cod, [
-            b if b.array is None else b._replace(array=_finite(b.array.conj()))
-            for b in _blocks_of(self)
-        ])
+            b if b.is_wiring else _mapped(b, np.conj) for b in _blocks_of(self)])
 
     def norm(self) -> float:
         """The Frobenius norm; of a lazy product, the product of its block norms."""
@@ -273,6 +304,38 @@ def _checked(dom: TensorType, cod: TensorType, arr: np.ndarray) -> np.ndarray:
             f"(expected {(cod.dim, dom.dim)})"
         )
     return _finite(arr)
+
+
+def _function_block(dom: tuple[int, ...], cod: tuple[int, ...], rows: np.ndarray,
+                    weights: np.ndarray) -> _Block:
+    rows.setflags(write=False)
+    return _Block(dom, cod, None, None, rows, _finite(weights))
+
+
+def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) -> _Block | None:
+    """``arr`` as a function block, or None if a column has two nonzero entries."""
+    if np.count_nonzero(arr, axis=0).max() > 1:
+        return None
+    rows = np.argmax(arr != 0, axis=0)  # a zero column gives row 0
+    return _function_block(dom, cod, rows, arr[rows, np.arange(arr.shape[1])])
+
+
+def _mapped(b: _Block, fn) -> _Block:
+    """A dense or function block with ``fn`` applied to its entries."""
+    if b.array is not None:
+        return b._replace(array=_finite(fn(b.array)))
+    return b._replace(weights=_finite(fn(b.weights)))
+
+
+def _function_matrix(rows: np.ndarray, weights: np.ndarray, height: int) -> np.ndarray:
+    out = np.zeros((height, rows.size), dtype=np.complex128)
+    out[rows, np.arange(rows.size)] = weights
+    return out
+
+
+def _matrix(b: _Block) -> np.ndarray:
+    """The matrix of a dense block, or a function block densified."""
+    return b.array if b.array is not None else _function_matrix(b.rows, b.weights, math.prod(b.cod))
 
 
 def _new(dom: TensorType, cod: TensorType, array, blocks) -> Morphism:
@@ -364,21 +427,69 @@ def _fro(arr: np.ndarray) -> float:
     return _ldexp(float(np.linalg.norm(_scaled(arr, e))), e)
 
 
+def _unscaled(arr: np.ndarray, exponent: int) -> np.ndarray:
+    """``arr * 2**exponent``; an entry that overflows is left for :func:`_finite` to refuse."""
+    return arr if exponent == 0 else arr * _ldexp(1.0, exponent)
+
+
 def _kron(blocks) -> np.ndarray:
     """The dense matrix of a Kronecker product of blocks, each scaled near 1 on the way."""
     out, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for b in blocks:
         if b.is_identity:
             m = np.eye(math.prod(b.dom))
-        elif b.array is None:  # a permutation: its columns are the permuted basis
+        elif b.is_wiring:  # a permutation: its columns are the permuted basis
             m = _apply((b,), np.eye(math.prod(b.dom)))
+        elif b.rows is not None:
+            e = _exponent(b.weights)
+            m = _function_matrix(b.rows, _scaled(b.weights, e), math.prod(b.cod))
+            exponent += e
         else:
             e = _exponent(b.array)
             m, exponent = _scaled(b.array, e), exponent + e
         # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
             out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
-    return out if exponent == 0 else out * _ldexp(1.0, exponent)
+    return _unscaled(out, exponent)
+
+
+def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
+    """A Kronecker product of identity, permutation and function blocks as one function.
+
+    Returns its rows, and its weights as a mantissa array and a binary
+    exponent: where several blocks have weights, each block's are scaled
+    near 1 on the way, as in :func:`_kron`.
+    """
+    scale = sum(b.rows is not None for b in blocks) > 1
+    rows, weights, exponent = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128), 0
+    for out, height, w in _function_factors(blocks):
+        rows = (rows[:, None] * height + out).ravel()
+        if w is None:
+            weights = np.repeat(weights, out.size)
+        else:
+            e = _exponent(w) if scale else 0
+            exponent += e
+            weights = (weights[:, None] * _scaled(w, e)).ravel()
+    return rows, weights, exponent
+
+
+def _function_factors(blocks):
+    """Each block as (rows, height, weights or None), a run of identities as one."""
+    carried = 1
+    for b in blocks:
+        if b.is_identity:
+            carried *= math.prod(b.cod)
+            continue
+        if carried > 1:
+            yield np.arange(carried), carried, None
+            carried = 1
+        height = math.prod(b.cod)
+        if b.rows is not None:
+            yield b.rows, height, b.weights
+        else:  # input j of a permutation goes to output out[j]
+            yield np.arange(height).reshape(b.cod).transpose(_inverse(b.perm)).ravel(), height, None
+    if carried > 1:
+        yield np.arange(carried), carried, None
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -386,8 +497,23 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _transpose(blocks) -> list[_Block]:
-    return [_Block(b.cod, b.dom, None if b.array is None else b.array.T,
+    return [_transposed_function(b) if b.rows is not None else
+            _Block(b.cod, b.dom, None if b.array is None else b.array.T,
                    None if b.perm is None else _inverse(b.perm)) for b in blocks]
+
+
+def _transposed_function(b: _Block) -> _Block:
+    """The transpose of a function block: a function block where no two nonzero
+    columns share a row, and a dense block otherwise."""
+    height = math.prod(b.cod)
+    columns = np.flatnonzero(b.weights)
+    hit = b.rows[columns]
+    if np.bincount(hit, minlength=height).max() > 1:
+        return _Block(b.cod, b.dom, _finite(_matrix(b).T))
+    rows = np.zeros(height, dtype=np.intp)
+    weights = np.zeros(height, dtype=np.complex128)
+    rows[hit], weights[hit] = columns, b.weights[columns]
+    return _function_block(b.cod, b.dom, rows, weights)
 
 
 def _apply(blocks, x: np.ndarray) -> np.ndarray:
@@ -396,15 +522,16 @@ def _apply(blocks, x: np.ndarray) -> np.ndarray:
     Before block i, ``x`` is viewed as (outputs of the blocks before i,
     inputs of block i, inputs of the blocks after i times columns), so a
     dense block acts as one batched matmul and a permutation block as a
-    transpose of its axes; identity blocks are skipped.
+    transpose of its axes; a function block is densified, and identity
+    blocks are skipped.
     """
     columns = x.shape[1]
     done, rest = 1, x.size
     for b in blocks:
         width = math.prod(b.dom)
         rest //= width
-        if b.array is not None:
-            x = np.matmul(b.array, x.reshape(done, width, rest))
+        if not b.is_wiring:
+            x = np.matmul(_matrix(b), x.reshape(done, width, rest))
         elif b.perm is not None:
             axes = (0, *(1 + p for p in b.perm), 1 + len(b.perm))
             x = x.reshape(done, *b.dom, rest).transpose(axes)
@@ -417,7 +544,8 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
 
     Every wire gets its own label.  An identity or permutation block gives
     each output wire the label of the input wire it carries, so it takes
-    no part in the sum, and the dense blocks are the operands.  A label is
+    no part in the sum, and the dense blocks are the operands (a function
+    block among them is densified).  A label is
     on at most two operands, and a label that two operands share is a
     middle wire, never an output.  So any order of pairwise contractions
     is exact, with no batch labels and no path search: each step takes the
@@ -433,22 +561,22 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     for b in f_blocks:
         out = [next(label) for _ in b.cod]
         middle += out
-        if b.array is None:
+        if b.is_wiring:
             dom += out if b.perm is None else [out[k] for k in _inverse(b.perm)]
         else:
             inputs = [next(label) for _ in b.dom]
             dom += inputs
-            operands.append((b.array.reshape(b.cod + b.dom), out + inputs))
+            operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
     shared = iter(middle)
     cod: list[int] = []
     for b in g_blocks:
         inputs = [next(shared) for _ in b.dom]
-        if b.array is None:
+        if b.is_wiring:
             cod += inputs if b.perm is None else [inputs[p] for p in b.perm]
         else:
             out = [next(label) for _ in b.cod]
             cod += out
-            operands.append((b.array.reshape(b.cod + b.dom), out + inputs))
+            operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
     dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
     while len(operands) > 1:
         i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
@@ -485,14 +613,14 @@ def _contract(g_blocks, f_blocks) -> np.ndarray:
     """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all
     identity, and one side has a dense block.
 
-    A side that is one dense block is the matrix the other side's blocks
-    are applied to; other pairs of products are contracted wire by wire
-    (:func:`_einsum`), so that neither is built.
+    A side that is one dense or function block is the matrix the other
+    side's blocks are applied to; other pairs of products are contracted
+    wire by wire (:func:`_einsum`), so that neither is built.
     """
-    if len(f_blocks) == 1 and f_blocks[0].array is not None:
-        return _apply(g_blocks, f_blocks[0].array)
-    if len(g_blocks) == 1 and g_blocks[0].array is not None:
-        return _apply(_transpose(f_blocks), g_blocks[0].array.T).T
+    if len(f_blocks) == 1 and not f_blocks[0].is_wiring:
+        return _apply(g_blocks, _matrix(f_blocks[0]))
+    if len(g_blocks) == 1 and not g_blocks[0].is_wiring:
+        return _apply(_transpose(f_blocks), _matrix(g_blocks[0]).T).T
     return _einsum(g_blocks, f_blocks)
 
 
@@ -515,15 +643,37 @@ def _wire_perm(blocks) -> list[int]:
 
 
 def _block_norm(b: _Block) -> float:
-    return math.sqrt(math.prod(b.dom)) if b.array is None else _fro(b.array)
+    if b.is_wiring:
+        return math.sqrt(math.prod(b.dom))
+    return _fro(b.array if b.array is not None else b.weights)
+
+
+def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 def _same_block(x: _Block, y: _Block) -> bool:
-    if x.dom != y.dom or x.cod != y.cod or x.perm != y.perm:
-        return False
-    if (x.array is None) != (y.array is None):
-        return False
-    return x.array is y.array or np.array_equal(x.array, y.array)
+    return (x.dom == y.dom and x.cod == y.cod and x.perm == y.perm
+            and _same_array(x.array, y.array) and _same_array(x.rows, y.rows)
+            and _same_array(x.weights, y.weights))
+
+
+def _sole_function(m: Morphism) -> _Block | None:
+    """The function block that ``m`` is, if it is one block of that kind."""
+    blocks = m._blocks
+    if blocks is not None and len(blocks) == 1 and blocks[0].rows is not None:
+        return blocks[0]
+    return None
+
+
+def _function_distance(x_rows, x, y_rows, y) -> tuple[float, float, float]:
+    """``norm(x - y)``, ``norm(x)`` and ``norm(y)`` of two functions on the same wires.
+
+    They are compared column by column: a column whose rows agree
+    contributes ``|x - y|**2``, and one whose rows differ ``|x|**2 + |y|**2``.
+    """
+    same = x_rows == y_rows
+    return (math.hypot(_fro(np.where(same, x - y, x)), _fro(y[~same])), _fro(x), _fro(y))
 
 
 def _part_keys(a_blocks, b_blocks) -> list[list]:
@@ -561,8 +711,10 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
 
     Of two products, a part (see :func:`_part_keys`) with the same blocks
     on both sides is a common Kronecker factor, so it contributes only its
-    norm.  The other parts are built densely, each side's blocks in their
-    order, which puts both sides' wires in the same order.  Raises
+    norm.  The other parts are taken together, each side's blocks in their
+    order, which puts both sides' wires in the same order: as one function
+    on each side where they hold no dense block, compared column by column
+    (:func:`_function_distance`), and built densely otherwise.  Raises
     ValueError when a result is not finite.
     """
     if x.dom != y.dom or x.cod != y.cod:
@@ -570,6 +722,9 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     if x._blocks is None and y._blocks is None:
         a, b = x._array, y._array
         return _finite_norms(_fro(a - b), _fro(a), _fro(b))
+    fx, fy = _sole_function(x), _sole_function(y)
+    if fx is not None and fy is not None:
+        return _finite_norms(*_function_distance(fx.rows, fx.weights, fy.rows, fy.weights))
     x_blocks = _split_identities(_blocks_of(x))
     y_blocks = _split_identities(_blocks_of(y))
     keys = _part_keys(x_blocks, y_blocks)
@@ -583,9 +738,17 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
             common += map(_block_norm, xs)
         else:
             differ.add(k)
-    a, b = (_kron([blk for blk, k in zip(blocks, side_keys) if k in differ])
-            for blocks, side_keys in zip((x_blocks, y_blocks), keys))
-    return _finite_norms(*(_scaled_prod(common + [_fro(m)]) for m in (a - b, a, b)))
+    differing = [[blk for blk, k in zip(blocks, side_keys) if k in differ]
+                 for blocks, side_keys in zip((x_blocks, y_blocks), keys)]
+    if not differ:  # every part is common: the sides are equal
+        built = 0.0, 1.0, 1.0
+    elif all(blk.array is None for side in differing for blk in side):
+        (x_rows, *xw), (y_rows, *yw) = map(_function_of, differing)
+        built = _function_distance(x_rows, _finite(_unscaled(*xw)), y_rows, _finite(_unscaled(*yw)))
+    else:
+        a, b = map(_kron, differing)
+        built = _fro(a - b), _fro(a), _fro(b)
+    return _finite_norms(*(_scaled_prod(common + [v]) for v in built))
 
 
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
@@ -595,11 +758,12 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     are cut wherever both products have a block boundary.  By the
     interchange law the composite is the Kronecker product of the pieces'
     composites.  A piece that is the identity on one side is just the
-    other side's blocks, and a piece with no dense block on either side
-    is one permutation block, or an identity where the permutations
-    cancel.  Blocks with no middle wires (effects of f, states of g)
-    that sit on a cut form a piece of their own, which is placed before
-    the piece that starts at that cut.
+    other side's blocks.  A piece with no dense block on either side is
+    one function block, composed by a gather (:func:`_gathered`), or, if
+    it has no function block either, one permutation block, or an
+    identity where the permutations cancel.  Blocks with no middle wires
+    (effects of f, states of g) that sit on a cut form a piece of their
+    own, which is placed before the piece that starts at that cut.
     """
     f_blocks, g_blocks = _split_identities(f_blocks), _split_identities(g_blocks)
     f_starts = list(itertools.accumulate((len(b.cod) for b in f_blocks), initial=0))
@@ -626,11 +790,20 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
             cod = tuple(d for b in gs for d in b.cod)
             if any(b.array is not None for b in fs + gs):
                 out.append(_Block(dom, cod, _finite(_contract(gs, fs))))
+            elif any(b.rows is not None for b in fs + gs):
+                out.append(_gathered(dom, cod, _function_of(gs), _function_of(fs)))
             else:  # g's output k is f's input f_perm[g_perm[k]]
                 f_perm = _wire_perm(fs)
                 perm = tuple(f_perm[k] for k in _wire_perm(gs))
                 out.append(_Block(dom, cod, None, None if perm == tuple(sorted(perm)) else perm))
     return out
+
+
+def _gathered(dom, cod, g, f) -> _Block:
+    """The function block of ``g after f``, for functions given as (rows, weights, exponent)."""
+    (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = g, f
+    weights = _unscaled(g_weights[f_rows] * f_weights, g_exp + f_exp)
+    return _function_block(dom, cod, g_rows[f_rows], weights)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -639,6 +812,10 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
     if f._blocks is None and g._blocks is None:
         return _dense(f.dom, g.cod, g._array @ f._array)
+    fb, gb = _sole_function(f), _sole_function(g)
+    if fb is not None and gb is not None:
+        block = _gathered(fb.dom, gb.cod, (gb.rows, gb.weights, 0), (fb.rows, fb.weights, 0))
+        return _new(f.dom, g.cod, None, (block,))
     return _product(f.dom, g.cod, _compose_blocks(_blocks_of(g), _blocks_of(f)))
 
 
@@ -661,24 +838,45 @@ def double_blocks(f: Morphism, dense) -> Morphism:
 
     A wire ``d`` becomes the adjacent pair ``(d, d)``.  A dense block
     ``array`` on factors ``dom -> cod`` becomes ``dense(array, dom, cod)``;
+    a function block is doubled on its indices (:func:`_doubled_function`);
     an identity stays the identity, now on the doubled wires; and a
     permutation ``p`` moves whole pairs, ``(2 p[k], 2 p[k] + 1)``.  A lazy
     product is mapped block by block, so it stays lazy.
     """
-    def pairs(wires):
-        return tuple(w for d in wires for w in (d, d))
-
     blocks = []
     for b in _blocks_of(f):
-        dom, cod = pairs(b.dom), pairs(b.cod)
-        if b.array is not None:
+        dom, cod = _pairs(b.dom), _pairs(b.cod)
+        if b.rows is not None:
+            b = _doubled_function(b, dom, cod)
+        elif b.array is not None:
             b = _Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
                                           dense(b.array, b.dom, b.cod)))
         else:
             perm = None if b.perm is None else tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))
             b = _Block(dom, cod, None, perm)
         blocks.append(b)
-    return _product(TensorType(pairs(f.dom.factors)), TensorType(pairs(f.cod.factors)), blocks)
+    return _product(TensorType(_pairs(f.dom.factors)), TensorType(_pairs(f.cod.factors)), blocks)
+
+
+def _pairs(wires: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(w for d in wires for w in (d, d))
+
+
+def _doubled_function(b: _Block, dom: tuple[int, ...], cod: tuple[int, ...]) -> _Block:
+    """``b (x) conj(b)`` as a function block on the paired wires ``dom -> cod``.
+
+    The product's columns and rows enumerate ``b.dom + b.dom`` and
+    ``b.cod + b.cod``; moving the axes of its rows and weights puts each
+    conjugate input wire next to its original, and a lookup table
+    renumbers the rows the same way.
+    """
+    rows, weights, exponent = _function_of([b, b._replace(weights=b.weights.conj())])
+    n, m = len(b.cod), len(b.dom)
+    columns = [k for i in range(m) for k in (i, m + i)]  # paired axis -> axis of dom + dom
+    rows, weights = (a.reshape(b.dom * 2).transpose(columns).ravel() for a in (rows, weights))
+    renumber = np.arange(math.prod(cod)).reshape(cod).transpose(
+        [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]).ravel()
+    return _function_block(dom, cod, renumber[rows], _unscaled(weights, exponent))
 
 
 def cup(d: int) -> Morphism:
@@ -713,6 +911,13 @@ class Comparison(NamedTuple):
     residual: float
     threshold: float
 
+    @staticmethod
+    def joint(results) -> "Comparison":
+        """All of ``results`` must hold; the first with the largest residual is reported."""
+        results = list(results)
+        worst = max(results, key=lambda r: r.residual)
+        return Comparison(all(r.holds for r in results), worst.residual, worst.threshold)
+
 
 def compare(lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     """Compare two arrows on the same wires: within ``tol`` for matrices, exactly for sets.
@@ -739,6 +944,4 @@ def compare_all(pairs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     Each pair is judged at its own threshold, so a pair of small norm can
     fail while the pair with the largest residual holds.
     """
-    results = [compare(lhs, rhs, tol) for lhs, rhs in pairs]
-    worst = max(results, key=lambda r: r.residual)
-    return Comparison(all(r.holds for r in results), worst.residual, worst.threshold)
+    return Comparison.joint(compare(lhs, rhs, tol) for lhs, rhs in pairs)

@@ -1,12 +1,13 @@
 """The lazy Kronecker engine of the linear backend against a dense oracle.
 
 ``tensor`` keeps products as lists of blocks, ``swap`` is one
-permutation block, and ``compose`` works on them wire by wire.  The
-oracle here is plain NumPy on ``.array``s: ``np.kron`` for products and
-``@`` for composites, with swaps built entry by entry in a double loop
-and doubling taken as ``kron(f, conj(f))`` with interleaved wires.
-``norm`` and ``distance`` factor out the blocks two products share, and
-are checked against ``np.linalg.norm`` of the dense matrices.
+permutation block, a matrix with at most one nonzero per column is a
+function block, and ``compose`` works on them wire by wire.  The oracle
+here is plain NumPy on ``.array``s: ``np.kron`` for products and ``@``
+for composites, with swaps built entry by entry in a double loop and
+doubling taken as ``kron(f, conj(f))`` with interleaved wires.  ``norm``
+and ``distance`` factor out the blocks two products share, and are
+checked against ``np.linalg.norm`` of the dense matrices.
 """
 import itertools
 import math
@@ -18,6 +19,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from putget import structures, tensors
+from putget.algebras import ALGEBRA_LAWS
+from putget.cli import main
 from putget.quantum import (
     cpm_double,
     double_type,
@@ -25,6 +28,7 @@ from putget.quantum import (
     quantum_db_causal,
     quantum_db_postselected,
 )
+from putget.registry import run_example
 from putget.structures import (
     DERIVED_PROPS,
     applicable_laws,
@@ -60,20 +64,58 @@ def random_matrix(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def function_matrix(draw, rng, rows: int, cols: int) -> np.ndarray:
+    """A matrix with at most one nonzero entry in each column, with complex weights.
+
+    Either no two columns share a row, when there are rows enough, or the
+    rows are drawn freely and may repeat; some draws zero about a third of
+    the columns.
+    """
+    if cols <= rows and draw(st.booleans()):
+        hit = rng.permutation(rows)[:cols]
+    else:
+        hit = rng.integers(0, rows, cols)
+    weights = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+    if draw(st.booleans()):
+        weights[rng.random(cols) < 1 / 3] = 0
+    arr = np.zeros((rows, cols), dtype=np.complex128)
+    arr[hit, np.arange(cols)] = weights
+    return arr
+
+
+def is_function(m: Morphism) -> bool:
+    """Whether ``m`` is held as one function block."""
+    return tensors._sole_function(m) is not None
+
+
+def is_identity(m: Morphism) -> bool:
+    return m._blocks is not None and all(b.is_identity for b in m._blocks)
+
+
+def has_no_dense_block(m: Morphism) -> bool:
+    """Whether ``m`` is held as blocks, none of them dense (``.array`` may have been read)."""
+    return m._blocks is not None and all(b.array is None for b in m._blocks)
+
+
 @st.composite
 def types(draw, max_len: int = 2) -> TensorType:
     return TensorType(tuple(draw(st.lists(st.integers(1, 3), max_size=max_len))))
 
 
+ALL_KINDS = ("identity", "dense", "swap", "function")
+INDEX_KINDS = ("identity", "swap", "function")  # no dense block
+
+
 @st.composite
-def products(draw, wires: TensorType, side: str, rng):
+def products(draw, wires: TensorType, side: str, rng, kinds=ALL_KINDS):
     """A lazy product whose ``side`` ("cod" or "dom") is ``wires``, with its dense oracle.
 
-    ``wires`` is cut into consecutive groups.  Each group becomes an
-    identity (adjacent ones are merged by the library), a swap of its
-    first wires past the rest (either side may be empty, and the two may
-    be equal), or a dense block to or from a random type; blocks with no
-    wire on ``side`` (effects or states) are slipped in between groups.
+    ``wires`` is cut into consecutive groups.  Each group becomes, as
+    ``kinds`` allow, an identity (adjacent ones are merged by the
+    library), a swap of its first wires past the rest (either side may be
+    empty, and the two may be equal), or a dense or function block to or
+    from a random type; blocks with no wire on ``side`` (effects, states
+    and scalars) are slipped in between groups.
     """
     items = []  # (morphism, oracle array)
     rest = list(wires.factors)
@@ -85,8 +127,7 @@ def products(draw, wires: TensorType, side: str, rng):
         else:
             break
         rest = rest[len(group):]
-        kinds = ("dense",) if not group else ("identity", "dense", "swap")
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from([k for k in kinds if group or k in ("dense", "function")]))
         here, there = TensorType(group), draw(types())
         if kind == "identity":
             items.append((here.identity(), np.eye(here.dim)))
@@ -97,7 +138,8 @@ def products(draw, wires: TensorType, side: str, rng):
             items.append((swap(a, b), permutation(a.dim, b.dim)))
         else:
             dom, cod = (there, here) if side == "cod" else (here, there)
-            arr = random_matrix(rng, cod.dim, dom.dim)
+            arr = (random_matrix(rng, cod.dim, dom.dim) if kind == "dense"
+                   else function_matrix(draw, rng, cod.dim, dom.dim))
             items.append((Morphism(dom, cod, arr), arr))
     if not items:
         return UNIT.identity(), np.eye(1)
@@ -106,8 +148,9 @@ def products(draw, wires: TensorType, side: str, rng):
 
 
 def dense(m: Morphism) -> Morphism:
-    """The same map held as one dense matrix."""
-    return Morphism(m.dom, m.cod, m.array)
+    """The same map held as one dense matrix (the constructor would keep a
+    matrix with one nonzero per column as a function block)."""
+    return tensors._dense(m.dom, m.cod, np.array(m.array))
 
 
 def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -201,6 +244,66 @@ def test_doubling_lazy_products_matches_the_dense_oracle(data, middle, seed):
     if len(small) == 3:
         both = cpm_double(f) >> cpm_double(g)
         assert_close(both.array, doubled(g_arr @ f_arr, f.dom, g.cod))
+
+
+# -- function blocks ---------------------------------------------------------
+
+
+def injective(m: Morphism) -> bool:
+    """Whether no two nonzero columns of a function block of ``m`` share a row."""
+    return all(np.unique(b.rows[b.weights != 0]).size == np.count_nonzero(b.weights)
+               for b in m._blocks if b.rows is not None)
+
+
+@given(st.data(), types(max_len=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_function_blocks_stay_index_arrays_and_match_the_dense_oracle(data, middle, seed):
+    # function, permutation, identity and wire-less scalar blocks only
+    rng = np.random.default_rng(seed)
+    f, f_arr = data.draw(products(middle, "cod", rng, INDEX_KINDS))
+    g, g_arr = data.draw(products(middle, "dom", rng, INDEX_KINDS))
+    h, h_arr = f >> g, g_arr @ f_arr
+    z = data.draw(st.sampled_from([2.0, -0.5j, 3 - 4j]))
+    kept = [(h, h_arr), (h.conj(), h_arr.conj()), (z * h, z * h_arr)]
+    if f_arr.size * g_arr.size <= LIMIT:
+        kept.append((f @ g, np.kron(f_arr, g_arr)))
+    if h_arr.size ** 2 <= LIMIT:
+        kept.append((cpm_double(h), doubled(h_arr, h.dom, h.cod)))
+    for m, arr in kept:
+        assert has_no_dense_block(m)
+        assert_close(m.array, arr)
+        assert_norms(m, arr)
+    back = h.dagger()  # a function block that sends two nonzero columns to one row is densified
+    assert has_no_dense_block(back) == injective(h)
+    assert_close(back.array, h_arr.conj().T)
+    # compared in index form: columns moved to other rows, rescaled, or conjugated
+    p_arr = function_matrix(data.draw, rng, h.cod.dim, h.cod.dim)
+    moved = h >> Morphism(h.cod, h.cod, p_arr)
+    s = swap(TensorType((2,)), TensorType((3,)))
+    pairs = [(moved, h, p_arr @ h_arr, h_arr), (h, z * h, h_arr, z * h_arr),
+             (h, h.conj(), h_arr, h_arr.conj()), (moved @ s, h @ s, None, None)]
+    for x, y, x_arr, y_arr in pairs:
+        assert has_no_dense_block(x) and has_no_dense_block(y)
+        if x_arr is None:
+            x_arr, y_arr = x.array, y.array
+        want = np.linalg.norm(x_arr - y_arr)
+        scale = max(np.linalg.norm(x_arr), np.linalg.norm(y_arr))
+        assert abs(x.distance(y) - want) <= 1e-12 * scale + 1e-300
+
+
+def test_the_constructor_keeps_a_matrix_with_one_nonzero_per_column_as_indices():
+    t = TensorType((2, 3))
+    arr = np.zeros((6, 6), dtype=np.complex128)
+    arr[[4, 4, 0], [0, 2, 5]] = [1.0, -2.0j, 0.5]  # two columns on row 4; columns 1, 3, 4 zero
+    m = Morphism(t, t, arr)
+    assert is_function(m) and m._array is None
+    (block,) = m._blocks
+    assert block.rows.dtype == np.intp
+    assert block.rows.tolist() == [4, 0, 4, 0, 0, 0]  # a zero column points at row 0
+    assert block.weights.tolist() == [1.0, 0.0, -2.0j, 0.0, 0.0, 0.5]
+    assert_close(m.array, arr)
+    arr[1, 0] = 1.0  # a second nonzero in column 0
+    assert Morphism(t, t, arr)._blocks is None
 
 
 def test_doubled_crossings_and_identities_stay_lazy():
@@ -349,20 +452,29 @@ def test_composites_with_an_identity_side_stay_lazy():
 def pieces(draw, rng, max_wires: int = 4):
     """Morphisms to tensor together, each with its dense oracle array.
 
-    A piece is an identity, a dense block, a state, an effect or a scalar
-    on wires of dimension 1 to 3, with at most ``max_wires`` wires on
-    either side of the product.
+    A piece is an identity, a scaled identity, a dense or function block,
+    a state, an effect or a scalar on wires of dimension 1 to 3, with at
+    most ``max_wires`` wires on either side of the product.  The
+    constructor keeps effects and scalars as function blocks.
     """
     out, n_dom, n_cod = [], 0, 0
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(("identity", "dense", "state", "effect", "scalar")))
+        kind = draw(st.sampled_from(("identity", "scaled", "dense", "function", "state",
+                                     "effect", "scalar")))
         dom = UNIT if kind in ("state", "scalar") else draw(types())
-        cod = {"identity": dom, "effect": UNIT, "scalar": UNIT}.get(kind) or draw(types())
+        cod = {"identity": dom, "scaled": dom, "effect": UNIT, "scalar": UNIT}.get(kind)
+        cod = cod or draw(types())
         if n_dom + len(dom.factors) > max_wires or n_cod + len(cod.factors) > max_wires:
             continue
         n_dom, n_cod = n_dom + len(dom.factors), n_cod + len(cod.factors)
         if kind == "identity":
             out.append((dom.identity(), np.eye(dom.dim)))
+        elif kind == "scaled":  # an identity with a wire-less scalar block
+            z = complex(*rng.standard_normal(2))
+            out.append((z * dom.identity(), z * np.eye(dom.dim)))
+        elif kind == "function":
+            arr = function_matrix(draw, rng, cod.dim, dom.dim)
+            out.append((Morphism(dom, cod, arr), arr))
         else:
             arr = random_matrix(rng, cod.dim, dom.dim)
             out.append((Morphism(dom, cod, arr), arr))
@@ -373,23 +485,24 @@ def vary(draw, rng, items):
     """A second list of pieces on the same wires, and whether it has the same blocks.
 
     Each piece is kept (the same object), copied (an equal array), redrawn
-    as another dense block, or, on pieces from a type to itself, replaced
-    by the identity.  Adjacent states and effects may trade places, which
-    keeps the product's value and types, and adjacent pieces may be fused
-    into one dense block, so that the two sides split their wires apart
-    at different places.
+    as another block of its kind (function or dense), or, on pieces from a
+    type to itself, replaced by the identity.  Adjacent states and effects
+    may trade places, which keeps the product's value and types, and
+    adjacent pieces may be fused into one block, so that the two
+    sides split their wires apart at different places.
     """
     out, same = [], True
     for m, arr in items:
         how = draw(st.sampled_from(("keep", "copy", "redraw", "identity")))
         if how == "identity" and m.dom == m.cod:
             out.append((m.dom.identity(), np.eye(m.dom.dim)))
-            same = same and m._blocks is not None  # an identity stays the same block
+            same = same and is_identity(m)  # an identity stays the same block
         elif how == "copy":
             out.append((Morphism(m.dom, m.cod, arr), arr))
-            same = same and m._blocks is None  # a dense identity is not the same block
+            same = same and not is_identity(m)  # a copied identity is a function block
         elif how == "redraw":
-            new = random_matrix(rng, m.cod.dim, m.dom.dim)
+            new = (function_matrix(draw, rng, m.cod.dim, m.dom.dim) if is_function(m)
+                   else random_matrix(rng, m.cod.dim, m.dom.dim))
             out.append((Morphism(m.dom, m.cod, new), new))
             same = False
         else:
@@ -433,15 +546,21 @@ def test_norm_and_distance_of_lazy_products_match_the_dense_oracle(data, seed):
 
 @pytest.fixture
 def distance_builds(monkeypatch):
-    """Sizes of the dense matrices that comparisons build."""
+    """Sizes of what comparisons build: the entries of each dense matrix, and
+    the columns of each pair of functions compared in index form."""
     sizes, inside = [], []
     kron, distance = tensors._kron, tensors._distance_and_norms
+    function_distance = tensors._function_distance
 
     def recording_kron(blocks):
         out = kron(blocks)
         if inside:
             sizes.append(out.size)
         return out
+
+    def recording_function_distance(x_rows, *rest):
+        sizes.append(x_rows.size)
+        return function_distance(x_rows, *rest)
 
     def tracked_distance(x, y):
         inside.append(x)
@@ -452,6 +571,7 @@ def distance_builds(monkeypatch):
 
     monkeypatch.setattr(tensors, "_kron", recording_kron)
     monkeypatch.setattr(tensors, "_distance_and_norms", tracked_distance)
+    monkeypatch.setattr(tensors, "_function_distance", recording_function_distance)
     return sizes
 
 
@@ -461,7 +581,7 @@ def test_states_and_effects_in_either_order_are_equal_without_being_built(distan
     lhs = cap(d) @ cap(d) @ cup(d) @ wire  # the shape of pair_of_pants law sides
     rhs = cap(d) @ cup(d) @ cap(d) @ wire
     assert lhs.distance(rhs) == 0.0
-    assert max(distance_builds) == 1
+    assert distance_builds == []  # every block is common to both sides
     scaled = cap(d) @ cup(d) @ (2.0 * cap(d)) @ wire
     assert lhs.distance(scaled) == pytest.approx(np.linalg.norm(lhs.array - scaled.array), 1e-12)
     assert max(distance_builds) == d ** 2  # only the scaled effect is built
@@ -579,16 +699,22 @@ def test_law_and_derived_residuals_match_the_dense_oracle(U):
         result = verify_derived(U, prop)
         if result.status == "vacuous":
             continue
-        conclusion = structures._DERIVED[prop][1]
-        pairs = ([structures._law_sides(oracle, conclusion)] if isinstance(conclusion, str)
-                 else conclusion(oracle))
+        pairs = []
+        for part in structures._DERIVED[prop][1]:  # a builder, or a law read from the memo
+            if part in ALGEBRA_LAWS:
+                pairs += structures._acting(oracle, "nose", oracle.term(part))
+            elif isinstance(part, str):
+                pairs.append(structures._law_sides(oracle, part))
+            else:
+                pairs += part(oracle)
         want = max(lhs.distance(rhs) for lhs, rhs in pairs)
         assert abs(result.residual - want) <= AGREE, prop
 
 
 @pytest.fixture
 def largest_build(monkeypatch):
-    """The size of the largest matrix that the linear engine builds or checks."""
+    """The size of the largest array that the linear engine builds or checks: a dense
+    matrix, or the weights of a function block (one per column)."""
     sizes = [0]
 
     def recording(fn):
@@ -706,6 +832,19 @@ def test_scaling_a_product_without_a_dense_block_stays_lazy(largest_build, z):
     assert largest_build[0] <= 1
     for m, scaled in pairs:
         assert_close(scaled.array, z * m.array)
+
+
+def test_the_measurement_family_builds_nothing_wider_than_put(largest_build):
+    # the doubled measurement with a decohered outcome is made of function blocks,
+    # so the largest arrays are put (9 x 81), which Faithful reads densely, and the
+    # index arrays of S x p x p; an 81 x 729 composite held densely has 59 049 entries
+    assert run_example("qutrit_measurement").matched
+    assert 0 < largest_build[0] <= 729
+
+
+def test_check_all_builds_no_matrix_over_4096_entries(largest_build, capsys):
+    assert main(["check", "--all"]) == 0
+    assert 0 < largest_build[0] <= 4096  # qutrit_measurement's composites held densely: 59 049
 
 
 def test_pair_of_pants_6_runs_under_the_default_caps():

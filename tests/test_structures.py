@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from putget.lenses import (
     lens_to_update,
     security_db,
 )
-from putget import structures
+from putget import structures, tensors
+from putget.quantum import pair_of_pants_update
 from putget.registry import build_example, run_example
 from putget.structures import (
     DERIVED_PROPS,
@@ -172,6 +174,17 @@ def test_faithful_rank_cutoff_follows_the_tolerance():
     assert not loose.holds and loose.residual == 1.0
 
 
+def test_faithful_verdict_does_not_depend_on_the_scale_of_put():
+    # the sum of squares of 1e200 entries leaves the float range; put's norm does not
+    U = pair_of_pants_update(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = check_law(U, "Faithful")
+        scaled = check_law(U.with_components(put=1e200 * U.put), "Faithful")
+    assert plain.holds
+    assert (scaled.holds, scaled.residual) == (plain.holds, plain.residual)
+
+
 # -- commutativity and trivials ------------------------------------------
 
 
@@ -262,7 +275,7 @@ def test_derived_fails_when_any_pair_fails(monkeypatch):
 
     U = build_example("qubit_z_pvs")
     premises, _ = structures._DERIVED["putget_idem"]
-    monkeypatch.setitem(structures._DERIVED, "putget_idem", (premises, two_pairs))
+    monkeypatch.setitem(structures._DERIVED, "putget_idem", (premises, (two_pairs,)))
     result = verify_derived(U, "putget_idem")
     assert result.status == "fails"
     assert result.residual == pytest.approx(1e-5, rel=1e-3)
@@ -388,3 +401,16 @@ def test_weak_trivial_conclusion_is_the_stored_getput_verdict(monkeypatch):
     result = verify_derived(U, "weak_trivial_implies_strong")
     assert compared == []  # premises and conclusion all come from the memo
     assert (result.status, result.residual) == ("holds", getput.residual)
+
+
+def test_the_on_the_nose_conclusion_is_read_from_the_algebra_law_verdicts(monkeypatch):
+    U = pair_of_pants_update(3)
+    derived = {prop: verify_derived(U, prop) for prop in DERIVED_PROPS}
+    assert derived["coassoc_under_faithful_putget"].status == "holds"
+    compared = []
+    original = tensors.compare
+    monkeypatch.setattr(tensors, "compare",
+                        lambda *args: compared.append(args) or original(*args))
+    assoc, coassoc = check_law(U, "assoc"), check_law(U, "coassoc")
+    assert compared == []  # the derived suite already compared both on the nose
+    assert assoc.holds and coassoc.holds
