@@ -27,26 +27,20 @@ class SplitError(ValueError):
     """An idempotent or absorption requirement fails."""
 
 
-_ABSORPTION = object()  # memo key in UpdateStructure._verdicts that no law name can equal
-
-
 def absorption(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> dict[str, Comparison]:
     """The equations of a structure on a split object, by name.
 
     ``splitting_idempotent``: ``e ; e = e`` for ``e = U.id_system()``;
     ``writer_absorbed`` and ``reader_absorbed``: put and get are unchanged
     by ``e`` (beside the property identity) on either side.  Memoised on
-    ``U`` like the law verdicts; each call returns a fresh dict.
+    ``U`` under ``("absorption", tol)``; each call returns a fresh dict.
     """
-    key = (_ABSORPTION, tol)
-    if key not in U._verdicts:
-        e, idp, put, get = U.term("ids"), U.term("idp"), U.put, U.get
-        U._verdicts[key] = {
-            "splitting_idempotent": compare(e >> e, e, tol),
-            "writer_absorbed": compare_all([((e @ idp) >> put, put), (put >> e, put)], tol),
-            "reader_absorbed": compare_all([(e >> get, get), (get >> (e @ idp), get)], tol),
-        }
-    return dict(U._verdicts[key])
+    e, idp, put, get = U.term("ids"), U.term("idp"), U.put, U.get
+    return dict(U.memo(("absorption", tol), lambda: {
+        "splitting_idempotent": compare(e >> e, e, tol),
+        "writer_absorbed": compare_all([((e @ idp) >> put, put), (put >> e, put)], tol),
+        "reader_absorbed": compare_all([(e >> get, get), (get >> (e @ idp), get)], tol),
+    }))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,8 @@
 A pure map f is doubled to ``f (x) conj(f)`` with the conjugate factor
 interleaved next to its original, so a wire of dimension d becomes the
 adjacent pair ``(d, d)`` and doubling commutes with both composition
-and tensoring.  Density matrices on d live on such a pair via row-major
+and tensoring; :func:`putget.tensors.double_blocks` holds that
+convention.  Density matrices on d live on such a pair via row-major
 vectorisation; ``decoherence(d)`` projects onto their diagonal.  A
 doubled map is causal when followed by the trace it is the trace;
 ``trace_preserving(f, tol)`` decides that.
@@ -12,9 +13,10 @@ Projector-valued spectra package a complete family of orthogonal
 projectors as a single map ``S -> S (x) p`` whose outcome wire carries
 the basis spider.  Undoubled they give strong update structures, and a
 spectrum is held as its structure, whose GetGet and TrivialOutcome are
-its equations beside self-adjointness.  Doubled with a decohered outcome
-wire, ``quantum_measurement`` gives a genuinely weak structure (get reads
-out, put writes in) whose GetPut defect is ``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
+its equations beside self-adjointness; the structure's memo keeps the
+equations beside its verdicts.  Doubled with a decohered outcome wire,
+``quantum_measurement`` gives a genuinely weak structure (get reads out,
+put writes in) whose GetPut defect is ``sqrt(dim(S)^2 - sum_i rank(P_i)^2)``.
 
 Scalar conventions: the pair-of-pants read map and comagma carry a 1/d
 so that GetGet and GetPut hold on the nose; the postselected database
@@ -23,7 +25,7 @@ doubled write map fails trace preservation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .tensors import (
     Morphism,
     TensorType,
     Tolerance,
+    _pairs,
     basis_effect,
     cap,
     compare,
@@ -91,7 +94,7 @@ class PvsError(ValueError):
 
 
 def double_type(t: TensorType) -> TensorType:
-    return TensorType(sum(((d, d) for d in t.factors), ()))
+    return TensorType(_pairs(t.factors))
 
 
 def paired_dims(t: TensorType) -> tuple[int, ...]:
@@ -102,25 +105,9 @@ def paired_dims(t: TensorType) -> tuple[int, ...]:
     return tuple(f[2 * i] for i in range(len(f) // 2))
 
 
-def _double_matrix(arr: np.ndarray, dom: tuple[int, ...], cod: tuple[int, ...]) -> np.ndarray:
-    """``arr (x) conj(arr)`` on factors ``dom -> cod``, each conjugate wire next to its original."""
-    n, m = len(cod), len(dom)
-    out = np.kron(arr, arr.conj()).reshape(cod + cod + dom + dom)
-    cod_perm = [k for i in range(n) for k in (i, n + i)]
-    dom_perm = [2 * n + k for i in range(m) for k in (i, m + i)]
-    return out.transpose(cod_perm + dom_perm).reshape(arr.shape[0] ** 2, arr.shape[1] ** 2)
-
-
 def cpm_double(f: Morphism) -> Morphism:
-    """Double a pure map: ``f (x) conj(f)`` with per-wire interleaving.
-
-    Doubling is a monoidal functor, so a lazy product is doubled block by
-    block and stays lazy: a dense block is doubled as a matrix, a
-    function block (a copy spider, a decoherence, a basis projector) on
-    its indices, an identity becomes the identity on the doubled wires,
-    and a wire crossing becomes the crossing of the wire pairs.
-    """
-    return double_blocks(f, _double_matrix)
+    """Double a pure map, block by block (see :func:`putget.tensors.double_blocks`)."""
+    return double_blocks(f)
 
 
 def decoherence(d: int) -> Morphism:
@@ -214,12 +201,10 @@ def transform_update(U: UpdateStructure, m, tol: Tolerance = DEFAULT_TOL) -> Upd
 @dataclass(frozen=True, eq=False)
 class ProjectorValuedSpectrum:
     """A complete orthogonal projector family bundled as ``S -> S (x) p``, held as
-    the strong structure whose get is that map, so that they share one verdict memo."""
+    the strong structure whose get is that map, so that they share one memo."""
 
     structure: UpdateStructure
     projectors: tuple[Morphism, ...]
-    # tolerance -> results of pvs_equations, filled by it
-    _equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def system(self) -> TensorType:
@@ -270,17 +255,14 @@ def pvs_from_projectors(
     return pvs
 
 
-_SELF_ADJOINT = object()  # memo key in UpdateStructure._verdicts that no law name can equal
-
-
 def _self_adjoint(U: UpdateStructure, tol: Tolerance) -> Comparison:
-    """The spectrum equation that is no law of U, memoised on it like the law
-    verdicts: with put the dagger of get, ``get = (1_S (x) (u ; comult)) ; (put (x) 1_p)``."""
-    key = (_SELF_ADJOINT, tol)
-    if key not in U._verdicts:
+    """The spectrum equation that is no law of U, memoised on it under
+    ``("p_self_adjoint", tol)``: with put the dagger of get,
+    ``get = (1_S (x) (u ; comult)) ; (put (x) 1_p)``."""
+    def equation():
         split = U.term("ids") @ (U.trivial_update >> U.comult)
-        U._verdicts[key] = compare(U.get, split >> U.term("put_p"), tol)
-    return U._verdicts[key]
+        return compare(U.get, split >> U.term("put_p"), tol)
+    return U.memo(("p_self_adjoint", tol), equation)
 
 
 def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) -> list[LawCheckResult]:
@@ -288,19 +270,20 @@ def pvs_equations(pvs: ProjectorValuedSpectrum, tol: Tolerance = DEFAULT_TOL) ->
 
     ``p_idempotent``, ``p_complete`` and ``isometry`` are the GetGet,
     TrivialOutcome and GetPut verdicts of the spectrum's structure.
-    Memoised on ``pvs`` per tolerance; each call returns a fresh list.
+    Memoised on that structure under ``("pvs_equations", tol)``; each
+    call returns a fresh list.
     """
-    if tol not in pvs._equations:
-        U, k = pvs.structure, pvs.structure.prop.dim
+    U, k = pvs.structure, pvs.structure.prop.dim
+
+    def equations():
         read = lambda name, law: replace(check_law(U, law, tol), law=name)
         out = [read("p_idempotent", "GetGet"),
                LawCheckResult("p_self_adjoint", *_self_adjoint(U, tol)),
                read("p_complete", "TrivialOutcome"), read("isometry", "GetPut")]
         recovery = [(U.get >> (U.term("ids") @ basis_effect(k, i)), p)
                     for i, p in enumerate(pvs.projectors)]
-        out.append(LawCheckResult("projector_recovery", *compare_all(recovery, tol)))
-        pvs._equations[tol] = out
-    return list(pvs._equations[tol])
+        return out + [LawCheckResult("projector_recovery", *compare_all(recovery, tol))]
+    return list(U.memo(("pvs_equations", tol), equations))
 
 
 def pvs_to_update(pvs: ProjectorValuedSpectrum) -> UpdateStructure:

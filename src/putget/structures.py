@@ -28,17 +28,20 @@ A structure is split (see :mod:`putget.karoubi`) exactly when it sets
 ``system_identity``: ``1_S`` then means that splitting idempotent,
 which is the identity of the restricted object.
 
-Each structure memoises its verdicts: :func:`check_law` evaluates a law
-in full the first time it is asked for at a given tolerance and returns
-the stored result afterwards, so ``check_laws``, ``classify``, the
-derived premises and every other consumer share one evaluation; PutGetB
-is read from the PutGet entry, the conclusion of
-weak_trivial_implies_strong from the GetPut entry, and the on-the-nose
-part of coassoc_under_faithful_putget from the assoc and coassoc
-entries.  It memoises the composites that several law sides and derived
-pairs share the same way (see :meth:`UpdateStructure.term`), each built
-once in one fixed association order.  ``with_components`` copies start
-with both memos empty.
+Each structure keeps one memo (:meth:`UpdateStructure.memo`).  It holds
+the composites that several law sides and derived pairs share, by term
+name (see :meth:`UpdateStructure.term`), each built once in one fixed
+association order; and the verdicts, by (law, tolerance): :func:`check_law`
+evaluates a law in full the first time it is asked for and returns the
+stored result afterwards, so ``check_laws``, ``classify``, the derived
+premises and every other consumer share one evaluation.  PutGetB is read
+from the PutGet entry, the conclusion of weak_trivial_implies_strong from
+the GetPut entry, and the on-the-nose part of
+coassoc_under_faithful_putget from the assoc and coassoc entries.
+:mod:`putget.karoubi` and :mod:`putget.quantum` keep their equations in
+it under (name, tolerance) keys, which :func:`check_law` never reads: it
+refuses a name that is not a law.  ``with_components`` copies start with
+the memo empty.
 """
 from __future__ import annotations
 
@@ -77,25 +80,6 @@ class StructureError(ValueError):
 Wires = TensorType | SetType
 Arrow = Morphism | FinFunction
 
-LAW_NAMES = (
-    "PutPut",
-    "GetGet",
-    "PutGet",
-    "GetPut",
-    "RepeatUpdate",
-    "PutGetA",
-    "PutGetB",
-    "PutGetC",
-    "TrivialUpdate",
-    "TrivialOutcome",
-    "Faithful",
-    "CommutativePut",
-    "CommutativeGet",
-)
-
-# Laws that are another law under a second name: checked once, as the target.
-_ALIASES = {"PutGetB": "PutGet"}
-
 CORE_LAWS = ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate")
 WEAK_LAWS = ("PutPut", "GetGet", "PutGet", "RepeatUpdate")
 
@@ -111,6 +95,7 @@ class UpdateStructure:
     optional; laws mentioning them only apply when present.
     ``system_identity`` overrides the identity on S in every law; it is
     set exactly on structures restricted to a splitting idempotent.
+    Everything derived from U is kept in one memo (see :meth:`memo`).
     """
 
     system: Wires
@@ -122,10 +107,8 @@ class UpdateStructure:
     trivial_update: Arrow | None = None
     trivial_outcome: Arrow | None = None
     system_identity: Arrow | None = None
-    # (law, tolerance) -> verdict, filled by check_law; karoubi.absorption keeps its own entries
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # term name -> composite, filled by term
-    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # key -> value, filled by memo: term name -> composite, (law, tolerance) -> verdict
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s, p = self.system, self.prop
@@ -168,12 +151,16 @@ class UpdateStructure:
     def with_components(self, **kwargs) -> "UpdateStructure":
         return replace(self, **kwargs)
 
+    def memo(self, key, make):
+        """The value stored under ``key``, made by ``make()`` the first time it is asked for."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
     def term(self, name: str):
         """A shared composite, or an algebra law's sides, by name (see ``_TERMS``), built once."""
-        terms = self._terms
-        if name not in terms:
-            terms[name] = _TERMS[name](self)
-        return terms[name]
+        return self.memo(name, lambda: _TERMS[name](self))
 
 
 # The composites that several law sides and derived pairs share.  A term
@@ -237,41 +224,38 @@ class DerivedResult:
     failed_premises: tuple[str, ...] = ()
 
 
-def _require(U: UpdateStructure, component: str) -> Arrow:
-    arrow = getattr(U, component)
-    if arrow is None:
-        raise StructureError(f"structure has no {component}; law not applicable")
-    return arrow
+# Each law in the canonical order: its (lhs, rhs) sides from U and U's terms
+# ``t``, or the name of the law it is under a second name (checked once, as
+# that law).  Faithful is the one rank check, :func:`_check_faithful`.
+_LAWS = {
+    "PutPut": lambda U, t: (t("put_put"), t("put:mult")),
+    "GetGet": lambda U, t: (t("get_get"), U.get >> t("ids:comult")),
+    "PutGet": lambda U, t: (t("put_get"), t("put:comult")),
+    "GetPut": lambda U, t: (t("get_put"), t("ids")),
+    "RepeatUpdate": lambda U, t: (t("put:comult") >> U.put, U.put),
+    "PutGetA": lambda U, t: (t("put_get"), t("ids") @ t("idp")),
+    "PutGetB": "PutGet",  # the comagma-shaped right-hand side is PutGet's
+    "PutGetC": lambda U, t: (t("put_get"), t("get:mult")),
+    "TrivialUpdate": lambda U, t: ((t("ids") @ U.trivial_update) >> U.put, t("ids")),
+    "TrivialOutcome": lambda U, t: (U.get >> (t("ids") @ U.trivial_outcome), t("ids")),
+    "Faithful": None,
+    "CommutativePut": lambda U, t: ((t("ids") @ U.prop.swap(U.prop)) >> t("put_put"), t("put_put")),
+    "CommutativeGet": lambda U, t: (t("get_get") >> (t("ids") @ U.prop.swap(U.prop)), t("get_get")),
+}
+LAW_NAMES = tuple(_LAWS)
+# The laws that apply only when U carries a component, by that component.
+_NEEDS = {"TrivialUpdate": "trivial_update", "TrivialOutcome": "trivial_outcome"}
+
+
+def _missing(U: UpdateStructure, law: str) -> str | None:
+    """The component that ``law`` needs and U lacks, if any."""
+    need = _NEEDS.get(law)
+    return need if need is not None and getattr(U, need) is None else None
 
 
 def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
-    t = U.term
-    ids, put, get = t("ids"), U.put, U.get
-    if law == "PutPut":
-        return t("put_put"), t("put:mult")
-    if law == "GetGet":
-        return t("get_get"), get >> t("ids:comult")
-    if law == "PutGet":
-        return t("put_get"), t("put:comult")
-    if law == "GetPut":
-        return t("get_put"), ids
-    if law == "RepeatUpdate":
-        return t("put:comult") >> put, put
-    if law == "PutGetA":
-        return t("put_get"), ids @ t("idp")
-    if law == "PutGetC":
-        return t("put_get"), t("get:mult")
-    if law == "TrivialUpdate":
-        u = _require(U, "trivial_update")
-        return (ids @ u) >> put, ids
-    if law == "TrivialOutcome":
-        o = _require(U, "trivial_outcome")
-        return get >> (ids @ o), ids
-    if law == "CommutativePut":
-        return (ids @ U.prop.swap(U.prop)) >> t("put_put"), t("put_put")
-    if law == "CommutativeGet":
-        return t("get_get") >> (ids @ U.prop.swap(U.prop)), t("get_get")
-    raise StructureError(f"unknown law {law!r}; expected one of {LAW_NAMES}")
+    """The (lhs, rhs) sides of a law that has sides: neither an alias nor Faithful."""
+    return _LAWS[law](U, U.term)
 
 
 def _check_faithful(U: UpdateStructure, tol: Tolerance) -> LawCheckResult:
@@ -299,27 +283,25 @@ def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> Law
     nose, with U's mult, comult, trivial update and trivial outcome as
     the algebra; its sides are read from ``U.term(law)``.
     """
-    target = _ALIASES.get(law, law)
-    key = (target, tol)
-    result = U._verdicts.get(key)
-    if result is None:
-        if target == "Faithful":
-            result = _check_faithful(U, tol)
-        elif target in ALGEBRA_LAWS:
-            result = LawCheckResult(target, *compare_all(_acting(U, "nose", U.term(target)), tol))
-        else:
-            result = LawCheckResult(target, *compare(*_law_sides(U, target), tol))
-        U._verdicts[key] = result
+    if law not in _LAWS and law not in ALGEBRA_LAWS:
+        raise StructureError(f"unknown law {law!r}; expected one of {LAW_NAMES + ALGEBRA_LAWS}")
+    if (need := _missing(U, law)) is not None:
+        raise StructureError(f"structure has no {need}; law not applicable")
+    target = _LAWS[law] if isinstance(_LAWS.get(law), str) else law
+    result = U.memo((target, tol), lambda: _verdict(U, target, tol))
     return result if target == law else replace(result, law=law)
 
 
+def _verdict(U: UpdateStructure, law: str, tol: Tolerance) -> LawCheckResult:
+    if law == "Faithful":
+        return _check_faithful(U, tol)
+    if law in ALGEBRA_LAWS:
+        return LawCheckResult(law, *compare_all(_acting(U, "nose", U.term(law)), tol))
+    return LawCheckResult(law, *compare(*_law_sides(U, law), tol))
+
+
 def applicable_laws(U: UpdateStructure) -> tuple[str, ...]:
-    names = list(LAW_NAMES)
-    if U.trivial_update is None:
-        names.remove("TrivialUpdate")
-    if U.trivial_outcome is None:
-        names.remove("TrivialOutcome")
-    return tuple(names)
+    return tuple(law for law in LAW_NAMES if _missing(U, law) is None)
 
 
 def check_laws(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> list[LawCheckResult]:
@@ -454,10 +436,10 @@ def verify_derived(U: UpdateStructure, prop_id: str, tol: Tolerance = DEFAULT_TO
     if prop_id not in _DERIVED:
         raise StructureError(f"unknown derived proposition {prop_id!r}")
     premises, conclusion = _DERIVED[prop_id]
-    failed, applicable = [], applicable_laws(U)
+    failed = []
     for law in premises:
-        if law not in applicable:  # TrivialUpdate or TrivialOutcome without its component
-            failed.append(f"{law} (no {law.replace('Trivial', 'trivial ').lower()} attached)")
+        if (need := _missing(U, law)) is not None:
+            failed.append(f"{law} (no {need.replace('_', ' ')} attached)")
         elif not check_law(U, law, tol).holds:
             failed.append(law)
     if failed:

@@ -833,15 +833,16 @@ def swap(a: TensorType, b: TensorType) -> Morphism:
     return _product(a @ b, b @ a, (_Block((a @ b).factors, (b @ a).factors, None, perm),))
 
 
-def double_blocks(f: Morphism, dense) -> Morphism:
-    """The image of ``f`` under a monoidal functor that doubles every wire.
+def double_blocks(f: Morphism) -> Morphism:
+    """``f (x) conj(f)``, each conjugate wire next to its original.
 
-    A wire ``d`` becomes the adjacent pair ``(d, d)``.  A dense block
-    ``array`` on factors ``dom -> cod`` becomes ``dense(array, dom, cod)``;
-    a function block is doubled on its indices (:func:`_doubled_function`);
-    an identity stays the identity, now on the doubled wires; and a
-    permutation ``p`` moves whole pairs, ``(2 p[k], 2 p[k] + 1)``.  A lazy
-    product is mapped block by block, so it stays lazy.
+    Doubling is a monoidal functor: a wire ``d`` becomes the adjacent
+    pair ``(d, d)``.  A dense block is doubled as a matrix
+    (:func:`_double_matrix`) and a function block on its indices
+    (:func:`_doubled_function`); an identity stays the identity, now on
+    the doubled wires; and a permutation ``p`` moves whole pairs,
+    ``(2 p[k], 2 p[k] + 1)``.  A lazy product is mapped block by block,
+    so it stays lazy.
     """
     blocks = []
     for b in _blocks_of(f):
@@ -850,7 +851,7 @@ def double_blocks(f: Morphism, dense) -> Morphism:
             b = _doubled_function(b, dom, cod)
         elif b.array is not None:
             b = _Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
-                                          dense(b.array, b.dom, b.cod)))
+                                          _double_matrix(b.array, b.dom, b.cod)))
         else:
             perm = None if b.perm is None else tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))
             b = _Block(dom, cod, None, perm)
@@ -860,6 +861,15 @@ def double_blocks(f: Morphism, dense) -> Morphism:
 
 def _pairs(wires: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(w for d in wires for w in (d, d))
+
+
+def _double_matrix(arr: np.ndarray, dom: tuple[int, ...], cod: tuple[int, ...]) -> np.ndarray:
+    """``arr (x) conj(arr)`` on factors ``dom -> cod``, each conjugate wire next to its original."""
+    n, m = len(cod), len(dom)
+    out = np.kron(arr, arr.conj()).reshape(cod + cod + dom + dom)
+    cod_perm = [k for i in range(n) for k in (i, n + i)]
+    dom_perm = [2 * n + k for i in range(m) for k in (i, m + i)]
+    return out.transpose(cod_perm + dom_perm).reshape(arr.shape[0] ** 2, arr.shape[1] ** 2)
 
 
 def _doubled_function(b: _Block, dom: tuple[int, ...], cod: tuple[int, ...]) -> _Block:

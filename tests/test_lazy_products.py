@@ -19,14 +19,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from putget import structures, tensors
-from putget.algebras import ALGEBRA_LAWS
+from putget.algebras import ALGEBRA_LAWS, check_algebra, pair_of_pants, scfa_from_dimension
 from putget.cli import main
 from putget.quantum import (
     cpm_double,
     double_type,
     pair_of_pants_update,
+    pvs_from_projectors,
     quantum_db_causal,
     quantum_db_postselected,
+    quantum_measurement,
 )
 from putget.registry import run_example
 from putget.structures import (
@@ -663,10 +665,11 @@ class DenseStructure(SimpleNamespace):
     its terms and the sides of its algebra laws from these."""
 
     term = structures.UpdateStructure.term
+    memo = structures.UpdateStructure.memo
 
 
 def dense_structure(U) -> DenseStructure:
-    """U's components as oracle arrows, with an empty term memo."""
+    """U's components as oracle arrows, with an empty memo."""
     def lift(m):
         if m is None:
             return None
@@ -678,7 +681,7 @@ def dense_structure(U) -> DenseStructure:
         put=lift(U.put), get=lift(U.get), mult=lift(U.mult), comult=lift(U.comult),
         trivial_update=lift(U.trivial_update), trivial_outcome=lift(U.trivial_outcome),
         id_system=system.identity, id_prop=prop.identity,
-        _terms={},
+        _memo={},
     )
 
 
@@ -693,7 +696,8 @@ def test_law_and_derived_residuals_match_the_dense_oracle(U):
     for law in applicable_laws(U):
         if law == "Faithful":
             continue
-        lhs, rhs = structures._law_sides(oracle, structures._ALIASES.get(law, law))
+        alias = structures._LAWS[law]
+        lhs, rhs = structures._law_sides(oracle, alias if isinstance(alias, str) else law)
         assert abs(check_law(U, law).residual - lhs.distance(rhs)) <= AGREE, law
     for prop in DERIVED_PROPS:
         result = verify_derived(U, prop)
@@ -741,6 +745,21 @@ def test_the_suite_builds_no_crossing_or_doubled_identity(largest_build, build, 
     for prop in DERIVED_PROPS:
         verify_derived(U, prop)
     assert 0 < largest_build[0] <= bound
+
+
+def test_the_lazy_engine_checks_structures_past_the_registry_sizes():
+    # crossings (pair of pants), doubling (the causal database, the 8-outcome
+    # measurement), function blocks and algebra laws, each far past a dense build
+    wire = TensorType((8,))
+    z_basis = pvs_from_projectors([Morphism(wire, wire, np.diag(e)) for e in np.eye(8)])
+    for U, kind in ((pair_of_pants_update(7), "strong"), (quantum_db_causal(4, 4), "weak_only"),
+                    (quantum_measurement(z_basis), "weak_only")):
+        check_laws(U)
+        assert classify(U).kind == kind
+        assert all(verify_derived(U, prop).status != "fails" for prop in DERIVED_PROPS)
+    for alg, holding in ((pair_of_pants(7), {"assoc", "coassoc", "unit", "special", "frobenius"}),
+                         (scfa_from_dimension(16), set(ALGEBRA_LAWS))):
+        assert {law for law in ALGEBRA_LAWS if check_algebra(alg, law).holds} == holding
 
 
 def test_the_derived_suite_makes_no_arrow_wider_than_a_law_side(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -222,3 +224,25 @@ def test_lens_type_validation():
     s, v = SetType((PQR,)), SetType((AB,))
     with pytest.raises(LensError):
         VwbLens(PQR, AB, s.identity(), projection(s @ v, 0))  # get lands in S
+
+
+# -- the lens bijection, exhaustively ----------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (2, 3)])
+def test_lens_census_strong_exactly_when_vwb(n, m):
+    # every get table S -> V with every put table S x V -> S; a vwb lens is a
+    # split S ~ V x C, so there are n! / (n/m)! of them when m divides n
+    source = FinSet(tuple(f"s{i}" for i in range(n)))
+    view = FinSet(tuple(f"v{j}" for j in range(m)))
+    s, v = SetType((source,)), SetType((view,))
+    strong = 0
+    for gets in itertools.product(v.elements(), repeat=n):
+        get_fn = FinFunction(s, v, dict(zip(s.elements(), gets)))
+        for puts in itertools.product(s.elements(), repeat=n * m):
+            put_fn = FinFunction(s @ v, s, dict(zip((s @ v).elements(), puts)))
+            lens = VwbLens(source, view, get_fn, put_fn)
+            is_strong = classify(lens_to_update(lens)).kind == "strong"
+            assert is_strong == check_vwb(lens).is_vwb, (gets, puts)
+            strong += is_strong
+    assert strong == (math.factorial(n) // math.factorial(n // m) if n % m == 0 else 0)

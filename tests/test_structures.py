@@ -360,6 +360,18 @@ def test_verdicts_are_memoised_per_tolerance(monkeypatch):
     assert check_law(U, "PutPut", DEFAULT_TOL) is first
 
 
+def test_a_name_that_is_no_law_is_refused_even_when_the_memo_holds_it():
+    U = build_example("pair_of_pants_2")
+    check_law(U, "PutPut")
+    U.term("put_put")
+    U.memo(("absorption", DEFAULT_TOL), dict)
+    for name in ("put_put", "absorption", "p_self_adjoint", "Putput", "PutPut "):
+        with pytest.raises(StructureError, match="unknown law"):
+            check_law(U, name)
+    with pytest.raises(StructureError, match="no trivial_outcome; law not applicable"):
+        check_law(U, "TrivialOutcome")
+
+
 @pytest.mark.parametrize("name", ["qubit_z_pvs", "qutrit_pvs", "pair_of_pants_3"])
 def test_algebra_laws_on_the_nose_agree_with_the_algebra_record(name):
     U = build_example(name)
