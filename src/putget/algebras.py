@@ -70,58 +70,35 @@ class Algebra:
                 )
 
 
-ALGEBRA_LAWS = (
-    "assoc",
-    "coassoc",
-    "unit",
-    "counit",
-    "comm",
-    "cocomm",
-    "special",
-    "frobenius",
-    "dagger_frobenius",
-)
-
-
-def _require(alg: Algebra, part: str) -> Arrow:
-    arrow = getattr(alg, part)
-    if arrow is None:
-        raise AlgebraError(f"algebra has no {part}; cannot check this law")
-    return arrow
+# Each algebra law, in order: the parts it needs, and its (lhs, rhs) pairs
+# from the algebra ``a`` and the identity ``i`` on its carrier.
+_LAWS = {
+    "assoc": (("mult",), lambda a, i: [((a.mult @ i) >> a.mult, (i @ a.mult) >> a.mult)]),
+    "coassoc": (("comult",), lambda a, i: [(a.comult >> (a.comult @ i),
+                                            a.comult >> (i @ a.comult))]),
+    "unit": (("mult", "unit"), lambda a, i: [((a.unit @ i) >> a.mult, i),
+                                             ((i @ a.unit) >> a.mult, i)]),
+    "counit": (("comult", "counit"), lambda a, i: [(a.comult >> (a.counit @ i), i),
+                                                   (a.comult >> (i @ a.counit), i)]),
+    "comm": (("mult",), lambda a, i: [(a.carrier.swap(a.carrier) >> a.mult, a.mult)]),
+    "cocomm": (("comult",), lambda a, i: [(a.comult >> a.carrier.swap(a.carrier), a.comult)]),
+    "special": (("mult", "comult"), lambda a, i: [(a.comult >> a.mult, i)]),
+    # both sides share mult ; comult as one arrow
+    "frobenius": (("mult", "comult"), lambda a, i: [
+        ((i @ a.comult) >> (a.mult @ i), (middle := a.mult >> a.comult)),
+        ((a.comult @ i) >> (i @ a.mult), middle)]),
+    "dagger_frobenius": (("mult", "comult"), lambda a, i: [(a.comult, _adjoint(a.mult))] + (
+        [(a.counit, _adjoint(a.unit))] if a.unit is not None and a.counit is not None else [])),
+}
+ALGEBRA_LAWS = tuple(_LAWS)
 
 
 def _algebra_sides(alg: Algebra, law: str) -> list[tuple[Arrow, Arrow]]:
-    ident = alg.carrier.identity()
-    if law == "assoc":
-        mult = _require(alg, "mult")
-        return [((mult @ ident) >> mult, (ident @ mult) >> mult)]
-    if law == "coassoc":
-        comult = _require(alg, "comult")
-        return [(comult >> (comult @ ident), comult >> (ident @ comult))]
-    if law == "unit":
-        mult, unit = _require(alg, "mult"), _require(alg, "unit")
-        return [((unit @ ident) >> mult, ident), ((ident @ unit) >> mult, ident)]
-    if law == "counit":
-        comult, counit = _require(alg, "comult"), _require(alg, "counit")
-        return [(comult >> (counit @ ident), ident), (comult >> (ident @ counit), ident)]
-    if law == "comm":
-        mult = _require(alg, "mult")
-        return [(alg.carrier.swap(alg.carrier) >> mult, mult)]
-    if law == "cocomm":
-        comult = _require(alg, "comult")
-        return [(comult >> alg.carrier.swap(alg.carrier), comult)]
-    mult, comult = _require(alg, "mult"), _require(alg, "comult")
-    if law == "special":
-        return [(comult >> mult, ident)]
-    if law == "frobenius":
-        middle = mult >> comult
-        return [((ident @ comult) >> (mult @ ident), middle),
-                ((comult @ ident) >> (ident @ mult), middle)]
-    # dagger_frobenius
-    pairs = [(comult, _adjoint(mult))]
-    if alg.unit is not None and alg.counit is not None:
-        pairs.append((alg.counit, _adjoint(alg.unit)))
-    return pairs
+    needs, pairs = _LAWS[law]
+    for part in needs:
+        if getattr(alg, part) is None:
+            raise AlgebraError(f"algebra has no {part}; cannot check this law")
+    return pairs(alg, alg.carrier.identity())
 
 
 def _adjoint(arrow):

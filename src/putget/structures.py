@@ -243,8 +243,10 @@ _LAWS = {
     "CommutativeGet": lambda U, t: (t("get_get") >> (t("ids") @ U.prop.swap(U.prop)), t("get_get")),
 }
 LAW_NAMES = tuple(_LAWS)
-# The laws that apply only when U carries a component, by that component.
-_NEEDS = {"TrivialUpdate": "trivial_update", "TrivialOutcome": "trivial_outcome"}
+# The laws that apply only when U carries a component, by that component; the
+# algebra laws unit and counit read U's trivial update and trivial outcome.
+_NEEDS = {"TrivialUpdate": "trivial_update", "TrivialOutcome": "trivial_outcome",
+          "unit": "trivial_update", "counit": "trivial_outcome"}
 
 
 def _missing(U: UpdateStructure, law: str) -> str | None:
@@ -281,7 +283,8 @@ def check_law(U: UpdateStructure, law: str, tol: Tolerance = DEFAULT_TOL) -> Law
     ``law`` may also name an algebra law of the property wire (see
     :data:`putget.algebras.ALGEBRA_LAWS`), which is then checked on the
     nose, with U's mult, comult, trivial update and trivial outcome as
-    the algebra; its sides are read from ``U.term(law)``.
+    the algebra; its sides are read from ``U.term(law)``.  A law that
+    reads a component U lacks (see ``_NEEDS``) raises StructureError.
     """
     if law not in _LAWS and law not in ALGEBRA_LAWS:
         raise StructureError(f"unknown law {law!r}; expected one of {LAW_NAMES + ALGEBRA_LAWS}")

@@ -24,19 +24,17 @@ wherever both operands have a block boundary and composes each piece on
 its own.  A piece with an identity on one side is the other side's
 blocks, untouched.  A piece of function, permutation and identity
 blocks composes into one function block by a gather of index arrays,
-or, with no function block, into one permutation block.  A piece with
-a dense block is contracted as matrices, and a function block in it is
-densified there: a dense block is applied along its own axes by a
-batched matmul, across which a permutation block is a transpose of
-axes, and two larger products are contracted wire by wire, two dense
-blocks at a time by matmul in the order that keeps each result
-smallest, in which a permutation block only relabels wires.  ``tensor``,
-``conj``, scalar multiples and ``double_blocks`` keep a function block
-a function block, and so does ``dagger`` where no two nonzero columns
-share a row.  A scalar multiple scales one dense or function block, or
-else gains a wire-less 1x1 function block.  So neither ``1 (x) f`` nor
-a crossing is ever built as a matrix, and ``Morphism.array`` builds the
-dense matrix only when something reads it.
+or, with no function block, into one permutation block.  Every piece
+with a dense block, a side of one block included, is contracted wire by
+wire on one path: a function block in it is densified, the dense blocks
+are multiplied two at a time by matmul in the order that keeps each
+result smallest, and a permutation block only relabels wires.
+``tensor``, ``conj``, scalar multiples and ``double_blocks`` keep a
+function block a function block, and so does ``dagger`` where no two
+nonzero columns share a row.  A scalar multiple scales one dense or
+function block, or else gains a wire-less 1x1 function block.  So
+neither ``1 (x) f`` nor a crossing is ever built as a matrix, and
+``Morphism.array`` builds the dense matrix only when something reads it.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -436,17 +434,14 @@ def _kron(blocks) -> np.ndarray:
     """The dense matrix of a Kronecker product of blocks, each scaled near 1 on the way."""
     out, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for b in blocks:
-        if b.is_identity:
-            m = np.eye(math.prod(b.dom))
-        elif b.is_wiring:  # a permutation: its columns are the permuted basis
-            m = _apply((b,), np.eye(math.prod(b.dom)))
-        elif b.rows is not None:
-            e = _exponent(b.weights)
-            m = _function_matrix(b.rows, _scaled(b.weights, e), math.prod(b.cod))
-            exponent += e
+        if b.array is None:  # identity, permutation or function: one entry per column
+            rows, weights, _ = _function_of((b,))
+            e = _exponent(weights)
+            m = _function_matrix(rows, _scaled(weights, e), math.prod(b.cod))
         else:
             e = _exponent(b.array)
-            m, exponent = _scaled(b.array, e), exponent + e
+            m = _scaled(b.array, e)
+        exponent += e
         # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
             out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
@@ -516,36 +511,14 @@ def _transposed_function(b: _Block) -> _Block:
     return _function_block(b.cod, b.dom, rows, weights)
 
 
-def _apply(blocks, x: np.ndarray) -> np.ndarray:
-    """``kron(blocks) @ x``, applying one block at a time along its own axes.
-
-    Before block i, ``x`` is viewed as (outputs of the blocks before i,
-    inputs of block i, inputs of the blocks after i times columns), so a
-    dense block acts as one batched matmul and a permutation block as a
-    transpose of its axes; a function block is densified, and identity
-    blocks are skipped.
-    """
-    columns = x.shape[1]
-    done, rest = 1, x.size
-    for b in blocks:
-        width = math.prod(b.dom)
-        rest //= width
-        if not b.is_wiring:
-            x = np.matmul(_matrix(b), x.reshape(done, width, rest))
-        elif b.perm is not None:
-            axes = (0, *(1 + p for p in b.perm), 1 + len(b.perm))
-            x = x.reshape(done, *b.dom, rest).transpose(axes)
-        done *= math.prod(b.cod)
-    return x.reshape(done, columns)
-
-
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
     """``kron(g_blocks) @ kron(f_blocks)``, summed wire by wire, two dense blocks at a time.
 
-    Every wire gets its own label.  An identity or permutation block gives
-    each output wire the label of the input wire it carries, so it takes
-    no part in the sum, and the dense blocks are the operands (a function
-    block among them is densified).  A label is
+    It takes every piece of a composite that holds a dense block, a side
+    of one block included.  Every wire gets its own label.  An identity or
+    permutation block gives each output wire the label of the input wire
+    it carries, so it takes no part in the sum, and the dense blocks are
+    the operands (a function block among them is densified).  A label is
     on at most two operands, and a label that two operands share is a
     middle wire, never an output.  So any order of pairwise contractions
     is exact, with no batch labels and no path search: each step takes the
@@ -607,21 +580,6 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         [steps[w] for w in wires + through])
     view[...] = last.reshape(last.shape + (1,) * len(through))
     return result.reshape(rows, -1)
-
-
-def _contract(g_blocks, f_blocks) -> np.ndarray:
-    """``kron(g_blocks) @ kron(f_blocks)`` as a matrix; neither side is all
-    identity, and one side has a dense block.
-
-    A side that is one dense or function block is the matrix the other
-    side's blocks are applied to; other pairs of products are contracted
-    wire by wire (:func:`_einsum`), so that neither is built.
-    """
-    if len(f_blocks) == 1 and not f_blocks[0].is_wiring:
-        return _apply(g_blocks, _matrix(f_blocks[0]))
-    if len(g_blocks) == 1 and not g_blocks[0].is_wiring:
-        return _apply(_transpose(f_blocks), _matrix(g_blocks[0]).T).T
-    return _einsum(g_blocks, f_blocks)
 
 
 def _split_identities(blocks) -> list[_Block]:
@@ -758,7 +716,8 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     are cut wherever both products have a block boundary.  By the
     interchange law the composite is the Kronecker product of the pieces'
     composites.  A piece that is the identity on one side is just the
-    other side's blocks.  A piece with no dense block on either side is
+    other side's blocks.  A piece with a dense block is contracted wire by
+    wire (:func:`_einsum`).  A piece with no dense block on either side is
     one function block, composed by a gather (:func:`_gathered`), or, if
     it has no function block either, one permutation block, or an
     identity where the permutations cancel.  Blocks with no middle wires
@@ -789,7 +748,7 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
             dom = tuple(d for b in fs for d in b.dom)
             cod = tuple(d for b in gs for d in b.cod)
             if any(b.array is not None for b in fs + gs):
-                out.append(_Block(dom, cod, _finite(_contract(gs, fs))))
+                out.append(_Block(dom, cod, _finite(_einsum(gs, fs))))
             elif any(b.rows is not None for b in fs + gs):
                 out.append(_gathered(dom, cod, _function_of(gs), _function_of(fs)))
             else:  # g's output k is f's input f_perm[g_perm[k]]

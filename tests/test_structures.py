@@ -368,8 +368,9 @@ def test_a_name_that_is_no_law_is_refused_even_when_the_memo_holds_it():
     for name in ("put_put", "absorption", "p_self_adjoint", "Putput", "PutPut "):
         with pytest.raises(StructureError, match="unknown law"):
             check_law(U, name)
-    with pytest.raises(StructureError, match="no trivial_outcome; law not applicable"):
-        check_law(U, "TrivialOutcome")
+    for law in ("TrivialOutcome", "counit"):  # a law and an algebra law are refused alike
+        with pytest.raises(StructureError, match="no trivial_outcome; law not applicable"):
+            check_law(U, law)
 
 
 @pytest.mark.parametrize("name", ["qubit_z_pvs", "qutrit_pvs", "pair_of_pants_3"])
