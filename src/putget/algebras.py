@@ -123,14 +123,13 @@ def check_algebra(alg: Algebra, law: str, tol: Tolerance = DEFAULT_TOL) -> Compa
 
 def _searched_unit(alg: Algebra) -> Comparison:
     # No stored unit: search the carrier, reporting the least total violation.
-    elems = alg.carrier.elements()
-    best = None
-    for u in elems:
-        bad = sum(1 for x in elems if alg.mult.table[u + x] != x)
-        bad += sum(1 for x in elems if alg.mult.table[x + u] != x)
-        best = bad if best is None else min(best, bad)
-    if best is None:  # empty carrier: no unit can exist
+    n = alg.carrier.size
+    if n == 0:  # empty carrier: no unit can exist
         return Comparison(False, 1.0, 0.0)
+    mult, ids = alg.mult.index.reshape(n, n), np.arange(n)
+    # row u of mult holds u * x for every x, row u of its transpose x * u
+    bad = np.count_nonzero(mult != ids, axis=1) + np.count_nonzero(mult.T != ids, axis=1)
+    best = int(bad.min())
     return Comparison(best == 0, float(best), 0.0)
 
 

@@ -4,12 +4,20 @@ The set backend mirrors the linear one: a :class:`SetType` is an ordered
 list of finite-set factors, elements are flat tuples of labels (one per
 factor), and the empty factor list is the singleton unit.  Products are
 therefore associative on the nose, and checks are exhaustive and exact.
+A :class:`FinFunction` is a read-only ``np.intp`` array of codomain
+positions over the row-major (Kronecker) order of its domain.  Labels
+are checked once, by the constructor and ``from_callable``, and read
+back by ``table``, calling, ``image``, ``disagreements`` and ``str``;
+every other operation builds an in-range index in one array expression.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "TableError",
@@ -69,10 +77,7 @@ class SetType:
 
     @property
     def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= len(f)
-        return n
+        return math.prod(len(f) for f in self.factors)
 
     def elements(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*(f.elements for f in self.factors)))
@@ -81,14 +86,11 @@ class SetType:
         return SetType(self.factors + other.factors)
 
     def identity(self) -> "FinFunction":
-        return FinFunction(self, self, {x: x for x in self.elements()})
+        return projection(self, range(len(self.factors)))
 
     def swap(self, other: "SetType") -> "FinFunction":
         n = len(self.factors)
-        dom = self @ other
-        cod = other @ self
-        table = {x: x[n:] + x[:n] for x in dom.elements()}
-        return FinFunction(dom, cod, table)
+        return projection(self @ other, [*range(n, n + len(other.factors)), *range(n)])
 
     def __str__(self) -> str:
         return "I" if not self.factors else " x ".join(str(f) for f in self.factors)
@@ -101,38 +103,40 @@ def _as_type(t: FinSet | SetType) -> SetType:
     return SetType((t,)) if isinstance(t, FinSet) else t
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FinFunction:
-    """A total function between product types, stored as an explicit table."""
+    """A total function: ``index[i]`` is the codomain position of the i-th
+    domain element.  ``FinFunction(dom, cod, table)`` checks a label table."""
 
     dom: SetType
     cod: SetType
-    table: Mapping[tuple[str, ...], tuple[str, ...]]
+    index: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dom", _as_type(self.dom))
-        object.__setattr__(self, "cod", _as_type(self.cod))
-        table = {tuple(k): tuple(v) for k, v in dict(self.table).items()}
-        dom_elems = self.dom.elements()
+    def __init__(self, dom: FinSet | SetType, cod: FinSet | SetType,
+                 table: Mapping[tuple[str, ...], tuple[str, ...]]) -> None:
+        dom, cod = _as_type(dom), _as_type(cod)
+        table = {tuple(k): tuple(v) for k, v in dict(table).items()}
+        dom_elems = dom.elements()
         if set(table) != set(dom_elems):
             missing = [x for x in dom_elems if x not in table][:3]
             extra = [x for x in table if x not in set(dom_elems)][:3]
-            raise TableError(f"table is not total on {self.dom} (missing {missing}, extra {extra})")
-        cod_elems = set(self.cod.elements())
-        bad = [v for v in table.values() if v not in cod_elems]
+            raise TableError(f"table is not total on {dom} (missing {missing}, extra {extra})")
+        where = {y: i for i, y in enumerate(cod.elements())}
+        bad = [v for v in table.values() if v not in where]
         if bad:
-            raise TableError(f"table values {bad[:3]} are not elements of {self.cod}")
-        object.__setattr__(self, "table", table)
+            raise TableError(f"table values {bad[:3]} are not elements of {cod}")
+        _of(dom, cod, np.array([where[table[x]] for x in dom_elems], dtype=np.intp), self)
 
     @classmethod
-    def from_callable(
-        cls,
-        dom: FinSet | SetType,
-        cod: FinSet | SetType,
-        fn: Callable[[tuple[str, ...]], tuple[str, ...]],
-    ) -> "FinFunction":
-        dom = _as_type(dom)
-        return cls(dom, _as_type(cod), {x: tuple(fn(x)) for x in dom.elements()})
+    def from_callable(cls, dom: FinSet | SetType, cod: FinSet | SetType,
+                      fn: Callable[[tuple[str, ...]], tuple[str, ...]]) -> "FinFunction":
+        return cls(dom, cod, {x: fn(x) for x in _as_type(dom).elements()})
+
+    @property
+    def table(self) -> dict[tuple[str, ...], tuple[str, ...]]:
+        """The labels: domain element -> codomain element, as a fresh dict."""
+        cod = self.cod.elements()
+        return dict(zip(self.dom.elements(), (cod[i] for i in self.index.tolist())))
 
     def __call__(self, x: tuple[str, ...]) -> tuple[str, ...]:
         return self.table[tuple(x)]
@@ -144,68 +148,78 @@ class FinFunction:
         return fun_product(self, other)
 
     def image(self) -> set[tuple[str, ...]]:
-        return set(self.table.values())
+        cod = self.cod.elements()
+        return {cod[i] for i in self.index.tolist()}
+
+    def _differs(self, other: "FinFunction") -> np.ndarray:
+        if self.dom != other.dom or self.cod != other.cod:
+            raise TableError(
+                f"cannot compare {self.dom} -> {self.cod} with {other.dom} -> {other.cod}")
+        return self.index != other.index
 
     def distance(self, other: "FinFunction") -> float:
         """Number of inputs on which the two functions disagree."""
-        if self.dom != other.dom or self.cod != other.cod:
-            raise TableError(
-                f"cannot compare {self.dom} -> {self.cod} with {other.dom} -> {other.cod}"
-            )
-        return float(sum(1 for x in self.table if self.table[x] != other.table[x]))
+        return float(np.count_nonzero(self._differs(other)))
 
     def disagreements(self, other: "FinFunction") -> list[tuple[str, ...]]:
-        if self.dom != other.dom or self.cod != other.cod:
-            raise TableError("cannot compare functions with different boundaries")
-        return [x for x in self.dom.elements() if self.table[x] != other.table[x]]
+        dom = self.dom.elements()
+        return [dom[i] for i in np.flatnonzero(self._differs(other)).tolist()]
 
     def __str__(self) -> str:
-        rows = [f"  {x} -> {self.table[x]}" for x in self.dom.elements()]
+        rows = [f"  {x} -> {y}" for x, y in self.table.items()]
         return f"{self.dom} -> {self.cod}\n" + "\n".join(rows)
 
     def __repr__(self) -> str:
-        return f"FinFunction({self.dom} -> {self.cod}, {len(self.table)} entries)"
+        return f"FinFunction({self.dom} -> {self.cod}, {len(self.index)} entries)"
+
+
+def _of(dom: SetType, cod: SetType, index: np.ndarray, f: FinFunction | None = None) -> FinFunction:
+    """The function with an in-range ``index`` (held in ``f`` if given), taken without a check."""
+    f = object.__new__(FinFunction) if f is None else f
+    index.setflags(write=False)
+    for name, value in (("dom", dom), ("cod", cod), ("index", index)):
+        object.__setattr__(f, name, value)
+    return f
 
 
 def fun_compose(g: FinFunction, f: FinFunction) -> FinFunction:
     if f.cod != g.dom:
         raise TableError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
-    return FinFunction(f.dom, g.cod, {x: g.table[f.table[x]] for x in f.table})
+    return _of(f.dom, g.cod, g.index[f.index])
 
 
 def fun_product(f: FinFunction, g: FinFunction) -> FinFunction:
     """The cartesian product map ``f x g`` on concatenated factors."""
-    dom = f.dom @ g.dom
-    n = len(f.dom.factors)
-    table = {x: f.table[x[:n]] + g.table[x[n:]] for x in dom.elements()}
-    return FinFunction(dom, f.cod @ g.cod, table)
+    return _of(f.dom @ g.dom, f.cod @ g.cod, (f.index[:, None] * g.cod.size + g.index).ravel())
 
 
 def fun_pair(f: FinFunction, g: FinFunction) -> FinFunction:
     """The pairing ``<f, g>`` of two functions with a common domain."""
     if f.dom != g.dom:
         raise TableError(f"pairing needs a common domain, got {f.dom} and {g.dom}")
-    return FinFunction(f.dom, f.cod @ g.cod, {x: f.table[x] + g.table[x] for x in f.table})
+    return _of(f.dom, f.cod @ g.cod, f.index * g.cod.size + g.index)
 
 
 def projection(t: FinSet | SetType, keep: int | Iterable[int]) -> FinFunction:
-    """Project a product onto the factor positions in ``keep`` (0-based)."""
+    """Project a product onto the factor positions in ``keep`` (0-based), which
+    may repeat or permute; an empty ``keep`` gives the map to the unit."""
     t = _as_type(t)
     idxs = [keep] if isinstance(keep, int) else [int(i) for i in keep]
     for i in idxs:
         if i < 0 or i >= len(t.factors):
             raise TableError(f"no factor {i} in {t}")
-    cod = SetType(tuple(t.factors[i] for i in idxs))
-    return FinFunction(t, cod, {x: tuple(x[i] for i in idxs) for x in t.elements()})
+    coords = np.indices([len(f) for f in t.factors], dtype=np.intp).reshape(len(t.factors), t.size)
+    index = np.zeros(t.size, np.intp)
+    for i in idxs:
+        index = index * len(t.factors[i]) + coords[i]
+    return _of(t, SetType(tuple(t.factors[i] for i in idxs)), index)
 
 
 def diagonal(v: FinSet | SetType) -> FinFunction:
     """The copy map ``v -> v x v``."""
-    t = _as_type(v)
-    return FinFunction(t, t @ t, {x: x + x for x in t.elements()})
+    return projection(v, [*range(len(_as_type(v).factors))] * 2)
 
 
 def bang(t: FinSet | SetType) -> FinFunction:
     """The unique map to the singleton unit."""
-    t = _as_type(t)
-    return FinFunction(t, SET_UNIT, {x: () for x in t.elements()})
+    return projection(t, ())

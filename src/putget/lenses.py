@@ -15,6 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .finsets import (
     FinFunction,
     FinSet,
@@ -129,9 +131,9 @@ def update_to_lens(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> VwbLens:
     if len(U.system.factors) != 1 or len(U.prop.factors) != 1:
         raise LensError("system and property must each be a single finite set")
     v = U.prop
-    if U.mult.table != projection(v @ v, 1).table:
+    if not np.array_equal(U.mult.index, projection(v @ v, 1).index):
         problems.append("mult is not the left delete on the property")
-    if U.comult.table != diagonal(v).table:
+    if not np.array_equal(U.comult.index, diagonal(v).index):
         problems.append("comult is not the copy map on the property")
     probe = U if U.trivial_outcome is not None else U.with_components(trivial_outcome=bang(v))
     if not check_law(probe, "TrivialOutcome", tol).holds:
@@ -161,17 +163,14 @@ class SeparabilityReport:
 
 
 def trivial_update_separability(lens: VwbLens) -> SeparabilityReport:
-    p = lens.put_fn.table
-    ss = [(s,) for s in lens.source.elements]
-    witness = None
-    for v0 in lens.view.elements:
-        if all(p[s + (v0,)] == s for s in ss):
-            witness = v0
-            break
-    if witness is None:
+    ns = len(lens.source)
+    # stays[s, v]: writing v leaves s unchanged; a witness is an all-True column
+    stays = lens.put_fn.index.reshape(ns, len(lens.view)) == np.arange(ns)[:, None]
+    witnesses = np.flatnonzero(stays.all(axis=0))
+    if not witnesses.size:
         return SeparabilityReport(None, None, 0)
-    bad = sum(1 for s in ss for v in lens.view.elements if p[s + (v,)] != s)
-    return SeparabilityReport(witness, bad == 0, bad)
+    bad = int(np.count_nonzero(~stays))
+    return SeparabilityReport(lens.view.elements[witnesses[0]], bad == 0, bad)
 
 
 # -- generators ----------------------------------------------------------
@@ -195,22 +194,16 @@ def constant_complement_lens(
     encode = {pair: label for pair, label in zip(pairs, labels)}
     decode = {label: pair for pair, label in encode.items()}
     s, v = SetType((source,)), SetType((view,))
-    get_fn = FinFunction(s, v, {(lbl,): (decode[lbl][0],) for lbl in source.elements})
-    put_fn = FinFunction(
-        s @ v,
-        s,
-        {(lbl, new): (encode[(new, decode[lbl][1])],) for lbl in source.elements for new in view.elements},
-    )
+    get_fn = FinFunction.from_callable(s, v, lambda x: (decode[x[0]][0],))
+    put_fn = FinFunction.from_callable(s @ v, s, lambda x: (encode[(x[1], decode[x[0]][1])],))
     return VwbLens(source, view, get_fn, put_fn)
 
 
 def random_lens(source: FinSet, view: FinSet, rng: random.Random) -> VwbLens:
     """Uniformly random get/put tables; almost never law-abiding."""
     s, v = SetType((source,)), SetType((view,))
-    get_fn = FinFunction(s, v, {x: (rng.choice(view.elements),) for x in s.elements()})
-    put_fn = FinFunction(
-        s @ v, s, {x: (rng.choice(source.elements),) for x in (s @ v).elements()}
-    )
+    get_fn = FinFunction.from_callable(s, v, lambda x: (rng.choice(view.elements),))
+    put_fn = FinFunction.from_callable(s @ v, s, lambda x: (rng.choice(source.elements),))
     return VwbLens(source, view, get_fn, put_fn)
 
 
@@ -267,8 +260,6 @@ def update_flag_lens(entries: FinSet) -> VwbLens:
     """The write-flag database as a lens on fused state labels."""
     source = FinSet(tuple(f"{q}/{x}" for q in entries.elements for x in WRITE_FLAGS.elements))
     s, v = SetType((source,)), SetType((entries,))
-    get_fn = FinFunction(s, v, {(lbl,): (lbl.split("/")[0],) for lbl in source.elements})
-    put_fn = FinFunction(
-        s @ v, s, {(lbl, q): (f"{q}/updated",) for lbl in source.elements for q in entries.elements}
-    )
+    get_fn = FinFunction.from_callable(s, v, lambda x: (x[0].split("/")[0],))
+    put_fn = FinFunction.from_callable(s @ v, s, lambda x: (f"{x[1]}/updated",))
     return VwbLens(source, entries, get_fn, put_fn)

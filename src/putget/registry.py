@@ -312,8 +312,9 @@ def _vwb_lens_extras(make_lens):
         report = check_vwb(lens)
         violations = report.put_put.residual + report.put_get.residual + report.get_put.residual
         recovered = update_to_lens(U, tol)
-        same = (recovered.get_fn.table == lens.get_fn.table
-                and recovered.put_fn.table == lens.put_fn.table)
+        same = ((recovered.source, recovered.view) == (lens.source, lens.view)
+                and np.array_equal(recovered.get_fn.index, lens.get_fn.index)
+                and np.array_equal(recovered.put_fn.index, lens.put_fn.index))
         sep = trivial_update_separability(lens)
         return [
             ExtraCheck("very_well_behaved", report.is_vwb, violations),

@@ -89,7 +89,7 @@ class UpdateStructure:
     """A (system, property, put, get, mult, comult) tuple over one backend.
 
     The wires fix the backend: both ``SetType`` (arrows are
-    ``FinFunction`` tables) or both ``TensorType`` (arrows are
+    ``FinFunction`` index arrays) or both ``TensorType`` (arrows are
     ``Morphism`` matrices, doubled or not).  ``trivial_update`` (a state
     ``I -> p``) and ``trivial_outcome`` (an effect ``p -> I``) are
     optional; laws mentioning them only apply when present.
@@ -262,10 +262,9 @@ def _law_sides(U: UpdateStructure, law: str) -> tuple[Arrow, Arrow]:
 
 def _check_faithful(U: UpdateStructure, tol: Tolerance) -> LawCheckResult:
     if isinstance(U.put, FinFunction):
-        actions = set()
-        for v in U.prop.elements():
-            actions.add(tuple(U.put.table[s + v] for s in U.system.elements()))
-        residual = float(U.prop.size - len(actions))
+        # row v of the transposed (|S|, |p|) reshape is the action of v
+        actions = U.put.index.reshape(U.system.size, U.prop.size).T.tolist()
+        residual = float(U.prop.size - len(set(map(tuple, actions))))
         return LawCheckResult("Faithful", residual == 0, residual, 0.0)
     ds, dp = U.system.dim, U.prop.dim
     # curried put as a (dS*dS) x dp matrix: column v holds put(- (x) v)

@@ -142,6 +142,12 @@ def test_left_delete_on_a_point_is_unital():
     assert holds and residual == 0
 
 
+def test_no_unit_is_found_on_an_empty_carrier():
+    t = SetType((FinSet(()),))
+    magma = Algebra(carrier=t, mult=FinFunction(t @ t, t, {}))
+    assert tuple(check_algebra(magma, "unit")) == (False, 1.0, 0.0)
+
+
 def test_find_unit_locates_a_genuine_unit():
     z2 = FinSet(("e", "g"))
     t = SetType((z2,))

@@ -7,15 +7,19 @@ embedding commutes with composition and products, and a set structure
 and its image must reach the same verdicts.  A law whose sides disagree
 on k inputs has residual k on sets and Frobenius distance sqrt(2 k) on
 matrices.  Faithful differs by design: on sets it is injectivity of the
-curried put, on matrices its linear injectivity, which is stronger.
+curried put, on matrices its linear injectivity, which is stronger; its
+set residual is checked against a count of distinct actions on labels.
+Structures are drawn as free tables and as lens-shaped structures.
 """
 import math
+import random
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from putget import structures
 from putget.finsets import FinFunction, FinSet, SetType, bang, diagonal, projection
+from putget.lenses import lens_to_update, random_lens
 from putget.structures import (
     DERIVED_PROPS,
     UpdateStructure,
@@ -73,14 +77,19 @@ def same_up_to_embedding(on_sets: float, on_matrices: float) -> bool:
     return math.isclose(on_matrices, math.sqrt(2 * on_sets), rel_tol=1e-12)
 
 
-@given(set_structures())
-@settings(max_examples=120, deadline=None)
-def test_set_verdicts_match_their_01_matrix_embedding(U):
+def distinct_actions(U: UpdateStructure) -> int:
+    """How many maps S -> S the curried put gives, counted on labels."""
+    put = U.put.table
+    return len({tuple(put[s + v] for s in U.system.elements()) for v in U.prop.elements()})
+
+
+def assert_verdicts_match_the_embedding(U: UpdateStructure) -> None:
     M = embed_structure(U)
     assert applicable_laws(M) == applicable_laws(U)
     for law in applicable_laws(U):
         mine, image = check_law(U, law), check_law(M, law)
         if law == "Faithful":
+            assert mine.residual == U.prop.size - distinct_actions(U)
             assert mine.holds or not image.holds  # linear injectivity implies injectivity
             continue
         assert mine.holds == image.holds, law
@@ -91,6 +100,22 @@ def test_set_verdicts_match_their_01_matrix_embedding(U):
         mine, image = verify_derived(U, prop), verify_derived(M, prop)
         assert (mine.status, mine.failed_premises) == (image.status, image.failed_premises), prop
         assert same_up_to_embedding(mine.residual, image.residual), prop
+
+
+@given(set_structures())
+@settings(max_examples=120, deadline=None)
+def test_set_verdicts_match_their_01_matrix_embedding(U):
+    assert_verdicts_match_the_embedding(U)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lens_verdicts_match_their_01_matrix_embedding(n_source, n_view, seed, discard):
+    # lens-shaped: copy comagma, left-delete magma, get = <id, get_fn>
+    source = FinSet(tuple(f"s{i}" for i in range(n_source)))
+    view = FinSet(tuple(f"v{j}" for j in range(n_view)))
+    U = lens_to_update(random_lens(source, view, random.Random(seed)))
+    assert_verdicts_match_the_embedding(U if discard else U.with_components(trivial_outcome=None))
 
 
 def test_faithful_on_sets_is_weaker_than_on_the_embedding():

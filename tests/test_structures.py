@@ -137,6 +137,18 @@ def test_faithful_distinguishes_identity_from_ignore_put():
     assert result.residual == len(V2.elements) - 1  # one action for two views
 
 
+@pytest.mark.parametrize("n_props, residual", [(0, 0.0), (2, 1.0)])
+def test_faithful_on_an_empty_system(n_props, residual):
+    # with no states every property acts as the empty map, so all actions agree
+    s, v = SetType((FinSet(()),)), SetType((FinSet(tuple(f"v{i}" for i in range(n_props))),))
+    U = UpdateStructure(
+        system=s, prop=v, put=FinFunction(s @ v, s, {}), get=FinFunction(s, s @ v, {}),
+        mult=projection(v @ v, 1), comult=diagonal(v),
+    )
+    result = check_law(U, "Faithful")
+    assert (result.holds, result.residual) == (residual == 0, residual)
+
+
 def test_faithful_rank_deficiency_on_linear_backend():
     # put = id (x) uniform-delete collapses every property direction
     # onto one action, leaving rank 1 out of dim p = 3
