@@ -14,27 +14,28 @@ product: the list of its blocks.  A block is one of four kinds:
   column, held as one row index and one weight per column.  The
   constructor keeps every such matrix this way (copy spiders,
   decoherence, computational-basis projectors, effects and scalars);
-- a permutation block, a wire crossing (:func:`swap`) held as its wires
-  and the permutation that takes inputs to outputs;
-- an identity block, held as its wires only.
+- a permutation block, a wire crossing (:func:`swap`) held as its wires,
+  the permutation that takes inputs to outputs and the row of each input;
+- an identity block, held as its wire: one block per wire.
 
 ``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
-and ``compose`` works along the wires: it cuts the shared middle wires
-wherever both operands have a block boundary and composes each piece on
-its own.  A piece with an identity on one side is the other side's
-blocks, untouched.  A piece of function, permutation and identity
-blocks composes into one function block by a gather of index arrays,
-or, with no function block, into one permutation block.  Every piece
-with a dense block, a side of one block included, is contracted wire by
-wire on one path: a function block in it is densified, the dense blocks
-are multiplied two at a time by matmul in the order that keeps each
-result smallest, and a permutation block only relabels wires.
-``tensor``, ``conj``, scalar multiples and ``double_blocks`` keep a
-function block a function block, and so does ``dagger`` where no two
-nonzero columns share a row.  A scalar multiple scales one dense or
-function block, or else gains a wire-less 1x1 function block.  So
-neither ``1 (x) f`` nor a crossing is ever built as a matrix, and
-``Morphism.array`` builds the dense matrix only when something reads it.
+and ``compose`` works along the wires: one sweep over both operands'
+blocks cuts the shared middle wires wherever both have a block boundary
+and composes each piece on its own.  A piece with an identity on one
+side is the other side's blocks, untouched.  A piece of function,
+permutation and identity blocks composes into one function block by a
+gather of index arrays, or, with no function block, into one permutation
+block.  Every piece with a dense block, a side of one block included, is
+contracted wire by wire on one path: a function block in it is
+densified, the dense blocks are multiplied two at a time by matmul in
+the order that keeps each result smallest, and a permutation block only
+relabels wires.  ``tensor``, ``conj``, scalar multiples and
+``double_blocks`` keep a function block a function block, and so does
+``dagger`` where no two nonzero columns share a row.  A scalar multiple
+scales one dense or function block, or else gains a wire-less 1x1
+function block.  So neither ``1 (x) f`` nor a crossing is ever built as
+a matrix, and ``Morphism.array`` builds the dense matrix only when
+something reads it.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -57,7 +58,6 @@ product.  Scalars are 1x1 morphisms on the empty factor list.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -148,7 +148,7 @@ class TensorType:
         return joined
 
     def identity(self) -> "Morphism":
-        return _product(self, self, (_Block(self.factors, self.factors, None),))
+        return _new(self, self, None, tuple(_Block((d,), (d,), None) for d in self.factors))
 
     def swap(self, other: "TensorType") -> "Morphism":
         return swap(self, other)
@@ -176,8 +176,9 @@ class _Block(NamedTuple):
     - function: column j of the matrix, in the row-major enumeration of
       ``dom``, is ``weights[j]`` at row ``rows[j]`` and 0 elsewhere (a
       zero column points at row 0);
-    - permutation: output wire k is input wire ``perm[k]``;
-    - identity on ``dom``: ``array``, ``perm`` and ``rows`` are all None.
+    - permutation: output wire k is input wire ``perm[k]``, and column j
+      is 1 at row ``rows[j]`` (``weights`` is None);
+    - identity on the one wire ``dom``: all else is None.
     """
 
     dom: tuple[int, ...]
@@ -194,7 +195,7 @@ class _Block(NamedTuple):
     @property
     def is_wiring(self) -> bool:
         """An identity or a permutation: a block with no entries of its own."""
-        return self.array is None and self.rows is None
+        return self.array is None and self.weights is None
 
 
 class Morphism:
@@ -210,14 +211,10 @@ class Morphism:
 
     __slots__ = ("dom", "cod", "_array", "_blocks")
 
-    def __init__(self, dom: TensorType, cod: TensorType, array) -> None:
+    def __new__(cls, dom: TensorType, cod: TensorType, array) -> "Morphism":
         arr = _checked(dom, cod, np.array(array, dtype=np.complex128))
         block = _as_function(dom.factors, cod.factors, arr)
-        self._set(dom, cod, *((arr, None) if block is None else (None, (block,))))
-
-    def _set(self, dom, cod, array, blocks) -> None:
-        for name, value in zip(Morphism.__slots__, (dom, cod, array, blocks)):
-            object.__setattr__(self, name, value)
+        return _new(dom, cod, *((arr, None) if block is None else (None, (block,))))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: morphisms are immutable")
@@ -310,6 +307,13 @@ def _function_block(dom: tuple[int, ...], cod: tuple[int, ...], rows: np.ndarray
     return _Block(dom, cod, None, None, rows, _finite(weights))
 
 
+def _permutation(dom: tuple[int, ...], cod: tuple[int, ...], perm: tuple[int, ...]) -> _Block:
+    """The permutation block ``dom -> cod`` whose output wire k is input wire ``perm[k]``."""
+    rows = np.arange(math.prod(cod)).reshape(cod).transpose(_inverse(perm)).ravel()
+    rows.setflags(write=False)
+    return _Block(dom, cod, None, perm, rows)
+
+
 def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) -> _Block | None:
     """``arr`` as a function block, or None if a column has two nonzero entries."""
     if np.count_nonzero(arr, axis=0).max() > 1:
@@ -338,7 +342,10 @@ def _matrix(b: _Block) -> np.ndarray:
 
 def _new(dom: TensorType, cod: TensorType, array, blocks) -> Morphism:
     m = object.__new__(Morphism)
-    m._set(dom, cod, array, blocks)
+    object.__setattr__(m, "dom", dom)
+    object.__setattr__(m, "cod", cod)
+    object.__setattr__(m, "_array", array)
+    object.__setattr__(m, "_blocks", blocks)
     return m
 
 
@@ -348,23 +355,11 @@ def _dense(dom: TensorType, cod: TensorType, arr: np.ndarray) -> Morphism:
 
 
 def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
-    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``.
-
-    Adjacent identity blocks are merged and empty ones dropped; a product
-    of a single dense block is that block's matrix.
-    """
-    merged: list[_Block] = []
-    for b in blocks:
-        if b.is_identity:
-            if not b.dom:
-                continue
-            if merged and merged[-1].is_identity:
-                wires = merged.pop().dom + b.dom
-                b = _Block(wires, wires, None)
-        merged.append(b)
-    if len(merged) == 1 and merged[0].array is not None:
-        return _new(dom, cod, merged[0].array, None)
-    return _new(dom, cod, None, tuple(merged))
+    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are;
+    a product of a single dense block is that block's matrix."""
+    if len(blocks) == 1 and blocks[0].array is not None:
+        return _new(dom, cod, blocks[0].array, None)
+    return _new(dom, cod, None, tuple(blocks))
 
 
 def _blocks_of(m: Morphism) -> tuple[_Block, ...]:
@@ -431,20 +426,25 @@ def _unscaled(arr: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _kron(blocks) -> np.ndarray:
-    """The dense matrix of a Kronecker product of blocks, each scaled near 1 on the way."""
+    """The dense matrix of a Kronecker product of blocks, each factor scaled near 1 on the
+    way; a run of identity, permutation and function blocks is one factor."""
     out, exponent = np.ones((1, 1), dtype=np.complex128), 0
-    for b in blocks:
-        if b.array is None:  # identity, permutation or function: one entry per column
-            rows, weights, _ = _function_of((b,))
-            e = _exponent(weights)
-            m = _function_matrix(rows, _scaled(weights, e), math.prod(b.cod))
-        else:
-            e = _exponent(b.array)
-            m = _scaled(b.array, e)
-        exponent += e
-        # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
-            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
+    for dense, run in itertools.groupby(blocks, key=lambda b: b.array is not None):
+        run = list(run)
+        if dense:
+            factors = [(b.array, _exponent(b.array)) for b in run]
+        else:  # scaled by the exponent of its weights, not of its matrix
+            rows, weights, e = _function_of(run)
+            s = _exponent(weights)
+            height = math.prod(math.prod(b.cod) for b in run)
+            factors = [(_function_matrix(rows, _scaled(weights, s), height), 0)]
+            exponent += e + s
+        for m, e in factors:
+            exponent += e
+            m = _scaled(m, e)
+            # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
+            out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+                out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
     return _unscaled(out, exponent)
 
 
@@ -453,38 +453,38 @@ def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
 
     Returns its rows, and its weights as a mantissa array and a binary
     exponent: where several blocks have weights, each block's are scaled
-    near 1 on the way, as in :func:`_kron`.
+    near 1 on the way, as in :func:`_kron`.  The first factor's rows and
+    weights are the seed, so a sole function block is returned as it is.
     """
-    scale = sum(b.rows is not None for b in blocks) > 1
-    rows, weights, exponent = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128), 0
-    for out, height, w in _function_factors(blocks):
-        rows = (rows[:, None] * height + out).ravel()
-        if w is None:
-            weights = np.repeat(weights, out.size)
+    factors = _function_factors(blocks)
+    scale = sum(w is not None for _, _, w in factors) > 1
+    rows, weights, exponent = None, None, 0
+    for out, height, w in factors:
+        if scale and w is not None:
+            e = _exponent(w)
+            exponent, w = exponent + e, _scaled(w, e)
+        if rows is None:
+            rows, weights = out, np.ones(out.size, dtype=np.complex128) if w is None else w
         else:
-            e = _exponent(w) if scale else 0
-            exponent += e
-            weights = (weights[:, None] * _scaled(w, e)).ravel()
+            rows = (rows[:, None] * height + out).ravel()
+            weights = np.repeat(weights, out.size) if w is None else (weights[:, None] * w).ravel()
     return rows, weights, exponent
 
 
-def _function_factors(blocks):
-    """Each block as (rows, height, weights or None), a run of identities as one."""
-    carried = 1
+def _function_factors(blocks) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
+    """Each block as (rows, height, weights or None), a run of identities (no rows) as one."""
+    factors, carried = [], 1
     for b in blocks:
-        if b.is_identity:
-            carried *= math.prod(b.cod)
+        if b.rows is None:
+            carried *= b.dom[0]
             continue
         if carried > 1:
-            yield np.arange(carried), carried, None
+            factors.append((np.arange(carried), carried, None))
             carried = 1
-        height = math.prod(b.cod)
-        if b.rows is not None:
-            yield b.rows, height, b.weights
-        else:  # input j of a permutation goes to output out[j]
-            yield np.arange(height).reshape(b.cod).transpose(_inverse(b.perm)).ravel(), height, None
-    if carried > 1:
-        yield np.arange(carried), carried, None
+        factors.append((b.rows, math.prod(b.cod), b.weights))
+    if carried > 1 or not factors:
+        factors.append((np.arange(carried), carried, None))
+    return factors
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -492,9 +492,10 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _transpose(blocks) -> list[_Block]:
-    return [_transposed_function(b) if b.rows is not None else
-            _Block(b.cod, b.dom, None if b.array is None else b.array.T,
-                   None if b.perm is None else _inverse(b.perm)) for b in blocks]
+    return [_transposed_function(b) if b.weights is not None else
+            _Block(b.cod, b.dom, b.array.T) if b.array is not None else
+            _permutation(b.cod, b.dom, _inverse(b.perm)) if b.perm is not None else
+            b for b in blocks]
 
 
 def _transposed_function(b: _Block) -> _Block:
@@ -582,16 +583,6 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     return result.reshape(rows, -1)
 
 
-def _split_identities(blocks) -> list[_Block]:
-    out = []
-    for b in blocks:
-        if b.is_identity:
-            out.extend(_Block((d,), (d,), None) for d in b.dom)
-        else:
-            out.append(b)
-    return out
-
-
 def _wire_perm(blocks) -> list[int]:
     """A product of identity and permutation blocks as one wire permutation."""
     perm: list[int] = []
@@ -619,7 +610,7 @@ def _same_block(x: _Block, y: _Block) -> bool:
 def _sole_function(m: Morphism) -> _Block | None:
     """The function block that ``m`` is, if it is one block of that kind."""
     blocks = m._blocks
-    if blocks is not None and len(blocks) == 1 and blocks[0].rows is not None:
+    if blocks is not None and len(blocks) == 1 and blocks[0].weights is not None:
         return blocks[0]
     return None
 
@@ -675,7 +666,7 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     (:func:`_function_distance`), and built densely otherwise.  Raises
     ValueError when a result is not finite.
     """
-    if x.dom != y.dom or x.cod != y.cod:
+    if x.dom.factors != y.dom.factors or x.cod.factors != y.cod.factors:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
     if x._blocks is None and y._blocks is None:
         a, b = x._array, y._array
@@ -683,8 +674,7 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     fx, fy = _sole_function(x), _sole_function(y)
     if fx is not None and fy is not None:
         return _finite_norms(*_function_distance(fx.rows, fx.weights, fy.rows, fy.weights))
-    x_blocks = _split_identities(_blocks_of(x))
-    y_blocks = _split_identities(_blocks_of(y))
+    x_blocks, y_blocks = _blocks_of(x), _blocks_of(y)
     keys = _part_keys(x_blocks, y_blocks)
     parts: dict = {}
     for side, blocks in enumerate((x_blocks, y_blocks)):
@@ -712,35 +702,43 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     """Blocks of ``kron(g_blocks) @ kron(f_blocks)``, composed piece by piece.
 
-    After identity blocks are split into single wires, the middle wires
-    are cut wherever both products have a block boundary.  By the
-    interchange law the composite is the Kronecker product of the pieces'
-    composites.  A piece that is the identity on one side is just the
-    other side's blocks.  A piece with a dense block is contracted wire by
-    wire (:func:`_einsum`).  A piece with no dense block on either side is
-    one function block, composed by a gather (:func:`_gathered`), or, if
-    it has no function block either, one permutation block, or an
-    identity where the permutations cancel.  Blocks with no middle wires
-    (effects of f, states of g) that sit on a cut form a piece of their
-    own, which is placed before the piece that starts at that cut.
+    One sweep over both block lists cuts the middle wires wherever both
+    products have a block boundary: a piece takes the next block of
+    whichever side covers fewer middle wires, until both sides cover the
+    same number.  Each identity block covers one wire, so it never hides
+    a boundary.  By the interchange law the composite is the Kronecker
+    product of the pieces' composites.  A piece that is the identity on
+    one side is just the other side's blocks.  A piece with a dense block
+    is contracted wire by wire (:func:`_einsum`).  A piece with no dense
+    block on either side is one function block, composed by a gather
+    (:func:`_gathered`), or, if it has no function block either, one
+    permutation block, or identities where the permutations cancel.
+    Blocks with no middle wires (effects of f, states of g) that sit on a
+    cut form a piece of their own, f's before g's, which is placed before
+    the piece that starts at that cut; one inside a piece is part of it.
     """
-    f_blocks, g_blocks = _split_identities(f_blocks), _split_identities(g_blocks)
-    f_starts = list(itertools.accumulate((len(b.cod) for b in f_blocks), initial=0))
-    g_starts = list(itertools.accumulate((len(b.dom) for b in g_blocks), initial=0))
-    cuts = sorted(set(f_starts) & set(g_starts))
-    pieces: dict[tuple[int, bool], tuple[list[_Block], list[_Block]]] = {}
-    for side, blocks, starts in ((0, f_blocks, f_starts), (1, g_blocks, g_starts)):
-        for b, start, end in zip(blocks, starts, starts[1:]):
-            if start == end and start in cuts:
-                key = (start, False)
-            else:
-                key = (cuts[bisect.bisect_right(cuts, start) - 1], True)
-            pieces.setdefault(key, ([], []))[side].append(b)
     out: list[_Block] = []
-    for (_, has_wires), (fs, gs) in sorted(pieces.items()):
-        if not has_wires:
-            out += fs + gs
-        elif all(b.is_identity for b in fs):
+    i = j = 0
+    while True:
+        while i < len(f_blocks) and not f_blocks[i].cod:
+            out.append(f_blocks[i])
+            i += 1
+        while j < len(g_blocks) and not g_blocks[j].dom:
+            out.append(g_blocks[j])
+            j += 1
+        if i == len(f_blocks):  # so j == len(g_blocks): both sides end on the last wire
+            return out
+        fs, gs, f_wires, g_wires = [], [], 0, 0
+        while not fs or f_wires != g_wires:
+            if f_wires <= g_wires:
+                fs.append(f_blocks[i])
+                f_wires += len(f_blocks[i].cod)
+                i += 1
+            else:
+                gs.append(g_blocks[j])
+                g_wires += len(g_blocks[j].dom)
+                j += 1
+        if all(b.is_identity for b in fs):
             out += gs
         elif all(b.is_identity for b in gs):
             out += fs
@@ -749,13 +747,13 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
             cod = tuple(d for b in gs for d in b.cod)
             if any(b.array is not None for b in fs + gs):
                 out.append(_Block(dom, cod, _finite(_einsum(gs, fs))))
-            elif any(b.rows is not None for b in fs + gs):
+            elif any(b.weights is not None for b in fs + gs):
                 out.append(_gathered(dom, cod, _function_of(gs), _function_of(fs)))
             else:  # g's output k is f's input f_perm[g_perm[k]]
                 f_perm = _wire_perm(fs)
                 perm = tuple(f_perm[k] for k in _wire_perm(gs))
-                out.append(_Block(dom, cod, None, None if perm == tuple(sorted(perm)) else perm))
-    return out
+                out += ([_Block((d,), (d,), None) for d in dom] if perm == tuple(sorted(perm))
+                        else [_permutation(dom, cod, perm)])
 
 
 def _gathered(dom, cod, g, f) -> _Block:
@@ -767,7 +765,7 @@ def _gathered(dom, cod, g, f) -> _Block:
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite ``g after f``."""
-    if f.cod != g.dom:
+    if f.cod.factors != g.dom.factors:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
     if f._blocks is None and g._blocks is None:
         return _dense(f.dom, g.cod, g._array @ f._array)
@@ -789,7 +787,7 @@ def swap(a: TensorType, b: TensorType) -> Morphism:
     if not n or not m:
         return (a @ b).identity()
     perm = (*range(n, n + m), *range(n))
-    return _product(a @ b, b @ a, (_Block((a @ b).factors, (b @ a).factors, None, perm),))
+    return _product(a @ b, b @ a, (_permutation((a @ b).factors, (b @ a).factors, perm),))
 
 
 def double_blocks(f: Morphism) -> Morphism:
@@ -798,23 +796,24 @@ def double_blocks(f: Morphism) -> Morphism:
     Doubling is a monoidal functor: a wire ``d`` becomes the adjacent
     pair ``(d, d)``.  A dense block is doubled as a matrix
     (:func:`_double_matrix`) and a function block on its indices
-    (:func:`_doubled_function`); an identity stays the identity, now on
-    the doubled wires; and a permutation ``p`` moves whole pairs,
-    ``(2 p[k], 2 p[k] + 1)``.  A lazy product is mapped block by block,
-    so it stays lazy.
+    (:func:`_doubled_function`); the identity on a wire becomes the
+    identity on each of its two wires; and a permutation ``p`` moves whole
+    pairs, ``(2 p[k], 2 p[k] + 1)``.  A lazy product is mapped block by
+    block, so it stays lazy.
     """
     blocks = []
     for b in _blocks_of(f):
         dom, cod = _pairs(b.dom), _pairs(b.cod)
-        if b.rows is not None:
-            b = _doubled_function(b, dom, cod)
+        if b.is_identity:
+            blocks += [b, b]
+        elif b.weights is not None:
+            blocks.append(_doubled_function(b, dom, cod))
         elif b.array is not None:
-            b = _Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
-                                          _double_matrix(b.array, b.dom, b.cod)))
+            blocks.append(_Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
+                                                    _double_matrix(b.array, b.dom, b.cod))))
         else:
-            perm = None if b.perm is None else tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))
-            b = _Block(dom, cod, None, perm)
-        blocks.append(b)
+            blocks.append(_permutation(
+                dom, cod, tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))))
     return _product(TensorType(_pairs(f.dom.factors)), TensorType(_pairs(f.cod.factors)), blocks)
 
 
@@ -882,9 +881,10 @@ class Comparison(NamedTuple):
 
     @staticmethod
     def joint(results) -> "Comparison":
-        """All of ``results`` must hold; the first with the largest residual is reported."""
+        """All of ``results`` must hold, as an empty list does; the first with the
+        largest residual is reported."""
         results = list(results)
-        worst = max(results, key=lambda r: r.residual)
+        worst = max(results, key=lambda r: r.residual, default=Comparison(True, 0.0, 0.0))
         return Comparison(all(r.holds for r in results), worst.residual, worst.threshold)
 
 

@@ -113,11 +113,11 @@ def products(draw, wires: TensorType, side: str, rng, kinds=ALL_KINDS):
     """A lazy product whose ``side`` ("cod" or "dom") is ``wires``, with its dense oracle.
 
     ``wires`` is cut into consecutive groups.  Each group becomes, as
-    ``kinds`` allow, an identity (adjacent ones are merged by the
-    library), a swap of its first wires past the rest (either side may be
-    empty, and the two may be equal), or a dense or function block to or
-    from a random type; blocks with no wire on ``side`` (effects, states
-    and scalars) are slipped in between groups.
+    ``kinds`` allow, an identity (one block per wire in the library), a
+    swap of its first wires past the rest (either side may be empty, and
+    the two may be equal), or a dense or function block to or from a
+    random type; blocks with no wire on ``side`` (effects, states and
+    scalars) are slipped in between groups.
     """
     items = []  # (morphism, oracle array)
     rest = list(wires.factors)
@@ -254,7 +254,7 @@ def test_doubling_lazy_products_matches_the_dense_oracle(data, middle, seed):
 def injective(m: Morphism) -> bool:
     """Whether no two nonzero columns of a function block of ``m`` share a row."""
     return all(np.unique(b.rows[b.weights != 0]).size == np.count_nonzero(b.weights)
-               for b in m._blocks if b.rows is not None)
+               for b in m._blocks if b.weights is not None)
 
 
 @given(st.data(), types(max_len=4), st.integers(0, 2**32 - 1))
@@ -316,12 +316,12 @@ def test_doubled_crossings_and_identities_stay_lazy():
     assert cpm_double(swap(a, b)).distance(swap(double_type(a), double_type(b))) == 0.0
 
 
-def test_merged_identities_are_split_back_into_wires():
+def test_identities_on_several_wires_compose_across_any_cut():
     rng = np.random.default_rng(3)
     a, b, c = TensorType((2,)), TensorType((3,)), TensorType((2,))
     x = Morphism(c, c, random_matrix(rng, 2, 2))
     y = Morphism(a @ b, a @ b, random_matrix(rng, 6, 6))
-    f = (a.identity() @ b.identity()) @ x  # identities on [2, 3] merged into one block
+    f = (a @ b).identity() @ x  # the identity on [2, 3], one block per wire
     g = y @ c.identity()  # cuts the middle [2, 3, 2] after its second wire
     w = Morphism(a, a, random_matrix(rng, 2, 2))
     h = w @ (b @ c).identity()  # cuts the middle after its first wire
@@ -329,6 +329,49 @@ def test_merged_identities_are_split_back_into_wires():
     assert_close((f >> g).array, np.kron(y.array, np.eye(2)) @ want_f)
     assert_close((f >> h).array, np.kron(w.array, np.eye(6)) @ want_f)
     assert_close((g >> f).array, want_f @ np.kron(y.array, np.eye(2)))
+
+
+BOUNDARY_CASES = [("f", "first"), ("f", "cut"), ("f", "inside"), ("f", "last"),
+                  ("g", "first"), ("g", "cut"), ("g", "inside"), ("g", "last"),
+                  ("both", "first"), ("both", "cut"), ("both", "last")]
+
+
+@pytest.mark.parametrize("side, where", BOUNDARY_CASES)
+def test_blocks_without_middle_wires_keep_their_place(side, where):
+    # the middle wires are [2, 3]; an effect of f or a state of g has none of
+    # them.  On a cut (where both sides have a block boundary, the first and
+    # the last wire included) it is a piece of its own, f's before g's, placed
+    # before the piece that starts there; inside a piece it is part of it
+    rng = np.random.default_rng(13)
+    two, three, four = TensorType((2,)), TensorType((3,)), TensorType((4,))
+
+    def arrow(dom, cod):
+        arr = random_matrix(rng, cod.dim, dom.dim)
+        return Morphism(dom, cod, arr), arr
+
+    position = {"first": 0, "cut": 1, "inside": 1, "last": 2}[where]
+    sides = {"f": [arrow(two, two), arrow(three, three)],
+             "g": [arrow(two, two), arrow(three, three)]}
+    if where == "inside":  # the other side has no boundary between the middle wires
+        other = "g" if side == "f" else "f"
+        sides[other] = [arrow(two @ three, two @ three)]
+    extras = []
+    if side in ("f", "both"):
+        extras.append(("f", arrow(four, UNIT)))
+    if side in ("g", "both"):
+        extras.append(("g", arrow(UNIT, four)))
+    for name, extra in extras:
+        sides[name].insert(position, extra)
+    (f, f_arr), (g, g_arr) = product(sides["f"]), product(sides["g"])
+    h = f >> g
+    assert_close(h.array, g_arr @ f_arr)
+    layout = [(b.dom, b.cod) for b in tensors._blocks_of(h)]
+    if where == "inside":
+        assert len(layout) == 1
+    else:
+        want = [((2,), (2,)), ((3,), (3,))]
+        want[position:position] = [(m.dom.factors, m.cod.factors) for _, (m, _) in extras]
+        assert layout == want
 
 
 def test_two_multi_block_products_are_contracted_without_being_built(monkeypatch):
@@ -806,6 +849,24 @@ def test_a_crossing_is_built_only_when_read(largest_build):
     assert largest_build[0] == 625 ** 2
 
 
+@pytest.mark.parametrize("build, args", [(pair_of_pants_update, (3,)), (quantum_db_causal, (2, 2))])
+def test_every_identity_block_covers_one_wire(monkeypatch, build, args):
+    built = []  # every morphism the engine makes, components and terms alike
+
+    def recording(*parts, original=tensors._new):
+        built.append(original(*parts))
+        return built[-1]
+
+    monkeypatch.setattr(tensors, "_new", recording)
+    U = build(*args)
+    check_laws(U)
+    classify(U)
+    for prop in DERIVED_PROPS:
+        verify_derived(U, prop)
+    identities = [b for m in built if m._blocks is not None for b in m._blocks if b.is_identity]
+    assert identities and all(len(b.dom) == 1 for b in identities)
+
+
 def assert_wires_agree(m: Morphism) -> None:
     """The blocks of a lazy product cover its domain and codomain, wire by wire."""
     assert tuple(d for b in m._blocks for d in b.dom) == m.dom.factors
@@ -816,7 +877,7 @@ def test_crossings_compose_without_being_built(largest_build):
     t, u = TensorType((5, 5)), TensorType((2, 3))
     twice = swap(t, t) >> swap(t, t)
     assert twice._array is None
-    assert len(twice._blocks) == 1 and twice._blocks[0].is_identity
+    assert is_identity(twice)  # one identity block per wire
     assert twice.distance((t @ t).identity()) == 0.0
     five = TensorType((5,))
     moved = swap(t, u) >> (u.identity() @ swap(five, five))

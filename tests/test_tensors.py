@@ -177,6 +177,11 @@ def test_compare_all_reports_the_worst_pair():
     assert compare_all([(one, one), (one, (1 + 1e-12) * one)]).holds
 
 
+def test_an_empty_conjunction_holds():
+    assert compare_all([]) == tensors.Comparison(True, 0.0, 0.0)
+    assert tensors.Comparison.joint(iter([])) == (True, 0.0, 0.0)
+
+
 def test_distance_and_arithmetic():
     t = TensorType((2,))
     one = t.identity()
