@@ -3,11 +3,11 @@
 A pure map f is doubled to ``f (x) conj(f)`` with the conjugate factor
 interleaved next to its original, so a wire of dimension d becomes the
 adjacent pair ``(d, d)`` and doubling commutes with both composition
-and tensoring; :func:`putget.tensors.double_blocks` holds that
-convention.  Density matrices on d live on such a pair via row-major
-vectorisation; ``decoherence(d)`` projects onto their diagonal.  A
-doubled map is causal when followed by the trace it is the trace;
-``trace_preserving(f, tol)`` decides that.
+and tensoring; ``double_type`` and ``double_blocks`` in
+:mod:`putget.tensors` hold that convention.  Density matrices on d live
+on such a pair via row-major vectorisation; ``decoherence(d)`` projects
+onto their diagonal.  A doubled map is causal when followed by the
+trace it is the trace; ``trace_preserving(f, tol)`` decides that.
 
 Projector-valued spectra package a complete family of orthogonal
 projectors as a single map ``S -> S (x) p`` whose outcome wire carries
@@ -44,12 +44,12 @@ from .tensors import (
     Morphism,
     TensorType,
     Tolerance,
-    _pairs,
     basis_effect,
     cap,
     compare,
     compare_all,
     double_blocks,
+    double_type,
 )
 
 __all__ = [
@@ -91,10 +91,6 @@ class PvsError(ValueError):
 
 
 # -- doubling ------------------------------------------------------------
-
-
-def double_type(t: TensorType) -> TensorType:
-    return TensorType(_pairs(t.factors))
 
 
 def paired_dims(t: TensorType) -> tuple[int, ...]:

@@ -19,17 +19,20 @@ product: the list of its blocks.  A block is one of four kinds:
 - an identity block, held as its wire: one block per wire.
 
 ``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
-and ``compose`` works along the wires: one sweep over both operands'
-blocks cuts the shared middle wires wherever both have a block boundary
-and composes each piece on its own.  A piece with an identity on one
-side is the other side's blocks, untouched.  A piece of function,
-permutation and identity blocks composes into one function block by a
-gather of index arrays, or, with no function block, into one permutation
-block.  Every piece with a dense block, a side of one block included, is
+and one constructor, ``_crossing``, makes every identity and
+permutation block.  ``compose`` works along the wires: one sweep over
+both operands' blocks cuts the shared middle wires wherever both have a
+block boundary and composes each piece on its own.  A piece with an
+identity on one side is the other side's blocks, untouched.  A piece of
+function, permutation and identity blocks composes into one function
+block by a gather of index arrays, or, with no function block, into one
+permutation block.  Every piece with a dense block, a side of one block included, is
 contracted wire by wire on one path: a function block in it is
 densified, the dense blocks are multiplied two at a time by matmul in
 the order that keeps each result smallest, and a permutation block only
-relabels wires.  ``tensor``, ``conj``, scalar multiples and
+relabels wires.  ``double_blocks`` doubles each block as a composite
+between two pairing crossings, so it is ``compose`` that keeps each
+block's kind there.  ``tensor``, ``conj``, scalar multiples and
 ``double_blocks`` keep a function block a function block, and so does
 ``dagger`` where no two nonzero columns share a row.  A scalar multiple
 scales one dense or function block, or else gains a wire-less 1x1
@@ -76,6 +79,7 @@ __all__ = [
     "compose",
     "tensor",
     "swap",
+    "double_type",
     "double_blocks",
     "cup",
     "cap",
@@ -148,7 +152,8 @@ class TensorType:
         return joined
 
     def identity(self) -> "Morphism":
-        return _new(self, self, None, tuple(_Block((d,), (d,), None) for d in self.factors))
+        return _product(self, self, _crossing(self.factors, self.factors,
+                                              tuple(range(len(self.factors)))))
 
     def swap(self, other: "TensorType") -> "Morphism":
         return swap(self, other)
@@ -307,11 +312,14 @@ def _function_block(dom: tuple[int, ...], cod: tuple[int, ...], rows: np.ndarray
     return _Block(dom, cod, None, None, rows, _finite(weights))
 
 
-def _permutation(dom: tuple[int, ...], cod: tuple[int, ...], perm: tuple[int, ...]) -> _Block:
-    """The permutation block ``dom -> cod`` whose output wire k is input wire ``perm[k]``."""
+def _crossing(dom: tuple[int, ...], cod: tuple[int, ...], perm: tuple[int, ...]) -> list[_Block]:
+    """The wiring ``dom -> cod`` whose output wire k is input wire ``perm[k]``: one identity
+    block per wire where ``perm`` keeps every wire in place, and else one permutation block."""
+    if perm == tuple(range(len(perm))):
+        return [_Block((d,), (d,), None) for d in dom]
     rows = np.arange(math.prod(cod)).reshape(cod).transpose(_inverse(perm)).ravel()
     rows.setflags(write=False)
-    return _Block(dom, cod, None, perm, rows)
+    return [_Block(dom, cod, None, perm, rows)]
 
 
 def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) -> _Block | None:
@@ -492,10 +500,14 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _transpose(blocks) -> list[_Block]:
-    return [_transposed_function(b) if b.weights is not None else
-            _Block(b.cod, b.dom, b.array.T) if b.array is not None else
-            _permutation(b.cod, b.dom, _inverse(b.perm)) if b.perm is not None else
-            b for b in blocks]
+    out: list[_Block] = []
+    for b in blocks:
+        if b.perm is not None:
+            out += _crossing(b.cod, b.dom, _inverse(b.perm))
+        else:
+            out.append(_transposed_function(b) if b.weights is not None else
+                       _Block(b.cod, b.dom, b.array.T) if b.array is not None else b)
+    return out
 
 
 def _transposed_function(b: _Block) -> _Block:
@@ -524,7 +536,9 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     middle wire, never an output.  So any order of pairwise contractions
     is exact, with no batch labels and no path search: each step takes the
     pair with the smallest result and sums their shared labels in one
-    matmul.  A wire carried through both sides is on no operand; the
+    matmul.  Each operand is scaled near 1 first and the result unscaled
+    once, as in :func:`_kron`, so no partial product overflows unless the
+    result does.  A wire carried through both sides is on no operand; the
     output is the identity on it, so the result is written onto the
     diagonal of its output and input axes.
     """
@@ -551,6 +565,8 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
             out = [next(label) for _ in b.cod]
             cod += out
             operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
+    exponents = [_exponent(arr) for arr, _ in operands]  # each operand scaled near 1
+    operands = [(_scaled(arr, e), wires) for (arr, wires), e in zip(operands, exponents)]
     dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
     while len(operands) > 1:
         i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
@@ -566,6 +582,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         operands.append((product.reshape(x.shape[:len(x_kept)] + y.shape[len(summed):]),
                          x_kept + y_kept))
     (last, wires), = operands
+    last = _unscaled(last, sum(exponents))
     rows = math.prod(d for b in g_blocks for d in b.cod)
     through = [w for w in cod if w in dom]
     if not through:
@@ -751,9 +768,7 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
                 out.append(_gathered(dom, cod, _function_of(gs), _function_of(fs)))
             else:  # g's output k is f's input f_perm[g_perm[k]]
                 f_perm = _wire_perm(fs)
-                perm = tuple(f_perm[k] for k in _wire_perm(gs))
-                out += ([_Block((d,), (d,), None) for d in dom] if perm == tuple(sorted(perm))
-                        else [_permutation(dom, cod, perm)])
+                out += _crossing(dom, cod, tuple(f_perm[k] for k in _wire_perm(gs)))
 
 
 def _gathered(dom, cod, g, f) -> _Block:
@@ -782,69 +797,43 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 
 def swap(a: TensorType, b: TensorType) -> Morphism:
-    """The crossing ``a (x) b -> b (x) a``, held as one permutation block."""
-    n, m = len(a.factors), len(b.factors)
-    if not n or not m:
-        return (a @ b).identity()
-    perm = (*range(n, n + m), *range(n))
-    return _product(a @ b, b @ a, (_permutation((a @ b).factors, (b @ a).factors, perm),))
+    """The crossing ``a (x) b -> b (x) a``: one permutation block, or identities where a
+    side is empty."""
+    n = len(a.factors)
+    perm = (*range(n, n + len(b.factors)), *range(n))
+    return _product(a @ b, b @ a, _crossing((a @ b).factors, (b @ a).factors, perm))
+
+
+def double_type(t: TensorType) -> TensorType:
+    """The doubled wires of ``t``: each wire followed by its conjugate copy."""
+    return TensorType(tuple(d for d in t.factors for _ in (0, 1)))
+
+
+def _pairing(wires: tuple[int, ...]) -> list[_Block]:
+    """The crossing ``wires + wires -> double_type(wires)`` that puts each copy next to
+    its original; identities on at most one wire."""
+    n = len(wires)
+    perm = tuple(k for i in range(n) for k in (i, n + i))
+    return _crossing(wires * 2, double_type(TensorType(wires)).factors, perm)
 
 
 def double_blocks(f: Morphism) -> Morphism:
     """``f (x) conj(f)``, each conjugate wire next to its original.
 
-    Doubling is a monoidal functor: a wire ``d`` becomes the adjacent
-    pair ``(d, d)``.  A dense block is doubled as a matrix
-    (:func:`_double_matrix`) and a function block on its indices
-    (:func:`_doubled_function`); the identity on a wire becomes the
-    identity on each of its two wires; and a permutation ``p`` moves whole
-    pairs, ``(2 p[k], 2 p[k] + 1)``.  A lazy product is mapped block by
-    block, so it stays lazy.
+    Doubling is a monoidal functor, so a product is doubled block by
+    block, each block ``b`` as the composite of ``b (x) conj(b)`` between
+    the pairing crossings (:func:`_pairing`) of its domain and codomain.
+    That composite keeps ``b``'s kind: the identity on a wire becomes the
+    identity on each of its two wires, and a block with at most one wire
+    on each side (a wire-less scalar, a state or effect on one wire) comes
+    out as its pair ``b, conj(b)``.  A lazy product stays lazy.
     """
     blocks = []
     for b in _blocks_of(f):
-        dom, cod = _pairs(b.dom), _pairs(b.cod)
-        if b.is_identity:
-            blocks += [b, b]
-        elif b.weights is not None:
-            blocks.append(_doubled_function(b, dom, cod))
-        elif b.array is not None:
-            blocks.append(_Block(dom, cod, _checked(TensorType(dom), TensorType(cod),
-                                                    _double_matrix(b.array, b.dom, b.cod))))
-        else:
-            blocks.append(_permutation(
-                dom, cod, tuple(i for p in b.perm for i in (2 * p, 2 * p + 1))))
-    return _product(TensorType(_pairs(f.dom.factors)), TensorType(_pairs(f.cod.factors)), blocks)
-
-
-def _pairs(wires: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(w for d in wires for w in (d, d))
-
-
-def _double_matrix(arr: np.ndarray, dom: tuple[int, ...], cod: tuple[int, ...]) -> np.ndarray:
-    """``arr (x) conj(arr)`` on factors ``dom -> cod``, each conjugate wire next to its original."""
-    n, m = len(cod), len(dom)
-    out = np.kron(arr, arr.conj()).reshape(cod + cod + dom + dom)
-    cod_perm = [k for i in range(n) for k in (i, n + i)]
-    dom_perm = [2 * n + k for i in range(m) for k in (i, m + i)]
-    return out.transpose(cod_perm + dom_perm).reshape(arr.shape[0] ** 2, arr.shape[1] ** 2)
-
-
-def _doubled_function(b: _Block, dom: tuple[int, ...], cod: tuple[int, ...]) -> _Block:
-    """``b (x) conj(b)`` as a function block on the paired wires ``dom -> cod``.
-
-    The product's columns and rows enumerate ``b.dom + b.dom`` and
-    ``b.cod + b.cod``; moving the axes of its rows and weights puts each
-    conjugate input wire next to its original, and a lookup table
-    renumbers the rows the same way.
-    """
-    rows, weights, exponent = _function_of([b, b._replace(weights=b.weights.conj())])
-    n, m = len(b.cod), len(b.dom)
-    columns = [k for i in range(m) for k in (i, m + i)]  # paired axis -> axis of dom + dom
-    rows, weights = (a.reshape(b.dom * 2).transpose(columns).ravel() for a in (rows, weights))
-    renumber = np.arange(math.prod(cod)).reshape(cod).transpose(
-        [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]).ravel()
-    return _function_block(dom, cod, renumber[rows], _unscaled(weights, exponent))
+        pair = [b, b if b.is_wiring else _mapped(b, np.conj)]
+        blocks += _compose_blocks(_pairing(b.cod),
+                                  _compose_blocks(pair, _transpose(_pairing(b.dom))))
+    return _product(double_type(f.dom), double_type(f.cod), blocks)
 
 
 def cup(d: int) -> Morphism:
@@ -863,6 +852,8 @@ def scalar(z: complex) -> Morphism:
 
 def basis_state(d: int, i: int) -> Morphism:
     """The computational basis ket |i> as a map ``I -> [d]``."""
+    if not 0 <= i < d:
+        raise ValueError(f"no basis state {i} in dimension {d} (expected 0 <= i < {d})")
     col = np.zeros((d, 1))
     col[i, 0] = 1.0
     return Morphism(UNIT, TensorType((d,)), col)

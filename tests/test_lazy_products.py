@@ -39,7 +39,7 @@ from putget.structures import (
     classify,
     verify_derived,
 )
-from putget.tensors import UNIT, Morphism, TensorType, cap, cup, swap
+from putget.tensors import UNIT, Morphism, TensorType, cap, cup, scalar, swap
 
 AGREE = 1e-12
 
@@ -314,6 +314,40 @@ def test_doubled_crossings_and_identities_stay_lazy():
     assert d._array is None
     assert_close(d.array, doubled(np.kron(permutation(2, 3), np.eye(3)), a @ b @ b, b @ a @ b))
     assert cpm_double(swap(a, b)).distance(swap(double_type(a), double_type(b))) == 0.0
+
+
+def kind(b: tensors._Block) -> str:
+    return ("dense" if b.array is not None else "function" if b.weights is not None
+            else "permutation" if b.perm is not None else "identity")
+
+
+def test_doubling_keeps_each_block_kind_in_order(monkeypatch):
+    rng = np.random.default_rng(17)
+    one, two = TensorType((1,)), TensorType((2,))
+    function = np.zeros((2, 1), dtype=np.complex128)
+    function[1, 0] = 2 - 1j
+    parts = [
+        Morphism(two @ one @ two, two, random_matrix(rng, 2, 4)),  # three wires in
+        Morphism(one, one @ two, function),
+        swap(one, two),
+        one.identity(),
+        Morphism(UNIT, two, random_matrix(rng, 2, 1)),  # a state on one wire
+        Morphism(one @ two, UNIT, random_matrix(rng, 1, 2)),  # an effect, a function block
+        scalar(0.5 + 2j),
+    ]
+    m = reduce(lambda f, g: f @ g, parts)
+    assert [kind(b) for b in m._blocks] == [
+        "dense", "function", "permutation", "identity", "dense", "function", "function"]
+    with monkeypatch.context() as patch:
+        patch.setattr(tensors, "_kron", lambda blocks: pytest.fail("doubling built a matrix"))
+        d = cpm_double(m)
+    assert d._array is None and m._array is None
+    # a block with at most one wire on each side comes out as the pair b, conj(b)
+    assert [kind(b) for b in d._blocks] == [
+        "dense", "function", "permutation", "identity", "identity", "dense", "dense",
+        "function", "function", "function"]
+    assert (d.dom, d.cod) == (double_type(m.dom), double_type(m.cod))
+    assert_close(d.array, doubled(m.array, m.dom, m.cod))
 
 
 def test_identities_on_several_wires_compose_across_any_cut():
@@ -806,15 +840,20 @@ def test_the_suite_builds_no_crossing_or_doubled_identity(largest_build, build, 
     assert 0 < largest_build[0] <= bound
 
 
+def z_measurement(d: int):
+    """The doubled measurement structure of the computational basis of dimension d."""
+    wire = TensorType((d,))
+    return quantum_measurement(
+        pvs_from_projectors([Morphism(wire, wire, np.diag(e)) for e in np.eye(d)]))
+
+
 def test_the_lazy_engine_checks_structures_past_the_registry_sizes():
     # crossings (pair of pants), doubling (the causal database, the 8-outcome
     # measurement), function blocks and algebra laws, each far past a dense build
-    wire = TensorType((8,))
-    z_basis = pvs_from_projectors([Morphism(wire, wire, np.diag(e)) for e in np.eye(8)])
-    for U, kind in ((pair_of_pants_update(7), "strong"), (quantum_db_causal(4, 4), "weak_only"),
-                    (quantum_measurement(z_basis), "weak_only")):
+    for U, verdict in ((pair_of_pants_update(7), "strong"),
+                       (quantum_db_causal(4, 4), "weak_only"), (z_measurement(8), "weak_only")):
         check_laws(U)
-        assert classify(U).kind == kind
+        assert classify(U).kind == verdict
         assert all(verify_derived(U, prop).status != "fails" for prop in DERIVED_PROPS)
     for alg, holding in ((pair_of_pants(7), {"assoc", "coassoc", "unit", "special", "frobenius"}),
                          (scfa_from_dimension(16), set(ALGEBRA_LAWS))):
@@ -849,7 +888,8 @@ def test_a_crossing_is_built_only_when_read(largest_build):
     assert largest_build[0] == 625 ** 2
 
 
-@pytest.mark.parametrize("build, args", [(pair_of_pants_update, (3,)), (quantum_db_causal, (2, 2))])
+@pytest.mark.parametrize("build, args", [(pair_of_pants_update, (3,)), (quantum_db_causal, (2, 2)),
+                                         (z_measurement, (3,))])
 def test_every_identity_block_covers_one_wire(monkeypatch, build, args):
     built = []  # every morphism the engine makes, components and terms alike
 

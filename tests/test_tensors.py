@@ -140,6 +140,25 @@ def test_scalar_and_effects():
     assert abs(missed.array[0, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_a_basis_index_out_of_range_is_refused(i):
+    for make in (basis_state, basis_effect):
+        with pytest.raises(ValueError, match=r"expected 0 <= i < 3"):
+            make(3, i)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_composite_in_range_does_not_overflow_on_the_way():
+    # a (x) a has entries 1e400, but g after it is at most 4e100
+    t = TensorType((2,))
+    a = Morphism(t, t, [[1e200, 1e200], [1e200, -1e200]])
+    g = Morphism(t @ t, t @ t, np.full((4, 4), 1e-300))
+    want = np.zeros((4, 4))
+    want[:, 0] = 4e100  # the first column of a (x) a is all 1e400; the others sum to 0
+    got = (a @ a) >> g
+    assert np.max(np.abs(got.array - want)) <= 1e-15 * 4e100
+
+
 def test_tolerance_threshold_combines_absolute_and_relative():
     tol = Tolerance(absolute=1e-9, relative=1e-6)
     assert tol.threshold(0.0) == pytest.approx(1e-9)
