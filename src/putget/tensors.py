@@ -20,14 +20,15 @@ product: the list of its blocks.  A block is one of four kinds:
 
 ``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
 and one constructor, ``_crossing``, makes every identity and
-permutation block.  ``compose`` works along the wires: one sweep over
-both operands' blocks cuts the shared middle wires wherever both have a
-block boundary and composes each piece on its own.  A piece with an
-identity on one side is the other side's blocks, untouched.  A piece of
-function, permutation and identity blocks composes into one function
-block by a gather of index arrays, or, with no function block, into one
-permutation block.  Every piece with a dense block, a side of one block included, is
-contracted wire by wire on one path: a function block in it is
+permutation block.  ``compose`` works along the wires, with no special
+case for a dense or a function operand: one sweep over both operands'
+blocks cuts the shared middle wires wherever both have a block boundary
+and composes each piece on its own.  A piece with an identity on one
+side is the other side's blocks, untouched.  A piece of function,
+permutation and identity blocks composes into one function block by a
+gather of index arrays, or, with no function block, into one
+permutation block.  Every piece with a dense block, a side of one block
+included, is contracted wire by wire on one path: a function block in it is
 densified, the dense blocks are multiplied two at a time by matmul in
 the order that keeps each result smallest, and a permutation block only
 relabels wires.  ``double_blocks`` doubles each block as a composite
@@ -47,14 +48,18 @@ on both sides is a common factor and contributes only its norm, so only
 the parts where the sides differ are looked at.  Where those hold no
 dense block they are compared column by column as index arrays, and
 otherwise built densely.  A dense norm is one sum of squares over the
-entries in memory order.  Products and norms are taken with every
-factor scaled by a power of two, which is exact, so no partial product
-overflows unless the result does.
+entries in memory order.  Every product (a contraction, a gather, a
+Kronecker product, a product of norms) scales each factor near 1 by a
+power of two and the result back once, through ``_pow2``.  That is
+exact, so no partial product overflows unless the result does, a 0
+stays 0, and a result out of range is refused as a ValueError.
 
-:func:`compare` is the only place in the library where a tolerance
-decides a verdict, for matrices and for finite-set functions alike: it
-takes the distance and both side norms in one pass and refuses results
-that are not finite.  :func:`compare_all` folds it over a list of pairs.
+:func:`compare` decides every verdict on two arrows, matrices and
+finite-set functions alike, from the distance and both side norms taken
+in one pass; the rank count of the Faithful law is the one other place
+a tolerance decides.  Both take their threshold from
+:meth:`Tolerance.threshold`, which refuses one that is not finite.
+:func:`compare_all` folds ``compare`` over a list of pairs.
 
 ``f >> g`` composes left to right ("f then g"); ``f @ g`` is the tensor
 product.  Scalars are 1x1 morphisms on the empty factor list.
@@ -117,7 +122,12 @@ class Tolerance:
             raise ValueError("at least one tolerance bound must be positive")
 
     def threshold(self, scale: float = 0.0) -> float:
-        return self.absolute + self.relative * scale
+        """``absolute + relative * scale``; raises ValueError where that is not finite, so
+        no verdict can pass by overflow."""
+        threshold = self.absolute + self.relative * scale
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold is not finite: {self} at scale {scale}")
+        return threshold
 
 
 DEFAULT_TOL = Tolerance()
@@ -242,7 +252,7 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        return _dense(self.dom, self.cod, self.array + other.array)
+        return _new(self.dom, self.cod, _finite(self.array + other.array), None)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-1.0) * other
@@ -357,11 +367,6 @@ def _new(dom: TensorType, cod: TensorType, array, blocks) -> Morphism:
     return m
 
 
-def _dense(dom: TensorType, cod: TensorType, arr: np.ndarray) -> Morphism:
-    """A computed matrix as a morphism: checked like a constructor argument, not copied."""
-    return _new(dom, cod, _checked(dom, cod, arr), None)
-
-
 def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
     """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are;
     a product of a single dense block is that block's matrix."""
@@ -377,19 +382,26 @@ def _blocks_of(m: Morphism) -> tuple[_Block, ...]:
 
 
 # -- overflow-free products -------------------------------------------------
-#
-# Multiplying by a power of two is exact, so a product of factors scaled
-# by powers of two rounds exactly like the unscaled one wherever both
-# stay in range.  Scaling every factor near 1 first keeps the partial
-# products in range whenever the result is.
 
 
-def _ldexp(x: float, e: int) -> float:
-    """``x * 2**e``, or inf where that overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
+def _pow2(x, e: int):
+    """``x * 2**e`` for a float or an array: exact where the result is a normal float, and
+    not finite (for :func:`_finite` or :func:`_finite_norms` to refuse) where it is out of
+    range.  An array goes in steps of at most ``2**±1000``, all in one direction, so a step
+    overflows only where the result does; a complex entry that overflows before the last
+    step is inf in one part and NaN in the other."""
+    if isinstance(x, float):
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return math.inf
+    if e == 0:
+        return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        while e:
+            step = max(-1000, min(e, 1000))
+            x, e = x * 2.0 ** step, e - step
+    return x
 
 
 def _scaled_prod(values) -> float:
@@ -399,19 +411,12 @@ def _scaled_prod(values) -> float:
         m, e = math.frexp(v)
         mantissa, shift = math.frexp(mantissa * m)
         exponent += e + shift
-    return _ldexp(mantissa, exponent)
+    return _pow2(mantissa, exponent)
 
 
 def _exponent(arr: np.ndarray) -> int:
-    """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2).
-
-    Clamped so that ``2.0 ** -e`` is a float.
-    """
-    return min(max(math.frexp(float(np.abs(arr).max()))[1] - 1, -1022), 1023)
-
-
-def _scaled(arr: np.ndarray, e: int) -> np.ndarray:
-    return arr if e == 0 else arr * 2.0 ** -e
+    """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2)."""
+    return math.frexp(float(np.abs(arr).max()))[1] - 1
 
 
 def _fro(arr: np.ndarray) -> float:
@@ -425,52 +430,43 @@ def _fro(arr: np.ndarray) -> float:
     if 2.0 ** -500 < norm < math.inf or not arr.any():
         return norm
     e = _exponent(arr)
-    return _ldexp(float(np.linalg.norm(_scaled(arr, e))), e)
-
-
-def _unscaled(arr: np.ndarray, exponent: int) -> np.ndarray:
-    """``arr * 2**exponent``; an entry that overflows is left for :func:`_finite` to refuse."""
-    return arr if exponent == 0 else arr * _ldexp(1.0, exponent)
+    return _pow2(float(np.linalg.norm(_pow2(arr, -e))), e)
 
 
 def _kron(blocks) -> np.ndarray:
-    """The dense matrix of a Kronecker product of blocks, each factor scaled near 1 on the
-    way; a run of identity, permutation and function blocks is one factor."""
+    """The dense matrix of a Kronecker product of blocks, each factor scaled near 1 and the
+    result scaled back once; a run of identity, permutation and function blocks is one factor."""
     out, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for dense, run in itertools.groupby(blocks, key=lambda b: b.array is not None):
         run = list(run)
         if dense:
             factors = [(b.array, _exponent(b.array)) for b in run]
-        else:  # scaled by the exponent of its weights, not of its matrix
+        else:  # its weights come scaled near 1
             rows, weights, e = _function_of(run)
-            s = _exponent(weights)
             height = math.prod(math.prod(b.cod) for b in run)
-            factors = [(_function_matrix(rows, _scaled(weights, s), height), 0)]
-            exponent += e + s
+            factors = [(_function_matrix(rows, weights, height), 0)]
+            exponent += e
         for m, e in factors:
             exponent += e
-            m = _scaled(m, e)
+            m = _pow2(m, -e)
             # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
             out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
                 out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
-    return _unscaled(out, exponent)
+    return _pow2(out, exponent)
 
 
 def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
     """A Kronecker product of identity, permutation and function blocks as one function.
 
     Returns its rows, and its weights as a mantissa array and a binary
-    exponent: where several blocks have weights, each block's are scaled
-    near 1 on the way, as in :func:`_kron`.  The first factor's rows and
-    weights are the seed, so a sole function block is returned as it is.
+    exponent: each block's weights are scaled near 1 on the way, as in
+    :func:`_kron`, so the mantissas are near 1 too.
     """
-    factors = _function_factors(blocks)
-    scale = sum(w is not None for _, _, w in factors) > 1
     rows, weights, exponent = None, None, 0
-    for out, height, w in factors:
-        if scale and w is not None:
+    for out, height, w in _function_factors(blocks):
+        if w is not None:
             e = _exponent(w)
-            exponent, w = exponent + e, _scaled(w, e)
+            exponent, w = exponent + e, _pow2(w, -e)
         if rows is None:
             rows, weights = out, np.ones(out.size, dtype=np.complex128) if w is None else w
         else:
@@ -536,10 +532,10 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     middle wire, never an output.  So any order of pairwise contractions
     is exact, with no batch labels and no path search: each step takes the
     pair with the smallest result and sums their shared labels in one
-    matmul.  Each operand is scaled near 1 first and the result unscaled
-    once, as in :func:`_kron`, so no partial product overflows unless the
-    result does.  A wire carried through both sides is on no operand; the
-    output is the identity on it, so the result is written onto the
+    matmul.  Each operand is scaled near 1 first and the result scaled
+    back once, as in :func:`_kron`, so no partial product overflows unless
+    the result does.  A wire carried through both sides is on no operand;
+    the output is the identity on it, so the result is written onto the
     diagonal of its output and input axes.
     """
     label = itertools.count()
@@ -566,7 +562,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
             cod += out
             operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
     exponents = [_exponent(arr) for arr, _ in operands]  # each operand scaled near 1
-    operands = [(_scaled(arr, e), wires) for (arr, wires), e in zip(operands, exponents)]
+    operands = [(_pow2(arr, -e), wires) for (arr, wires), e in zip(operands, exponents)]
     dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
     while len(operands) > 1:
         i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
@@ -582,7 +578,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         operands.append((product.reshape(x.shape[:len(x_kept)] + y.shape[len(summed):]),
                          x_kept + y_kept))
     (last, wires), = operands
-    last = _unscaled(last, sum(exponents))
+    last = _pow2(last, sum(exponents))
     rows = math.prod(d for b in g_blocks for d in b.cod)
     through = [w for w in cod if w in dom]
     if not through:
@@ -639,7 +635,13 @@ def _function_distance(x_rows, x, y_rows, y) -> tuple[float, float, float]:
     contributes ``|x - y|**2``, and one whose rows differ ``|x|**2 + |y|**2``.
     """
     same = x_rows == y_rows
-    return (math.hypot(_fro(np.where(same, x - y, x)), _fro(y[~same])), _fro(x), _fro(y))
+    return math.hypot(_fro(np.where(same, _difference(x, y), x)), _fro(y[~same])), _fro(x), _fro(y)
+
+
+def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a - b``; an entry out of range is not finite, for :func:`_finite_norms` to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a - b
 
 
 def _part_keys(a_blocks, b_blocks) -> list[list]:
@@ -687,7 +689,7 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
     if x._blocks is None and y._blocks is None:
         a, b = x._array, y._array
-        return _finite_norms(_fro(a - b), _fro(a), _fro(b))
+        return _finite_norms(_fro(_difference(a, b)), _fro(a), _fro(b))
     fx, fy = _sole_function(x), _sole_function(y)
     if fx is not None and fy is not None:
         return _finite_norms(*_function_distance(fx.rows, fx.weights, fy.rows, fy.weights))
@@ -709,10 +711,10 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
         built = 0.0, 1.0, 1.0
     elif all(blk.array is None for side in differing for blk in side):
         (x_rows, *xw), (y_rows, *yw) = map(_function_of, differing)
-        built = _function_distance(x_rows, _finite(_unscaled(*xw)), y_rows, _finite(_unscaled(*yw)))
+        built = _function_distance(x_rows, _finite(_pow2(*xw)), y_rows, _finite(_pow2(*yw)))
     else:
         a, b = map(_kron, differing)
-        built = _fro(a - b), _fro(a), _fro(b)
+        built = _fro(_difference(a, b)), _fro(a), _fro(b)
     return _finite_norms(*(_scaled_prod(common + [v]) for v in built))
 
 
@@ -725,11 +727,11 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     same number.  Each identity block covers one wire, so it never hides
     a boundary.  By the interchange law the composite is the Kronecker
     product of the pieces' composites.  A piece that is the identity on
-    one side is just the other side's blocks.  A piece with a dense block
-    is contracted wire by wire (:func:`_einsum`).  A piece with no dense
-    block on either side is one function block, composed by a gather
-    (:func:`_gathered`), or, if it has no function block either, one
-    permutation block, or identities where the permutations cancel.
+    one side is just the other side's blocks.  Any other piece, a side of
+    one block included, is contracted wire by wire (:func:`_einsum`) if it
+    has a dense block, and else is one function block, a gather of both
+    sides as :func:`_function_of` gives them, or, with no function block
+    either, one permutation block, or identities where permutations cancel.
     Blocks with no middle wires (effects of f, states of g) that sit on a
     cut form a piece of their own, f's before g's, which is placed before
     the piece that starts at that cut; one inside a piece is part of it.
@@ -764,30 +766,19 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
             cod = tuple(d for b in gs for d in b.cod)
             if any(b.array is not None for b in fs + gs):
                 out.append(_Block(dom, cod, _finite(_einsum(gs, fs))))
-            elif any(b.weights is not None for b in fs + gs):
-                out.append(_gathered(dom, cod, _function_of(gs), _function_of(fs)))
+            elif any(b.weights is not None for b in fs + gs):  # g after f by a gather
+                (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = map(_function_of, (gs, fs))
+                weights = _pow2(g_weights[f_rows] * f_weights, g_exp + f_exp)
+                out.append(_function_block(dom, cod, g_rows[f_rows], weights))
             else:  # g's output k is f's input f_perm[g_perm[k]]
                 f_perm = _wire_perm(fs)
                 out += _crossing(dom, cod, tuple(f_perm[k] for k in _wire_perm(gs)))
 
 
-def _gathered(dom, cod, g, f) -> _Block:
-    """The function block of ``g after f``, for functions given as (rows, weights, exponent)."""
-    (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = g, f
-    weights = _unscaled(g_weights[f_rows] * f_weights, g_exp + f_exp)
-    return _function_block(dom, cod, g_rows[f_rows], weights)
-
-
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """The composite ``g after f``."""
+    """The composite ``g after f``, composed piece by piece (:func:`_compose_blocks`)."""
     if f.cod.factors != g.dom.factors:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
-    if f._blocks is None and g._blocks is None:
-        return _dense(f.dom, g.cod, g._array @ f._array)
-    fb, gb = _sole_function(f), _sole_function(g)
-    if fb is not None and gb is not None:
-        block = _gathered(fb.dom, gb.cod, (gb.rows, gb.weights, 0), (fb.rows, fb.weights, 0))
-        return _new(f.dom, g.cod, None, (block,))
     return _product(f.dom, g.cod, _compose_blocks(_blocks_of(g), _blocks_of(f)))
 
 
@@ -885,7 +876,7 @@ def compare(lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     Matrices hold when their Frobenius distance is at most
     ``tol.threshold(max(norm(lhs), norm(rhs)))``; finite-set functions
     hold when no input disagrees, and their residual counts the inputs
-    that do.  A residual or threshold that is not finite raises
+    that do.  A residual, norm or threshold that is not finite raises
     ValueError, so no comparison can pass by overflow.
     """
     if isinstance(lhs, Morphism):
@@ -893,8 +884,6 @@ def compare(lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Comparison:
         threshold = tol.threshold(max(lhs_norm, rhs_norm))
     else:
         residual, threshold = lhs.distance(rhs), 0.0
-    if not (math.isfinite(residual) and math.isfinite(threshold)):
-        raise ValueError(f"comparison is not finite: residual {residual}, threshold {threshold}")
     return Comparison(residual <= threshold, residual, threshold)
 
 

@@ -152,7 +152,7 @@ def products(draw, wires: TensorType, side: str, rng, kinds=ALL_KINDS):
 def dense(m: Morphism) -> Morphism:
     """The same map held as one dense matrix (the constructor would keep a
     matrix with one nonzero per column as a function block)."""
-    return tensors._dense(m.dom, m.cod, np.array(m.array))
+    return tensors._product(m.dom, m.cod, [tensors._Block(m.dom.factors, m.cod.factors, m.array)])
 
 
 def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:

@@ -26,7 +26,8 @@ from putget.quantum import (
     transform_update,
 )
 from putget.lenses import identity_lens, lens_to_update
-from putget.structures import StructureError, check_law, classify
+from putget.algebras import scfa_from_dimension
+from putget.structures import StructureError, UpdateStructure, check_law, classify
 from putget.tensors import Morphism, TensorType, UNIT, basis_state, cup
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -359,6 +360,57 @@ def test_characterisation_names_failures():
 
     with pytest.raises(StructureError):
         characterize_pvs(lens_to_update(identity_lens_for_tests()))
+
+
+@st.composite
+def spectra(draw, min_ranks: int = 1):
+    """Orthogonal projectors as arrays: on d = 2..4, a random unitary from the QR of a
+    Gaussian, and a random partition of its columns into k >= ``min_ranks`` ranks."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(min_ranks, d))
+    rng = np.random.default_rng(draw(seeds))
+    q = rand_unitary(rng, d).array
+    labels = rng.permutation(list(range(k)) + list(rng.integers(0, k, d - k)))
+    return rng, [q[:, labels == i] @ q[:, labels == i].conj().T for i in range(k)]
+
+
+def stacked_structure(projectors) -> UpdateStructure:
+    """The structure with get the projectors stacked along an outcome wire, put its
+    dagger, and the basis spider on the outcomes, built with no validation."""
+    d, k = projectors[0].shape[0], len(projectors)
+    s = TensorType((d,))
+    get = Morphism(s, s @ TensorType((k,)), np.stack(projectors, axis=1).reshape(d * k, d))
+    spider = scfa_from_dimension(k)
+    return UpdateStructure(system=s, prop=spider.carrier, put=get.dagger(), get=get,
+                           mult=spider.mult, comult=spider.comult,
+                           trivial_update=spider.unit, trivial_outcome=spider.counit)
+
+
+@given(spectra())
+@settings(max_examples=100, deadline=None)
+def test_characterisation_accepts_every_random_spectrum(drawn):
+    _, projectors = drawn
+    assert characterize_pvs(stacked_structure(projectors)) == (True, ())
+
+
+def similar(rng, projectors):
+    """Idempotents made non-orthogonal by one random similarity transform."""
+    d = projectors[0].shape[0]
+    s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return [s @ p @ np.linalg.inv(s) for p in projectors]
+
+
+@pytest.mark.parametrize("perturb, failing", [
+    (similar, ("PutGet", "GetPut")),
+    (lambda rng, ps: ps[1:], ("GetPut", "TrivialUpdate", "TrivialOutcome")),
+    (lambda rng, ps: ps + [np.zeros_like(ps[0])], ("Faithful",)),
+], ids=["similarity", "dropped_projector", "extra_zero_outcome"])
+@given(drawn=spectra(min_ranks=2))
+@settings(max_examples=100, deadline=None)
+def test_characterisation_names_exactly_the_conditions_a_perturbation_breaks(
+        perturb, failing, drawn):
+    rng, projectors = drawn
+    assert characterize_pvs(stacked_structure(perturb(rng, projectors))) == (False, failing)
 
 
 # -- pair of pants -----------------------------------------------------------

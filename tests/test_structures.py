@@ -186,6 +186,14 @@ def test_faithful_rank_cutoff_follows_the_tolerance():
     assert not loose.holds and loose.residual == 1.0
 
 
+@pytest.mark.parametrize("law", ["Faithful", "PutPut"])
+def test_a_threshold_that_overflows_is_refused_by_the_rank_count_too(law):
+    # 1 + 1e308 * norm(put) is inf: no singular value would be counted, and every
+    # comparison would pass
+    with pytest.raises(ValueError, match="threshold is not finite"):
+        check_law(pair_of_pants_update(2), law, Tolerance(1.0, 1e308))
+
+
 def test_faithful_verdict_does_not_depend_on_the_scale_of_put():
     # the sum of squares of 1e200 entries leaves the float range; put's norm does not
     U = pair_of_pants_update(2)

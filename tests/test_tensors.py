@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,3 +281,208 @@ def test_frobenius_norm_retakes_only_out_of_range_norms(monkeypatch):
     assert len(calls) == 2  # the overflowing and the underflowing array, not the others
     for value, (_, want) in zip(got, cases):
         assert value == pytest.approx(want, rel=FRO_RTOL, abs=0.0)
+
+
+# -- exact oracle for every product path -------------------------------------
+#
+# Every operand below is a matrix of small integers times one power of two,
+# held as (rows of Python ints, exponent), so the exact composite, tensor
+# product and squared norms are Python integer arithmetic, independent of
+# numpy.  The exponents sit near +-1000, so a product of two operands lands
+# near 1, near 2**+-1000, out of range, or below the normal floats.
+
+EXPONENTS = st.builds(lambda side, k: 1000 * side + k, st.sampled_from([0, -1, 1]),
+                      st.integers(-10, 10))
+WIRE = st.sampled_from([2, 3, 1])
+EPS = Fraction(1, 2**52)
+
+
+def exact_identity(wires: tuple[int, ...]):
+    d = math.prod(wires)
+    return [[int(i == j) for j in range(d)] for i in range(d)], 0
+
+
+def exact_kron(x, y):
+    (a, ka), (b, kb) = x, y
+    return [[p * q for p in a_row for q in b_row] for a_row in a for b_row in b], ka + kb
+
+
+def exact_after(g, f):
+    """The exact matrix of ``g after f``."""
+    (a, ka), (b, kb) = g, f
+    columns = list(zip(*b))
+    return [[sum(p * q for p, q in zip(row, col)) for col in columns] for row in a], ka + kb
+
+
+def exact_swap(a: tuple[int, ...], b: tuple[int, ...]):
+    """|i, j> -> |j, i> for i in the wires ``a`` and j in the wires ``b``."""
+    da, db = math.prod(a), math.prod(b)
+    rows = [[0] * (da * db) for _ in range(da * db)]
+    for i in range(da):
+        for j in range(db):
+            rows[j * da + i][i * db + j] = 1
+    return rows, 0
+
+
+@st.composite
+def exact_pieces(draw, dom: tuple[int, ...], cod: tuple[int, ...]):
+    """A map ``dom -> cod`` from small integers times ``2**k``, and its exact matrix.
+
+    Half the draws have at most one nonzero entry in each column, so the
+    constructor keeps them as function blocks; the others are mostly dense.
+    The entries come from a drawn seed.
+    """
+    rows, cols, k = math.prod(cod), math.prod(dom), draw(EXPONENTS)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ints = [[0] * cols for _ in range(rows)]
+        for j in range(cols):
+            ints[rng.randrange(rows)][j] = rng.randint(-4, 4)
+    else:
+        ints = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    arr = np.array(ints, dtype=float) * 2.0 ** k
+    return Morphism(TensorType(dom), TensorType(cod), arr), (ints, k)
+
+
+@st.composite
+def exact_layers(draw, dom: tuple[int, ...], plan=None):
+    """An arrow out of the wires ``dom``: one piece on a run of wires, identities on the
+    rest, then a swap of the two halves of its codomain or not.
+
+    Returns the arrow, its exact matrix, its codomain, and its plan (which wires
+    the piece takes, its output wires and the swap) so that a second arrow can be
+    drawn on the same wires.
+    """
+    if plan is None:
+        i = draw(st.integers(0, len(dom) - 1))
+        j = draw(st.integers(i + 1, len(dom)))
+        out = tuple(draw(WIRE) for _ in range(draw(st.sampled_from([1, 2, 0]))))
+        cod = dom[:i] + out + dom[j:]
+        cut = draw(st.integers(1, len(cod) - 1)) if len(cod) > 1 and draw(st.booleans()) else None
+        plan = i, j, out, cut
+    i, j, out, cut = plan
+    piece, exact = draw(exact_pieces(dom[i:j], out))
+    arrow = TensorType(dom[:i]).identity() @ piece @ TensorType(dom[j:]).identity()
+    exact = exact_kron(exact_kron(exact_identity(dom[:i]), exact), exact_identity(dom[j:]))
+    cod = dom[:i] + out + dom[j:]
+    if cut is not None:
+        arrow = arrow >> swap(TensorType(cod[:cut]), TensorType(cod[cut:]))
+        exact = exact_after(exact_swap(cod[:cut], cod[cut:]), exact)
+        cod = cod[cut:] + cod[:cut]
+    return arrow, exact, cod, plan
+
+
+def out_of_range(n: int, k: int) -> bool:
+    return n != 0 and abs(n).bit_length() + k > 1024
+
+
+def assert_exact_entries(build, exact) -> None:
+    """``build()`` is the exact matrix wherever that is a normal float or 0, within half
+    a subnormal step below the normal floats, and a ValueError where an entry is out of
+    range."""
+    ints, k = exact
+    if any(out_of_range(n, k) for row in ints for n in row):
+        with pytest.raises(ValueError):
+            build()
+        return
+    got = build()
+    assert got.shape == (len(ints), len(ints[0]))
+    for row, got_row in zip(ints, got):
+        for n, z in zip(row, got_row):
+            assert z.imag == 0
+            if n == 0 or abs(n).bit_length() - 1 + k >= -1022:  # 0 or a normal float
+                assert z.real == math.ldexp(n, k)
+            else:
+                assert abs(Fraction(z.real) - n * Fraction(2) ** k) <= Fraction(2) ** -1075
+
+
+def assert_norms_within(build, exact_norms, entries: int) -> None:
+    """``build()`` returns norms whose exact values are ``sqrt(squares) * 2**k`` for each
+    ``(squares, k)`` of ``exact_norms``.
+
+    Each must lie within a relative ``(entries + 8)`` ulps, plus ``entries``
+    subnormal steps for entries that rounded below the normal floats, or else be
+    refused as a ValueError when one of them is out of range.  Within that bound
+    of the largest float either outcome is accepted.
+    """
+    rel = (entries + 8) * EPS
+    beyond = [(squares * (1 - rel) ** 2, squares * (1 + rel) ** 2, Fraction(4) ** (1024 - k))
+              for squares, k in exact_norms]
+    if any(low >= limit for low, _, limit in beyond):
+        with pytest.raises(ValueError):
+            build()
+        return
+    if any(high >= limit for _, high, limit in beyond):
+        return
+    for got, (squares, k) in zip(build(), exact_norms):
+        v, slack = Fraction(got) / Fraction(2) ** k, entries * Fraction(2) ** (-1074 - k)
+        assert (v + slack) ** 2 >= squares * (1 - rel) ** 2
+        assert v <= slack or (v - slack) ** 2 <= squares * (1 + rel) ** 2
+
+
+def squares_of(exact) -> tuple[int, int]:
+    """The exact squared norm of ``exact``, as ``(squares, k)`` for ``sqrt(squares) * 2**k``."""
+    ints, k = exact
+    return sum(n * n for row in ints for n in row), k
+
+
+def squares_of_difference(x, y) -> tuple[int, int]:
+    """The exact squared norm of ``x - y``, as in :func:`squares_of`."""
+    (a, ka), (b, kb) = x, y
+    k = min(ka, kb)
+    return sum(((p << ka - k) - (q << kb - k)) ** 2
+               for a_row, b_row in zip(a, b) for p, q in zip(a_row, b_row)), k
+
+
+@st.composite
+def exact_composites(draw):
+    """``(f, g, h)`` with ``h`` a second draw on f's plan, and the exact matrix of each."""
+    dom = tuple(draw(st.lists(WIRE, min_size=1, max_size=2)))
+    f, f_exact, mid, plan = draw(exact_layers(dom))
+    h, h_exact, _, _ = draw(exact_layers(dom, plan))
+    if not mid:  # f is an effect: g is a state
+        mid_g = tuple(draw(st.lists(WIRE, min_size=1, max_size=2)))
+        g, g_exact = draw(exact_pieces((), mid_g))
+    else:
+        g, g_exact, _, _ = draw(exact_layers(mid))
+    return (f, f_exact), (g, g_exact), (h, h_exact)
+
+
+@pytest.mark.filterwarnings("error")
+@given(exact_composites())
+@settings(max_examples=200, deadline=None)
+def test_every_product_path_matches_exact_arithmetic(drawn):
+    (f, f_exact), (g, g_exact), (h, h_exact) = drawn
+    fg, hg = exact_after(g_exact, f_exact), exact_after(g_exact, h_exact)
+    f_g = exact_kron(f_exact, g_exact)
+    entries = len(fg[0]) * len(fg[0][0])
+    assert_exact_entries(lambda: (f >> g).array, fg)
+    assert_exact_entries(lambda: (f @ g).array, f_g)
+    assert_norms_within(lambda: [(f >> g).norm()], [squares_of(fg)], entries)
+    assert_norms_within(lambda: [(f @ g).norm()], [squares_of(f_g)], len(f_g[0]) * len(f_g[0][0]))
+    both = lambda: [(f >> g).distance(h >> g), (f >> g).norm(), (h >> g).norm()]
+    assert_norms_within(both, [squares_of_difference(fg, hg), squares_of(fg), squares_of(hg)],
+                        entries)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_composite_that_cancels_to_zero_is_zero_on_every_path():
+    # every partial product is 2**1328, out of range, but the composite is exactly 0
+    t, a = TensorType((2,)), 2.0 ** 664
+    f = Morphism(t, t, [[a, a], [-a, -a]])
+    g = Morphism(t, t, np.full((2, 2), a))
+    for composite in (f >> g, (f @ scalar(1)) >> (g @ scalar(1))):
+        assert not composite.array.any()
+        assert composite.norm() == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arr", [[[2.0**1023, 0.0], [2.0**1023, 0.0]],  # a dense block
+                                 [[2.0**1023, 0.0], [0.0, 2.0**1023]]])  # a function block
+def test_a_difference_out_of_range_is_refused(arr):
+    # each side's norm is in range, but every nonzero entry of the difference is 2**1024
+    t = TensorType((2,))
+    a = Morphism(t, t, arr)
+    for lhs, rhs in ((a, -1.0 * a), (a @ scalar(1), (-1.0 * a) @ scalar(1))):
+        with pytest.raises(ValueError, match="finite"):
+            compare(lhs, rhs)
