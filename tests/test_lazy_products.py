@@ -279,11 +279,12 @@ def test_function_blocks_stay_index_arrays_and_match_the_dense_oracle(data, midd
     assert has_no_dense_block(back) == injective(h)
     assert_close(back.array, h_arr.conj().T)
     # compared in index form: columns moved to other rows, rescaled, or conjugated
-    p_arr = function_matrix(data.draw, rng, h.cod.dim, h.cod.dim)
-    moved = h >> Morphism(h.cod, h.cod, p_arr)
-    s = swap(TensorType((2,)), TensorType((3,)))
-    pairs = [(moved, h, p_arr @ h_arr, h_arr), (h, z * h, h_arr, z * h_arr),
-             (h, h.conj(), h_arr, h_arr.conj()), (moved @ s, h @ s, None, None)]
+    pairs = [(h, z * h, h_arr, z * h_arr), (h, h.conj(), h_arr, h_arr.conj())]
+    if h.cod.dim ** 2 <= LIMIT:  # the oracle of the move is a cod x cod matrix
+        p_arr = function_matrix(data.draw, rng, h.cod.dim, h.cod.dim)
+        moved = h >> Morphism(h.cod, h.cod, p_arr)
+        s = swap(TensorType((2,)), TensorType((3,)))
+        pairs += [(moved, h, p_arr @ h_arr, h_arr), (moved @ s, h @ s, None, None)]
     for x, y, x_arr, y_arr in pairs:
         assert has_no_dense_block(x) and has_no_dense_block(y)
         if x_arr is None:
