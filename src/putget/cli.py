@@ -7,10 +7,11 @@ comparison whose residual or threshold is not finite.
 
 JSON output is deterministic -- keys are sorted and wall times are
 left out -- so runs can be diffed byte for byte.  The text format
-shows one line per law plus timing; one check run builds each
-projector family and each restricted entry's base once, so an entry's
-time leaves out what an earlier entry already built.  The --tol flag
-overrides the default tolerance.
+shows one line per law plus timing.  One check run makes one
+:class:`~putget.registry.RunScope` at its tolerance, through which
+every entry is built (``build(scope)``) once and every projector family
+made once, so an entry's time leaves out what an earlier entry already
+built.  The --tol flag overrides the default tolerance.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
     tol = _resolve_tolerance(args.tol)
     chosen = names() if args.all else (args.name,)
 
-    scope = RunScope()  # shared by this command's examples, dropped when it returns
+    scope = RunScope(tol)  # shared by this command's examples, dropped when it returns
     reports: list[tuple[ExampleReport, float]] = []
     for name in chosen:
         start = time.perf_counter()

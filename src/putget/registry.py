@@ -10,7 +10,7 @@ extras all come out as declared -- an expected failure is a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "ExtraCheck",
     "ExampleSpec",
     "ExampleReport",
-    "Built",
     "RunScope",
     "REGISTRY",
     "names",
@@ -103,23 +102,18 @@ class ExtraCheck:
 class ExampleSpec:
     """One registry entry.
 
-    ``build()`` makes the structure and ``extras(U, tol)`` its family checks.
-    An entry built from a projector family sets ``family``, a factory that
-    takes the tolerance: each run makes each family once, ``build`` takes
-    the family and the tolerance, and the extras get the entry's
-    :class:`Built` record in place of ``U``.  An entry that splits another
-    one names it in ``restricts`` and has no ``build``: its structure is
-    that entry's structure restricted along ``get ; put``.
+    ``build(scope)`` makes the structure and ``extras(U, scope)`` its family
+    checks, both at the run's tolerance ``scope.tol``.  They reach projector
+    families and other entries through the :class:`RunScope`, so what
+    entries share is made once per run.
     """
 
     name: str
     description: str
-    build: Callable[..., UpdateStructure] | None
+    build: Callable[[RunScope], UpdateStructure]
     expected: str
     expected_failing: frozenset[str]
-    extras: Callable[..., list[ExtraCheck]] | None = None
-    family: Callable[[Tolerance], ProjectorValuedSpectrum] | None = None
-    restricts: str | None = None
+    extras: Callable[[UpdateStructure, RunScope], list[ExtraCheck]] | None = None
 
 
 @dataclass(frozen=True)
@@ -193,10 +187,11 @@ def _qutrit_degenerate_pvs(tol: Tolerance):
     return pvs_from_projectors([_projector(3, (1, 1, 0)), _projector(3, (0, 0, 1))], tol)
 
 
-def _decohered_pvs_build(pvs: ProjectorValuedSpectrum, tol: Tolerance) -> UpdateStructure:
+def _decohered_pvs_build(scope: RunScope) -> UpdateStructure:
     # The transformed route: double the strong spectrum structure, then
     # push it through the decoherence idempotent on the outcome wire.
-    return transform_update(double_structure(pvs_to_update(pvs)), decoherence(2), tol)
+    U = pvs_to_update(scope.family(_qubit_z_pvs))
+    return transform_update(double_structure(U), decoherence(2), scope.tol)
 
 
 def _ignore_put_lens() -> VwbLens:
@@ -217,32 +212,36 @@ def _ignore_put_update() -> UpdateStructure:
 # -- family extras ----------------------------------------------------------
 
 
-def _pvs_extras(built, tol: Tolerance) -> list[ExtraCheck]:
-    pvs, U, _ = built
-    out = [ExtraCheck(f"spectrum_{r.law}", r.holds, r.residual)
-           for r in pvs_equations(pvs, tol)]
-    ok, failing = characterize_pvs(U, tol)
-    out.append(ExtraCheck("characterised_as_spectrum", ok, float(len(failing))))
-    return out
+def _pvs_extras(family):
+    def run(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
+        out = [ExtraCheck(f"spectrum_{r.law}", r.holds, r.residual)
+               for r in pvs_equations(scope.family(family), scope.tol)]
+        ok, failing = characterize_pvs(U, scope.tol)
+        out.append(ExtraCheck("characterised_as_spectrum", ok, float(len(failing))))
+        return out
+
+    return run
 
 
-def _measurement_extras(built, tol: Tolerance) -> list[ExtraCheck]:
-    pvs, U, _ = built
-    actual = scalar(check_law(U, "GetPut", tol).residual)
-    formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
-    deco = decoherence(len(pvs.projectors))
-    inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
-    return [
-        ExtraCheck("getput_defect_matches_rank_formula", formula.holds, formula.residual),
-        ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
-    ]
+def _measurement_extras(family):
+    def run(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
+        pvs, tol = scope.family(family), scope.tol
+        actual = scalar(check_law(U, "GetPut", tol).residual)
+        formula = compare(actual, scalar(getput_defect_formula(pvs)), tol)
+        deco = decoherence(len(pvs.projectors))
+        inv = compare(U.get >> (U.system.identity() @ deco), U.get, tol)
+        return [
+            ExtraCheck("getput_defect_matches_rank_formula", formula.holds, formula.residual),
+            ExtraCheck("outcome_wire_classical", inv.holds, inv.residual),
+        ]
+
+    return run
 
 
-def _decohered_extras(built, tol: Tolerance) -> list[ExtraCheck]:
+def _decohered_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
     # qubit_measurement measures the same family directly; its verdicts
     # are already in its memo when the run has checked it
-    _, U, scope = built
-    direct = scope.build("qubit_measurement", tol)[1]
+    direct, tol = scope.build("qubit_measurement"), scope.tol
     components = compare_all(
         [(U.put, direct.put), (U.get, direct.get), (U.mult, direct.mult),
          (U.comult, direct.comult)], tol)
@@ -259,26 +258,26 @@ def _decohered_extras(built, tol: Tolerance) -> list[ExtraCheck]:
 
 
 def _pop_extras(d: int):
-    def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+    def run(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
         out = []
         for law, want in (("assoc", True), ("unit", True), ("special", True),
                           ("frobenius", True), ("comm", False)):
-            got = check_law(U, law, tol)
+            got = check_law(U, law, scope.tol)
             name = f"algebra_{law}" if want else f"algebra_{law}_fails"
             out.append(ExtraCheck(name, got.holds is want, got.residual))
         # |0><1| and |1><0| compose to different matrix units each way round
         x = basis_state(d, 0) @ basis_state(d, 1)
         y = basis_state(d, 1) @ basis_state(d, 0)
-        wit = compare((x @ y) >> U.mult, (y @ x) >> U.mult, tol)
+        wit = compare((x @ y) >> U.mult, (y @ x) >> U.mult, scope.tol)
         out.append(ExtraCheck("order_of_writes_matters", not wit.holds, wit.residual))
-        bell = compare(U.trivial_update, cup(d), tol)
+        bell = compare(U.trivial_update, cup(d), scope.tol)
         out.append(ExtraCheck("bell_state_is_trivial_update", bell.holds, bell.residual))
         return out
 
     return run
 
 
-def _security_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+def _security_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
     e = U.term("get_put")
     broken = set(e.disagreements(U.system.identity()))
     safe = {x for x in U.system.elements() if x[1] == "safe"}
@@ -292,7 +291,7 @@ def _security_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     ]
 
 
-def _flag_db_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+def _flag_db_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
     e = U.term("get_put")
     broken = set(e.disagreements(U.system.identity()))
     unwritten = {x for x in U.system.elements() if x[1] == "untouched"}
@@ -307,11 +306,11 @@ def _flag_db_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
 
 
 def _vwb_lens_extras(make_lens):
-    def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+    def run(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
         lens = make_lens()
         report = check_vwb(lens)
         violations = report.put_put.residual + report.put_get.residual + report.get_put.residual
-        recovered = update_to_lens(U, tol)
+        recovered = update_to_lens(U, scope.tol)
         same = ((recovered.source, recovered.view) == (lens.source, lens.view)
                 and np.array_equal(recovered.get_fn.index, lens.get_fn.index)
                 and np.array_equal(recovered.put_fn.index, lens.put_fn.index))
@@ -326,7 +325,7 @@ def _vwb_lens_extras(make_lens):
     return run
 
 
-def _ignore_put_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+def _ignore_put_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
     lens = _ignore_put_lens()
     report = check_vwb(lens)
     sep = trivial_update_separability(lens)
@@ -337,9 +336,9 @@ def _ignore_put_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
     ]
 
 
-def _postselected_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    write = trace_preserving(cpm_double(U.put), tol)
-    read = trace_preserving(cpm_double(U.get), tol)
+def _postselected_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
+    write = trace_preserving(cpm_double(U.put), scope.tol)
+    read = trace_preserving(cpm_double(U.get), scope.tol)
     return [
         ExtraCheck("doubled_write_postselects", not write.holds, write.residual),
         ExtraCheck("doubled_read_trace_preserving", read.holds, read.residual),
@@ -347,7 +346,8 @@ def _postselected_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]
 
 
 def _causal_extras(d1: int, d2: int):
-    def run(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
+    def run(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
+        tol = scope.tol
         dephase_stored = TensorType((d1, d1)).identity() @ decoherence(d2)
         lens_get = causal_lens_like_get(d1, d2)
         reduced = lens_get >> (U.system.identity() @ doubled_discard(U.prop))
@@ -363,21 +363,38 @@ def _causal_extras(d1: int, d2: int):
     return run
 
 
-def _karoubi_extras(U: UpdateStructure, tol: Tolerance) -> list[ExtraCheck]:
-    return [ExtraCheck(name, r.holds, r.residual) for name, r in absorption(U, tol).items()]
+def _karoubi_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
+    return [ExtraCheck(name, r.holds, r.residual)
+            for name, r in absorption(U, scope.tol).items()]
 
 
 # -- the registry ------------------------------------------------------------
 
 
-def _spec(name, description, build, expected, failing, extras=None, family=None,
-          restricts=None) -> ExampleSpec:
-    return ExampleSpec(name, description, build, expected, frozenset(failing), extras, family,
-                       restricts)
-
-
 _STRONG_LENS_FAILS = ("PutGetA", "PutGetC", "CommutativePut")
 _MEASUREMENT_FAILS = ("GetPut", "PutGetA", "Faithful")
+
+
+def _spec(name, description, build, expected, failing, extras=None) -> ExampleSpec:
+    return ExampleSpec(name, description, build, expected, frozenset(failing), extras)
+
+
+def _spectrum(name, description, family) -> ExampleSpec:
+    return _spec(name, description, lambda scope: pvs_to_update(scope.family(family)),
+                 "strong", ("PutGetA",), _pvs_extras(family))
+
+
+def _measurement(name, description, family) -> ExampleSpec:
+    return _spec(name, description, lambda scope: quantum_measurement(scope.family(family)),
+                 "weak_only", _MEASUREMENT_FAILS, _measurement_extras(family))
+
+
+def _karoubi(base, description, failing) -> ExampleSpec:
+    """``karoubi_<base>``: the entry ``base`` restricted along ``get ; put``."""
+    return _spec(f"karoubi_{base}", description,
+                 lambda scope: getput_restriction(scope.build(base), scope.tol).structure,
+                 "strong", failing, _karoubi_extras)
+
 
 # Builds reach library functions through lambdas, so that every call goes
 # through the module binding current at run time.
@@ -385,7 +402,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "lens_constant_complement_3_2",
         "vwb lens from a bijection S ~ V x R with 3 views and a 2-element complement",
-        lambda: lens_to_update(constant_complement_lens(_COLOURS, _COMPLEMENT)),
+        lambda _: lens_to_update(constant_complement_lens(_COLOURS, _COMPLEMENT)),
         "strong",
         _STRONG_LENS_FAILS,
         _vwb_lens_extras(lambda: constant_complement_lens(_COLOURS, _COMPLEMENT)),
@@ -393,7 +410,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "identity_lens_4",
         "the whole 4-element store is the view; put replaces, get reads",
-        lambda: lens_to_update(identity_lens(_COMPASS)),
+        lambda _: lens_to_update(identity_lens(_COMPASS)),
         "strong",
         _STRONG_LENS_FAILS,
         _vwb_lens_extras(lambda: identity_lens(_COMPASS)),
@@ -401,7 +418,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "ignore_put_lens_4",
         "put discards the incoming view entirely, so PutGet cannot hold",
-        _ignore_put_update,
+        lambda _: _ignore_put_update(),
         "neither",
         ("PutGet", "PutGetA", "PutGetB", "PutGetC", "Faithful"),
         _ignore_put_extras,
@@ -409,7 +426,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "security_db_3",
         "3-record database whose flag trips on every access, reads included",
-        lambda: security_db(_DB_ENTRIES),
+        lambda _: security_db(_DB_ENTRIES),
         "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut"),
         _security_extras,
@@ -417,65 +434,24 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "security_db_update_flag_3",
         "3-record database whose flag trips on writes only; reads are invisible",
-        lambda: security_db_update_flag(_DB_ENTRIES),
+        lambda _: security_db_update_flag(_DB_ENTRIES),
         "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut"),
         _flag_db_extras,
     ),
-    _spec(
-        "qubit_z_pvs",
-        "computational-basis spectrum on a qubit; strong and put-commutative",
-        lambda pvs, tol: pvs_to_update(pvs),
-        "strong",
-        ("PutGetA",),
-        _pvs_extras,
-        family=_qubit_z_pvs,
-    ),
-    _spec(
-        "qubit_x_pvs",
-        "plus/minus-basis spectrum on a qubit",
-        lambda pvs, tol: pvs_to_update(pvs),
-        "strong",
-        ("PutGetA",),
-        _pvs_extras,
-        family=_qubit_x_pvs,
-    ),
-    _spec(
-        "qutrit_pvs",
-        "computational-basis spectrum on a qutrit",
-        lambda pvs, tol: pvs_to_update(pvs),
-        "strong",
-        ("PutGetA",),
-        _pvs_extras,
-        family=_qutrit_pvs,
-    ),
-    _spec(
-        "qubit_measurement",
-        "doubled qubit Z-spectrum with decohered outcome; GetPut defect sqrt(2)",
-        lambda pvs, tol: quantum_measurement(pvs),
-        "weak_only",
-        _MEASUREMENT_FAILS,
-        _measurement_extras,
-        family=_qubit_z_pvs,
-    ),
-    _spec(
-        "qutrit_measurement",
-        "doubled qutrit basis spectrum; GetPut defect sqrt(6)",
-        lambda pvs, tol: quantum_measurement(pvs),
-        "weak_only",
-        _MEASUREMENT_FAILS,
-        _measurement_extras,
-        family=_qutrit_pvs,
-    ),
-    _spec(
-        "qutrit_degenerate_measurement",
-        "two-outcome qutrit measurement with ranks 2 and 1; GetPut defect 2",
-        lambda pvs, tol: quantum_measurement(pvs),
-        "weak_only",
-        _MEASUREMENT_FAILS,
-        _measurement_extras,
-        family=_qutrit_degenerate_pvs,
-    ),
+    _spectrum("qubit_z_pvs",
+              "computational-basis spectrum on a qubit; strong and put-commutative",
+              _qubit_z_pvs),
+    _spectrum("qubit_x_pvs", "plus/minus-basis spectrum on a qubit", _qubit_x_pvs),
+    _spectrum("qutrit_pvs", "computational-basis spectrum on a qutrit", _qutrit_pvs),
+    _measurement("qubit_measurement",
+                 "doubled qubit Z-spectrum with decohered outcome; GetPut defect sqrt(2)",
+                 _qubit_z_pvs),
+    _measurement("qutrit_measurement", "doubled qutrit basis spectrum; GetPut defect sqrt(6)",
+                 _qutrit_pvs),
+    _measurement("qutrit_degenerate_measurement",
+                 "two-outcome qutrit measurement with ranks 2 and 1; GetPut defect 2",
+                 _qutrit_degenerate_pvs),
     _spec(
         "decohered_pvs",
         "qubit Z-spectrum doubled then pushed through the decoherence idempotent",
@@ -483,12 +459,11 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "weak_only",
         _MEASUREMENT_FAILS,
         _decohered_extras,
-        family=_qubit_z_pvs,
     ),
     _spec(
         "pair_of_pants_2",
         "2x2 matrices acting on their own column space; strong but order-sensitive",
-        lambda: pair_of_pants_update(2),
+        lambda _: pair_of_pants_update(2),
         "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(2),
@@ -496,7 +471,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "pair_of_pants_3",
         "3x3 matrices acting on their own column space",
-        lambda: pair_of_pants_update(3),
+        lambda _: pair_of_pants_update(3),
         "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(3),
@@ -504,7 +479,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "pair_of_pants_4",
         "4x4 matrices acting on their own column space",
-        lambda: pair_of_pants_update(4),
+        lambda _: pair_of_pants_update(4),
         "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(4),
@@ -512,7 +487,7 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "quantum_db_postselected_2_2",
         "two-register store; writing deletes the old value by postselection",
-        lambda: quantum_db_postselected(2, 2),
+        lambda _: quantum_db_postselected(2, 2),
         "strong",
         _STRONG_LENS_FAILS,
         _postselected_extras,
@@ -520,74 +495,27 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
     _spec(
         "quantum_db_causal_2_2",
         "trace-preserving doubled store; reading dephases the stored register",
-        lambda: quantum_db_causal(2, 2),
+        lambda _: quantum_db_causal(2, 2),
         "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut", "Faithful"),
         _causal_extras(2, 2),
     ),
-    _spec(
-        "karoubi_security_db_3",
-        "access-flag database restricted to its breached (stable) states",
-        None,
-        "strong",
-        _STRONG_LENS_FAILS,
-        _karoubi_extras,
-        restricts="security_db_3",
-    ),
-    _spec(
-        "karoubi_security_db_update_flag_3",
-        "write-flag database restricted to its already-written states",
-        None,
-        "strong",
-        _STRONG_LENS_FAILS,
-        _karoubi_extras,
-        restricts="security_db_update_flag_3",
-    ),
-    _spec(
-        "karoubi_qubit_measurement",
-        "qubit measurement restricted to its measured (block-diagonal) states",
-        None,
-        "strong",
-        ("PutGetA", "Faithful"),
-        _karoubi_extras,
-        restricts="qubit_measurement",
-    ),
-    _spec(
-        "karoubi_qutrit_measurement",
-        "qutrit measurement restricted to its measured states",
-        None,
-        "strong",
-        ("PutGetA", "Faithful"),
-        _karoubi_extras,
-        restricts="qutrit_measurement",
-    ),
-    _spec(
-        "karoubi_qutrit_degenerate_measurement",
-        "degenerate qutrit measurement restricted to its measured states",
-        None,
-        "strong",
-        ("PutGetA", "Faithful"),
-        _karoubi_extras,
-        restricts="qutrit_degenerate_measurement",
-    ),
-    _spec(
-        "karoubi_decohered_pvs",
-        "transformed qubit spectrum restricted to its stable states",
-        None,
-        "strong",
-        ("PutGetA", "Faithful"),
-        _karoubi_extras,
-        restricts="decohered_pvs",
-    ),
-    _spec(
-        "karoubi_quantum_db_causal_2_2",
-        "causal quantum database restricted to its dephased states",
-        None,
-        "strong",
-        ("PutGetA", "PutGetC", "CommutativePut", "Faithful"),
-        _karoubi_extras,
-        restricts="quantum_db_causal_2_2",
-    ),
+    _karoubi("security_db_3", "access-flag database restricted to its breached (stable) states",
+             _STRONG_LENS_FAILS),
+    _karoubi("security_db_update_flag_3",
+             "write-flag database restricted to its already-written states", _STRONG_LENS_FAILS),
+    _karoubi("qubit_measurement",
+             "qubit measurement restricted to its measured (block-diagonal) states",
+             ("PutGetA", "Faithful")),
+    _karoubi("qutrit_measurement", "qutrit measurement restricted to its measured states",
+             ("PutGetA", "Faithful")),
+    _karoubi("qutrit_degenerate_measurement",
+             "degenerate qutrit measurement restricted to its measured states",
+             ("PutGetA", "Faithful")),
+    _karoubi("decohered_pvs", "transformed qubit spectrum restricted to its stable states",
+             ("PutGetA", "Faithful")),
+    _karoubi("quantum_db_causal_2_2", "causal quantum database restricted to its dephased states",
+             ("PutGetA", "PutGetC", "CommutativePut", "Faithful")),
 )
 
 REGISTRY: dict[str, ExampleSpec] = {spec.name: spec for spec in _ENTRIES}
@@ -607,66 +535,50 @@ def get_example(name: str) -> ExampleSpec:
 
 
 class RunScope:
-    """What the entries of one check run share, for as long as the run lasts.
+    """What the entries of one check run at tolerance ``tol`` share, for as
+    long as the run lasts.
 
-    Entries that name the same ``family`` factory get one family, and each
-    entry is built once, so the entry that ``restricts`` it and any extras
-    that read it reuse its structure and its verdict memo.  Both are kept
-    per tolerance.  Nothing in the scope refers back to it, so it is freed
-    as soon as its run drops it.
+    Each entry is built once and each projector family made once, so a
+    Karoubi entry, and any extras that read another entry, reuse that
+    entry's structure and its verdict memo.  Nothing in the scope refers
+    back to it, so it is freed as soon as its run drops it.
     """
 
-    def __init__(self) -> None:
-        self._families: dict = {}
-        self._entries: dict[tuple[str, Tolerance],
-                            tuple[ProjectorValuedSpectrum | None, UpdateStructure]] = {}
+    def __init__(self, tol: Tolerance) -> None:
+        self.tol = tol
+        self._memo: dict = {}  # entry name or family factory -> what it made
 
-    def build(self, name: str, tol: Tolerance) -> tuple[ProjectorValuedSpectrum | None,
-                                                        UpdateStructure]:
-        """An entry's projector family (None if it names none) and its structure."""
-        key = (name, tol)
-        if key not in self._entries:
-            self._entries[key] = self._make(get_example(name), tol)
-        return self._entries[key]
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
-    def _make(self, spec: ExampleSpec, tol: Tolerance):
-        if spec.restricts is not None:
-            family, base = self.build(spec.restricts, tol)
-            return family, getput_restriction(base, tol).structure
-        if spec.family is None:
-            return None, spec.build()
-        key = (spec.family, tol)
-        if key not in self._families:
-            self._families[key] = spec.family(tol)
-        return self._families[key], spec.build(self._families[key], tol)
+    def build(self, name: str) -> UpdateStructure:
+        return self._once(name, lambda: get_example(name).build(self))
 
-
-class Built(NamedTuple):
-    """What the extras of an entry with a ``family`` get in place of ``U``."""
-
-    family: ProjectorValuedSpectrum
-    structure: UpdateStructure
-    scope: RunScope
+    def family(self, factory: Callable[[Tolerance], ProjectorValuedSpectrum]
+               ) -> ProjectorValuedSpectrum:
+        return self._once(factory, lambda: factory(self.tol))
 
 
 def build_example(name: str) -> UpdateStructure:
-    return RunScope().build(name, DEFAULT_TOL)[1]
+    return RunScope(DEFAULT_TOL).build(name)
 
 
 def run_example(name: str, tol: Tolerance = DEFAULT_TOL,
                 scope: RunScope | None = None) -> ExampleReport:
     """Run the full suite on one entry, sharing builds through ``scope``
-    (a fresh one when it is None)."""
+    (a fresh one when it is None), which must be at ``tol``."""
     spec = get_example(name)
-    scope = RunScope() if scope is None else scope
-    family, U = scope.build(name, tol)
+    scope = RunScope(tol) if scope is None else scope
+    if scope.tol != tol:
+        raise ValueError(f"the run scope is at {scope.tol}, not at {tol}")
+    U = scope.build(name)
     laws = tuple(check_laws(U, tol))
     failing = {r.law for r in laws if not r.holds}
     verdict = classify(U, tol)
     derived = tuple(verify_derived(U, prop, tol) for prop in DERIVED_PROPS)
-    extras = ()
-    if spec.extras is not None:
-        extras = tuple(spec.extras(U if spec.family is None else Built(family, U, scope), tol))
+    extras = () if spec.extras is None else tuple(spec.extras(U, scope))
 
     mismatches = []
     if verdict.kind != spec.expected:

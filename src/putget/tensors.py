@@ -260,9 +260,16 @@ class Morphism:
     def __rmul__(self, z: complex) -> "Morphism":
         z = complex(z)
         blocks = list(_blocks_of(self))
-        for i, b in enumerate(blocks):
-            if not b.is_wiring:  # scale one block with entries; the others stay lazy
-                blocks[i] = _mapped(b, lambda arr: z * arr)
+        weighted = [i for i, b in enumerate(blocks) if not b.is_wiring]
+        if weighted:  # scale the first block with entries; the others stay lazy
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    blocks[weighted[0]] = _mapped(blocks[weighted[0]], lambda arr: z * arr)
+            except ValueError:  # that block leaves the float range, but the product may not
+                largest = (float(np.abs(_entries(blocks[i])).max()) for i in weighted)
+                if not math.isfinite(_scaled_prod([abs(z), *largest])):
+                    raise ValueError("matrix entries must be finite") from None
+            else:
                 return _product(self.dom, self.cod, blocks)
         scalar_block = _function_block((), (), np.zeros(1, dtype=np.intp), np.full(1, z))
         return _product(self.dom, self.cod, blocks + [scalar_block])
@@ -338,6 +345,11 @@ def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) ->
         return None
     rows = np.argmax(arr != 0, axis=0)  # a zero column gives row 0
     return _function_block(dom, cod, rows, arr[rows, np.arange(arr.shape[1])])
+
+
+def _entries(b: _Block) -> np.ndarray:
+    """The entries of a dense block, or the weights of a function block."""
+    return b.array if b.array is not None else b.weights
 
 
 def _mapped(b: _Block, fn) -> _Block:
@@ -607,7 +619,7 @@ def _wire_perm(blocks) -> list[int]:
 def _block_norm(b: _Block) -> float:
     if b.is_wiring:
         return math.sqrt(math.prod(b.dom))
-    return _fro(b.array if b.array is not None else b.weights)
+    return _fro(_entries(b))
 
 
 def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -843,6 +855,10 @@ def scalar(z: complex) -> Morphism:
 
 def basis_state(d: int, i: int) -> Morphism:
     """The computational basis ket |i> as a map ``I -> [d]``."""
+    try:
+        d, i = operator.index(d), operator.index(i)
+    except TypeError:
+        raise ValueError(f"a basis state needs integers d and i, got {d!r} and {i!r}") from None
     if not 0 <= i < d:
         raise ValueError(f"no basis state {i} in dimension {d} (expected 0 <= i < {d})")
     col = np.zeros((d, 1))

@@ -25,10 +25,11 @@ from putget.quantum import (
     trace_preserving,
     transform_update,
 )
+from putget.karoubi import getput_restriction
 from putget.lenses import identity_lens, lens_to_update
 from putget.algebras import scfa_from_dimension
 from putget.structures import StructureError, UpdateStructure, check_law, classify
-from putget.tensors import Morphism, TensorType, UNIT, basis_state, cup
+from putget.tensors import Morphism, TensorType, UNIT, basis_effect, basis_state, compare, cup
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -363,10 +364,10 @@ def test_characterisation_names_failures():
 
 
 @st.composite
-def spectra(draw, min_ranks: int = 1):
-    """Orthogonal projectors as arrays: on d = 2..4, a random unitary from the QR of a
-    Gaussian, and a random partition of its columns into k >= ``min_ranks`` ranks."""
-    d = draw(st.integers(2, 4))
+def spectra(draw, min_ranks: int = 1, max_dim: int = 4):
+    """Orthogonal projectors as arrays: on d = 2..``max_dim``, a random unitary from the QR
+    of a Gaussian, and a random partition of its columns into k >= ``min_ranks`` ranks."""
+    d = draw(st.integers(2, max_dim))
     k = draw(st.integers(min_ranks, d))
     rng = np.random.default_rng(draw(seeds))
     q = rand_unitary(rng, d).array
@@ -411,6 +412,49 @@ def test_characterisation_names_exactly_the_conditions_a_perturbation_breaks(
         perturb, failing, drawn):
     rng, projectors = drawn
     assert characterize_pvs(stacked_structure(perturb(rng, projectors))) == (False, failing)
+
+
+def same_parts(U: UpdateStructure, V: UpdateStructure,
+               parts=("put", "get", "mult", "comult")) -> bool:
+    return all(compare(getattr(U, name), getattr(V, name)).holds for name in parts)
+
+
+def random_pvs(projectors):
+    s = TensorType((projectors[0].shape[0],))
+    return pvs_from_projectors(Morphism(s, s, p) for p in projectors)
+
+
+@given(spectra(max_dim=3))
+@settings(max_examples=20, deadline=None)
+def test_the_projectors_read_off_a_spectrum_structure_rebuild_it(drawn):
+    _, projectors = drawn
+    U = stacked_structure(projectors)
+    k = U.prop.dim
+    recovered = [U.get >> (U.system.identity() @ basis_effect(k, i)) for i in range(k)]
+    assert all(np.allclose(r.array, p, atol=1e-9) for r, p in zip(recovered, projectors))
+    rebuilt = pvs_to_update(pvs_from_projectors(recovered))
+    assert same_parts(rebuilt, U, ("put", "get", "mult", "comult", "trivial_update",
+                                   "trivial_outcome"))
+
+
+@given(spectra(max_dim=3))
+@settings(max_examples=20, deadline=None)
+def test_every_random_measurement_has_the_rank_formula_defect_and_splits_strong(drawn):
+    pvs = random_pvs(drawn[1])
+    M = quantum_measurement(pvs)
+    # one projector is the identity, whose measurement writes and reads the whole store
+    assert classify(M).kind == ("strong" if len(pvs.projectors) == 1 else "weak_only")
+    assert check_law(M, "GetPut").residual == pytest.approx(getput_defect_formula(pvs), abs=1e-9)
+    assert classify(getput_restriction(M).structure).kind == "strong"
+
+
+@given(spectra(max_dim=3))
+@settings(max_examples=20, deadline=None)
+def test_transform_along_decoherence_reproduces_every_random_measurement(drawn):
+    pvs = random_pvs(drawn[1])
+    k = len(pvs.projectors)
+    T = transform_update(double_structure(pvs_to_update(pvs)), decoherence(k))
+    assert same_parts(T, quantum_measurement(pvs))
 
 
 # -- pair of pants -----------------------------------------------------------

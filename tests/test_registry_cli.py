@@ -10,6 +10,7 @@ import putget
 from putget.cli import main
 from putget.registry import (
     RegistryError,
+    RunScope,
     build_example,
     get_example,
     names,
@@ -169,6 +170,18 @@ def test_a_restriction_run_alone_builds_its_base_once(monkeypatch):
         monkeypatch.setattr(registry, name, spy(name))
     assert run_example("karoubi_qutrit_measurement").matched
     assert calls == {"quantum_measurement": 1, "pvs_from_projectors": 1}
+
+
+def test_a_run_refuses_a_scope_at_another_tolerance():
+    from putget.tensors import DEFAULT_TOL, Tolerance
+
+    loose = Tolerance(1e-3, 1e-3)
+    scope = RunScope(loose)
+    with pytest.raises(ValueError, match="run scope is at"):
+        run_example("qubit_measurement", DEFAULT_TOL, scope)
+    # what a scope builds is at its own tolerance, so it is shared only at that one
+    assert run_example("karoubi_qubit_measurement", loose, scope).matched
+    assert scope.build("karoubi_qubit_measurement") is scope.build("karoubi_qubit_measurement")
 
 
 def test_unknown_examples_are_rejected():
