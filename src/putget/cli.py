@@ -3,7 +3,10 @@
 Exit codes: 0 when every requested example matches its declared
 profile (expected failures count as matches), 1 when any report
 mismatches, 2 for usage errors, unknown names, invalid tolerances or a
-comparison whose residual or threshold is not finite.
+comparison whose residual or threshold is not finite, and 141 (128 +
+SIGPIPE, the shell's convention) when standard output closes before the
+report is written, as in ``putget check --all | head``; that ends
+quietly, with no traceback.
 
 JSON output is deterministic -- keys are sorted and wall times are
 left out -- so runs can be diffed byte for byte.  The text format
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -28,6 +32,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +110,7 @@ def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
     reports: list[tuple[ExampleReport, float]] = []
     for name in chosen:
         start = time.perf_counter()
-        report = run_example(name, tol, scope)
+        report = run_example(name, scope)
         reports.append((report, time.perf_counter() - start))
 
     if args.format == "json":
@@ -130,9 +135,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        return _cmd_check(args, parser)
+        code = _cmd_list(args) if args.command == "list" else _cmd_check(args, parser)
+        sys.stdout.flush()  # here, so that a closed reader is met inside the try
+        return code
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValueError as exc:

@@ -56,6 +56,7 @@ from .structures import (
     applicable_laws,
     check_law,
     check_laws,
+    _kind,
     classify,
     verify_derived,
 )
@@ -111,9 +112,13 @@ class ExampleSpec:
     name: str
     description: str
     build: Callable[[RunScope], UpdateStructure]
-    expected: str
     expected_failing: frozenset[str]
     extras: Callable[[UpdateStructure, RunScope], list[ExtraCheck]] | None = None
+
+    @property
+    def expected(self) -> str:
+        """The classification that the failing set implies, by the rule of ``classify``."""
+        return _kind(self.expected_failing)
 
 
 @dataclass(frozen=True)
@@ -375,25 +380,25 @@ _STRONG_LENS_FAILS = ("PutGetA", "PutGetC", "CommutativePut")
 _MEASUREMENT_FAILS = ("GetPut", "PutGetA", "Faithful")
 
 
-def _spec(name, description, build, expected, failing, extras=None) -> ExampleSpec:
-    return ExampleSpec(name, description, build, expected, frozenset(failing), extras)
+def _spec(name, description, build, failing, extras=None) -> ExampleSpec:
+    return ExampleSpec(name, description, build, frozenset(failing), extras)
 
 
 def _spectrum(name, description, family) -> ExampleSpec:
     return _spec(name, description, lambda scope: pvs_to_update(scope.family(family)),
-                 "strong", ("PutGetA",), _pvs_extras(family))
+                 ("PutGetA",), _pvs_extras(family))
 
 
 def _measurement(name, description, family) -> ExampleSpec:
     return _spec(name, description, lambda scope: quantum_measurement(scope.family(family)),
-                 "weak_only", _MEASUREMENT_FAILS, _measurement_extras(family))
+                 _MEASUREMENT_FAILS, _measurement_extras(family))
 
 
 def _karoubi(base, description, failing) -> ExampleSpec:
     """``karoubi_<base>``: the entry ``base`` restricted along ``get ; put``."""
     return _spec(f"karoubi_{base}", description,
                  lambda scope: getput_restriction(scope.build(base), scope.tol).structure,
-                 "strong", failing, _karoubi_extras)
+                 failing, _karoubi_extras)
 
 
 # Builds reach library functions through lambdas, so that every call goes
@@ -403,7 +408,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "lens_constant_complement_3_2",
         "vwb lens from a bijection S ~ V x R with 3 views and a 2-element complement",
         lambda _: lens_to_update(constant_complement_lens(_COLOURS, _COMPLEMENT)),
-        "strong",
         _STRONG_LENS_FAILS,
         _vwb_lens_extras(lambda: constant_complement_lens(_COLOURS, _COMPLEMENT)),
     ),
@@ -411,7 +415,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "identity_lens_4",
         "the whole 4-element store is the view; put replaces, get reads",
         lambda _: lens_to_update(identity_lens(_COMPASS)),
-        "strong",
         _STRONG_LENS_FAILS,
         _vwb_lens_extras(lambda: identity_lens(_COMPASS)),
     ),
@@ -419,7 +422,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "ignore_put_lens_4",
         "put discards the incoming view entirely, so PutGet cannot hold",
         lambda _: _ignore_put_update(),
-        "neither",
         ("PutGet", "PutGetA", "PutGetB", "PutGetC", "Faithful"),
         _ignore_put_extras,
     ),
@@ -427,7 +429,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "security_db_3",
         "3-record database whose flag trips on every access, reads included",
         lambda _: security_db(_DB_ENTRIES),
-        "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut"),
         _security_extras,
     ),
@@ -435,7 +436,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "security_db_update_flag_3",
         "3-record database whose flag trips on writes only; reads are invisible",
         lambda _: security_db_update_flag(_DB_ENTRIES),
-        "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut"),
         _flag_db_extras,
     ),
@@ -456,7 +456,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "decohered_pvs",
         "qubit Z-spectrum doubled then pushed through the decoherence idempotent",
         _decohered_pvs_build,
-        "weak_only",
         _MEASUREMENT_FAILS,
         _decohered_extras,
     ),
@@ -464,7 +463,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "pair_of_pants_2",
         "2x2 matrices acting on their own column space; strong but order-sensitive",
         lambda _: pair_of_pants_update(2),
-        "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(2),
     ),
@@ -472,7 +470,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "pair_of_pants_3",
         "3x3 matrices acting on their own column space",
         lambda _: pair_of_pants_update(3),
-        "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(3),
     ),
@@ -480,7 +477,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "pair_of_pants_4",
         "4x4 matrices acting on their own column space",
         lambda _: pair_of_pants_update(4),
-        "strong",
         ("PutGetA", "CommutativePut", "CommutativeGet"),
         _pop_extras(4),
     ),
@@ -488,7 +484,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "quantum_db_postselected_2_2",
         "two-register store; writing deletes the old value by postselection",
         lambda _: quantum_db_postselected(2, 2),
-        "strong",
         _STRONG_LENS_FAILS,
         _postselected_extras,
     ),
@@ -496,7 +491,6 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         "quantum_db_causal_2_2",
         "trace-preserving doubled store; reading dephases the stored register",
         lambda _: quantum_db_causal(2, 2),
-        "weak_only",
         ("GetPut", "PutGetA", "PutGetC", "CommutativePut", "Faithful"),
         _causal_extras(2, 2),
     ),
@@ -565,14 +559,12 @@ def build_example(name: str) -> UpdateStructure:
     return RunScope(DEFAULT_TOL).build(name)
 
 
-def run_example(name: str, tol: Tolerance = DEFAULT_TOL,
-                scope: RunScope | None = None) -> ExampleReport:
-    """Run the full suite on one entry, sharing builds through ``scope``
-    (a fresh one when it is None), which must be at ``tol``."""
+def run_example(name: str, scope: RunScope | None = None) -> ExampleReport:
+    """Run the full suite on one entry at ``scope.tol``, sharing builds through ``scope``
+    (a fresh one at the default tolerance when it is None)."""
     spec = get_example(name)
-    scope = RunScope(tol) if scope is None else scope
-    if scope.tol != tol:
-        raise ValueError(f"the run scope is at {scope.tol}, not at {tol}")
+    scope = RunScope(DEFAULT_TOL) if scope is None else scope
+    tol = scope.tol
     U = scope.build(name)
     laws = tuple(check_laws(U, tol))
     failing = {r.law for r in laws if not r.holds}

@@ -311,16 +311,21 @@ def check_laws(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> list[LawChec
     return [check_law(U, law, tol) for law in applicable_laws(U)]
 
 
+def _kind(failing: frozenset[str] | set[str]) -> str:
+    """strong / weak_only / neither, from the names of the laws that fail: strong where
+    none of PutPut, GetGet, PutGet and GetPut fails, else weak_only where no weak law fails."""
+    if failing.isdisjoint(("PutPut", "GetGet", "PutGet", "GetPut")):
+        return "strong"
+    return "weak_only" if failing.isdisjoint(WEAK_LAWS) else "neither"
+
+
 def classify(U: UpdateStructure, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """strong / weak_only / neither, from the five core laws."""
     results = {law: check_law(U, law, tol) for law in CORE_LAWS}
-    strong = ("PutPut", "GetGet", "PutGet", "GetPut")
-    if all(results[law].holds for law in strong):
-        return Classification("strong", ())
-    if all(results[law].holds for law in WEAK_LAWS):
-        return Classification("weak_only", (results["GetPut"],))
     failing = tuple(r for r in results.values() if not r.holds)
-    return Classification("neither", failing)
+    kind = _kind({r.law for r in failing})
+    return Classification(kind, () if kind == "strong" else
+                          (results["GetPut"],) if kind == "weak_only" else failing)
 
 
 # -- derived implications ------------------------------------------------

