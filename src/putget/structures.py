@@ -418,10 +418,14 @@ def _laws_acting(*conclusions):
     return lambda U: [pair for law, where in conclusions for pair in _acting(U, where, U.term(law))]
 
 
+# Neither PutPut nor GetGet is a premise of the first two.  By PutGet, then RepeatUpdate,
+#   e ; e = get ; (put ; get) ; put = get ; (1 (x) comult) ; (put (x) 1) ; put = e  (e = get ; put),
+# and by TrivialUpdate ((1 (x) u) ; put = 1), then the same two,
+#   get ; put = (1 (x) u) ; put ; get ; put = (1 (x) u) ; (1 (x) comult) ; (put (x) 1) ; put = 1.
 _DERIVED: dict[str, tuple[tuple[str, ...], tuple]] = {
-    "putget_idem": (WEAK_LAWS, (lambda U: [(U.term("get_put") >> U.term("get_put"),
-                                            U.term("get_put"))],)),
-    "weak_trivial_implies_strong": (WEAK_LAWS + ("TrivialUpdate",), ("GetPut",)),
+    "putget_idem": (("PutGet", "RepeatUpdate"), (
+        lambda U: [(U.term("get_put") >> U.term("get_put"), U.term("get_put"))],)),
+    "weak_trivial_implies_strong": (("PutGet", "RepeatUpdate", "TrivialUpdate"), ("GetPut",)),
     "coassoc_under_put_from_B": (("PutGetB", "GetGet"), (_laws_acting(("coassoc", "put")),)),
     "assoc_under_get_from_C": (("PutGetC", "PutPut"), (_laws_acting(("assoc", "get")),)),
     "frobenius_under_put_from_BC": (("PutGetB", "PutGetC", "PutPut"),

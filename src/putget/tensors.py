@@ -36,11 +36,11 @@ between two pairing crossings, so it is ``compose`` that keeps each
 block's kind there.  ``tensor``, ``conj``, scalar multiples and
 ``double_blocks`` keep a function block a function block, and so does
 ``dagger`` where no two nonzero columns share a row.  A scalar multiple
-scales one dense or function block, or else gains a wire-less 1x1
-function block.  So neither ``1 (x) f`` nor a crossing is ever built as
-a matrix.  ``Morphism.array`` builds the dense matrix only when something
-reads it, as the composite of the blocks with the identity, so it takes
-the one contraction path too.
+goes into the first dense or function block, or else is a wire-less
+1x1 function block of its own.  So neither ``1 (x) f`` nor a crossing
+is ever built as a matrix.  ``Morphism.array`` builds the dense matrix
+only when something reads it, as the composite of the blocks with the
+identity, so it takes the one contraction path too.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -49,11 +49,12 @@ on both sides is a common factor and contributes only its norm, so only
 the parts where the sides differ are looked at.  Where those hold no
 dense block they are compared column by column as index arrays, and
 otherwise built densely, the same way.  A dense norm is one sum of
-squares over the entries in memory order.  Every product (a contraction,
-a gather, a product of norms) scales each factor near 1 by a power of two
-and the result back once, through ``_pow2``.  That is
-exact, so no partial product overflows unless the result does, a 0
-stays 0, and a result out of range is refused as a ValueError.
+squares over the entries in memory order.  A dense or function block
+holds mantissas, the largest in [1, 2) or all 0, and a binary exponent,
+set once by ``_normal`` where the block is made.  Every product
+multiplies mantissas and adds exponents, so no partial product
+overflows and a 0 stays 0.  A matrix, norm or distance applies the
+exponent where it is read, and refuses a result out of range there.
 
 :func:`compare` decides every verdict on two arrows, matrices and
 finite-set functions alike, from the distance and both side norms taken
@@ -194,6 +195,9 @@ class _Block(NamedTuple):
     - permutation: output wire k is input wire ``perm[k]``, and column j
       is 1 at row ``rows[j]`` (``weights`` is None);
     - identity on the one wire ``dom``: all else is None.
+
+    A dense or function block is its entries times ``2**exp``, the entries
+    made mantissas by :func:`_normal`; a wiring block has ``exp`` 0.
     """
 
     dom: tuple[int, ...]
@@ -202,6 +206,7 @@ class _Block(NamedTuple):
     perm: tuple[int, ...] | None = None
     rows: np.ndarray | None = None
     weights: np.ndarray | None = None
+    exp: int = 0
 
     @property
     def is_identity(self) -> bool:
@@ -221,25 +226,29 @@ class Morphism:
     significant.  Morphisms are immutable and the constructor copies its
     array; a matrix with at most one nonzero entry in each column is kept
     as a function block, its row indices and weights, and any other as
-    one dense block.  ``array`` is that block's matrix, or else is built
-    from the blocks on its first read and kept.
+    one dense block.  ``array`` is built from the blocks on its first read
+    and kept.
     """
 
     __slots__ = ("dom", "cod", "_array", "_blocks")
 
     def __new__(cls, dom: TensorType, cod: TensorType, array) -> "Morphism":
-        arr = _checked(dom, cod, np.array(array, dtype=np.complex128))
-        block = _as_function(dom.factors, cod.factors, arr)
-        return _new(dom, cod, (_Block(dom.factors, cod.factors, arr) if block is None else block,))
+        arr = np.array(array, dtype=np.complex128)
+        if arr.shape != (cod.dim, dom.dim):
+            raise WireError(f"matrix shape {arr.shape} does not match map {dom} -> {cod} "
+                            f"(expected {(cod.dim, dom.dim)})")
+        block = _as_function(dom.factors, cod.factors, arr) or _Block(dom.factors, cod.factors, arr)
+        return _new(dom, cod, (_normal(block),))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: morphisms are immutable")
 
     @property
     def array(self) -> np.ndarray:
-        """The dense, read-only matrix of shape ``(cod.dim, dom.dim)``."""
+        """The dense, read-only matrix of shape ``(cod.dim, dom.dim)``, refused out of range."""
         if self._array is None:
-            object.__setattr__(self, "_array", _finite(_kron(self._blocks)))
+            exp = sum(b.exp for b in self._blocks)
+            object.__setattr__(self, "_array", _finite(_pow2(_kron(self._blocks), exp)))
         return self._array
 
     # diagram operators -------------------------------------------------
@@ -253,27 +262,22 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        arr = _finite(self.array + other.array)
-        return _new(self.dom, self.cod, (_Block(self.dom.factors, self.cod.factors, arr),))
+        arr = self.array + other.array
+        return _new(self.dom, self.cod, (_normal(_Block(self.dom.factors, self.cod.factors, arr)),))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-1.0) * other
 
     def __rmul__(self, z: complex) -> "Morphism":
-        z = complex(z)
+        """``z`` times the map: the first dense or function block's mantissas times z's, and
+        z's exponent added to its own; with no such block, z as a wire-less scalar block."""
+        (scalar_block,) = scalar(complex(z))._blocks
         blocks = list(self._blocks)
-        weighted = [i for i, b in enumerate(blocks) if not b.is_wiring]
-        if weighted:  # scale the first block with entries; the others stay lazy
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    blocks[weighted[0]] = _mapped(blocks[weighted[0]], lambda arr: z * arr)
-            except ValueError:  # that block leaves the float range, but the product may not
-                largest = (float(np.abs(_entries(blocks[i])).max()) for i in weighted)
-                if not math.isfinite(_scaled_prod([abs(z), *largest])):
-                    raise ValueError("matrix entries must be finite") from None
-            else:
+        for i, b in enumerate(blocks):
+            if not b.is_wiring:  # the other blocks stay lazy
+                scaled = _mapped(b, lambda entries: scalar_block.weights[0] * entries)
+                blocks[i] = _normal(scaled._replace(exp=b.exp + scalar_block.exp))
                 return _product(self.dom, self.cod, blocks)
-        scalar_block = _function_block((), (), np.zeros(1, dtype=np.intp), np.full(1, z))
         return _product(self.dom, self.cod, blocks + [scalar_block])
 
     def dagger(self) -> "Morphism":
@@ -285,7 +289,8 @@ class Morphism:
 
     def norm(self) -> float:
         """The Frobenius norm; of a lazy product, the product of its block norms."""
-        return _finite_norms(_scaled_prod(map(_block_norm, self._blocks)))[0]
+        exp = sum(b.exp for b in self._blocks)
+        return _finite_norms(_scaled_prod(map(_block_norm, self._blocks), exp))[0]
 
     def distance(self, other: "Morphism") -> float:
         """The Frobenius norm of ``self - other``, building only where they differ."""
@@ -316,19 +321,10 @@ def _finite_norms(*norms: float) -> tuple[float, ...]:
     return norms
 
 
-def _checked(dom: TensorType, cod: TensorType, arr: np.ndarray) -> np.ndarray:
-    if arr.shape != (cod.dim, dom.dim):
-        raise WireError(
-            f"matrix shape {arr.shape} does not match map {dom} -> {cod} "
-            f"(expected {(cod.dim, dom.dim)})"
-        )
-    return _finite(arr)
-
-
 def _function_block(dom: tuple[int, ...], cod: tuple[int, ...], rows: np.ndarray,
-                    weights: np.ndarray) -> _Block:
+                    weights: np.ndarray, exp: int = 0) -> _Block:
     rows.setflags(write=False)
-    return _Block(dom, cod, None, None, rows, _finite(weights))
+    return _Block(dom, cod, None, None, rows, weights, exp)
 
 
 def _crossing(dom: tuple[int, ...], cod: tuple[int, ...], perm: tuple[int, ...]) -> list[_Block]:
@@ -359,14 +355,21 @@ def _entries(b: _Block) -> np.ndarray:
 
 
 def _mapped(b: _Block, fn) -> _Block:
-    """A dense or function block with ``fn`` applied to its entries."""
+    """A dense or function block with ``fn`` applied to its entries; its exponent stays."""
     if b.array is not None:
         return b._replace(array=_finite(fn(b.array)))
     return b._replace(weights=_finite(fn(b.weights)))
 
 
+def _normal(b: _Block) -> _Block:
+    """A dense or function block with its entries scaled, by the power of two that brings the
+    largest into [1, 2), into ``exp``: the one scaling of block entries.  Refuses inf and NaN."""
+    e = _exponent(_entries(b))
+    return _mapped(b, lambda entries: _pow2(entries, -e))._replace(exp=b.exp + e)
+
+
 def _matrix(b: _Block) -> np.ndarray:
-    """The matrix of a dense block, or a function block densified."""
+    """The mantissas of a dense block, or of a function block densified."""
     if b.array is not None:
         return b.array
     out = np.zeros((math.prod(b.cod), b.rows.size), dtype=np.complex128)
@@ -379,13 +382,12 @@ def _new(dom: TensorType, cod: TensorType, blocks: tuple[_Block, ...]) -> Morphi
     object.__setattr__(m, "dom", dom)
     object.__setattr__(m, "cod", cod)
     object.__setattr__(m, "_blocks", blocks)
-    object.__setattr__(m, "_array", blocks[0].array if len(blocks) == 1 else None)
+    object.__setattr__(m, "_array", None)
     return m
 
 
 def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
-    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are; of
-    one dense block, its ``array`` is that block's matrix from the start."""
+    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are."""
     return _new(dom, cod, tuple(blocks))
 
 
@@ -393,11 +395,10 @@ def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
 
 
 def _pow2(x, e: int):
-    """``x * 2**e`` for a float or an array: exact where the result is a normal float, and
-    not finite (for :func:`_finite` or :func:`_finite_norms` to refuse) where it is out of
-    range.  An array goes in steps of at most ``2**±1000``, all in one direction, so a step
-    overflows only where the result does; a complex entry that overflows before the last
-    step is inf in one part and NaN in the other."""
+    """``x * 2**e`` for a float or an array: exact where the result is a normal float, and not
+    finite (for :func:`_finite` or :func:`_finite_norms` to refuse) where it is out of range.
+    An array goes in steps of at most ``2**±1000``, all one way, so a step overflows only where
+    the result does; a complex entry overflowing early is inf in one part and NaN in the other."""
     if isinstance(x, float):
         try:
             return math.ldexp(x, e)
@@ -412,9 +413,9 @@ def _pow2(x, e: int):
     return x
 
 
-def _scaled_prod(values) -> float:
-    """The product of non-negative floats, kept as a mantissa and a binary exponent."""
-    mantissa, exponent = 1.0, 0
+def _scaled_prod(values, exponent: int = 0) -> float:
+    """The product of non-negative floats and ``2**exponent``, kept as a mantissa and exponent."""
+    mantissa = 1.0
     for v in values:
         m, e = math.frexp(v)
         mantissa, shift = math.frexp(mantissa * m)
@@ -423,16 +424,15 @@ def _scaled_prod(values) -> float:
 
 
 def _exponent(arr: np.ndarray) -> int:
-    """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2)."""
-    return math.frexp(float(np.abs(arr).max()))[1] - 1
+    """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2), or 0 if all are 0."""
+    top = float(np.abs(arr).max())
+    return math.frexp(top)[1] - 1 if top else 0
 
 
 def _fro(arr: np.ndarray) -> float:
-    """The Frobenius norm, as one sum of squares over the entries in memory order.
-
-    It is retaken at a power-of-two scale where squaring the entries left
-    the float range: the norm is inf, or below 2**-500 with an entry that
-    is not 0."""
+    """The Frobenius norm, as one sum of squares over the entries in memory order, retaken at a
+    power-of-two scale where the squares left the float range: the norm is inf, or below
+    2**-500 with an entry that is not 0."""
     flat = arr.ravel(order="K")
     norm = math.sqrt(np.vdot(flat, flat).real)
     if 2.0 ** -500 < norm < math.inf or not arr.any():
@@ -442,28 +442,21 @@ def _fro(arr: np.ndarray) -> float:
 
 
 def _kron(blocks) -> np.ndarray:
-    """The dense matrix of a Kronecker product of blocks: their composite with the identity."""
+    """The mantissas of a Kronecker product of blocks, as their composite with the identity."""
     return _einsum(blocks, _identity(tuple(d for b in blocks for d in b.dom)))
 
 
 def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
-    """A Kronecker product of identity, permutation and function blocks as one function.
-
-    Returns its rows, and its weights as a mantissa array and a binary
-    exponent: each block's weights are scaled near 1 on the way, as the
-    operands of :func:`_einsum` are, so the mantissas are near 1 too.
-    """
-    rows, weights, exponent = None, None, 0
+    """A Kronecker product of identity, permutation and function blocks as one function:
+    its rows, the products of the blocks' weight mantissas, and the sum of their exponents."""
+    rows = weights = None
     for out, height, w in _function_factors(blocks):
-        if w is not None:
-            e = _exponent(w)
-            exponent, w = exponent + e, _pow2(w, -e)
         if rows is None:
             rows, weights = out, np.ones(out.size, dtype=np.complex128) if w is None else w
         else:
             rows = (rows[:, None] * height + out).ravel()
             weights = np.repeat(weights, out.size) if w is None else (weights[:, None] * w).ravel()
-    return rows, weights, exponent
+    return rows, weights, sum(b.exp for b in blocks)
 
 
 def _function_factors(blocks) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
@@ -492,8 +485,8 @@ def _transpose(blocks) -> list[_Block]:
         if b.perm is not None:
             out += _crossing(b.cod, b.dom, _inverse(b.perm))
         else:
-            out.append(_transposed_function(b) if b.weights is not None else
-                       _Block(b.cod, b.dom, b.array.T) if b.array is not None else b)
+            out.append(_transposed_function(b) if b.weights is not None else b._replace(
+                dom=b.cod, cod=b.dom, array=None if b.array is None else b.array.T))
     return out
 
 
@@ -504,15 +497,15 @@ def _transposed_function(b: _Block) -> _Block:
     columns = np.flatnonzero(b.weights)
     hit = b.rows[columns]
     if np.bincount(hit, minlength=height).max() > 1:
-        return _Block(b.cod, b.dom, _finite(_matrix(b).T))
+        return _Block(b.cod, b.dom, _finite(_matrix(b).T), exp=b.exp)
     rows = np.zeros(height, dtype=np.intp)
     weights = np.zeros(height, dtype=np.complex128)
     rows[hit], weights[hit] = columns, b.weights[columns]
-    return _function_block(b.cod, b.dom, rows, weights)
+    return _function_block(b.cod, b.dom, rows, weights, b.exp)
 
 
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
-    """``kron(g_blocks) @ kron(f_blocks)``, summed wire by wire, two dense blocks at a time.
+    """The mantissas of ``kron(g_blocks) @ kron(f_blocks)``, wire by wire, two dense at a time.
 
     It takes every piece of a composite that holds a dense block, a side
     of one block included, and every dense matrix of a product, as its
@@ -525,8 +518,8 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
     operands share is a middle wire, never an output.  So any order of
     pairwise contractions is exact, with no batch labels and no path
     search: each step takes the pair with the smallest result and sums
-    their shared labels in one matmul.  Each operand is scaled near 1 first and the result scaled
-    back once, so no partial product overflows unless the result does.
+    their shared labels in one matmul.  The operands are mantissas (the
+    blocks' exponents are the caller's), so no partial product overflows.
     With no operand, where both sides are all wiring, the product is the
     scalar 1.  A wire carried through both sides is on no operand; the
     output is the identity on it, so the result is written onto the
@@ -555,8 +548,6 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
             out = [next(label) for _ in b.cod]
             cod += out
             operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
-    exponents = [_exponent(arr) for arr, _ in operands]  # each operand scaled near 1
-    operands = [(_pow2(arr, -e), wires) for (arr, wires), e in zip(operands, exponents)]
     dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
     while len(operands) > 1:
         i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
@@ -572,7 +563,6 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
         operands.append((product.reshape(x.shape[:len(x_kept)] + y.shape[len(summed):]),
                          x_kept + y_kept))
     (last, wires), = operands or [(np.ones((), dtype=np.complex128), [])]
-    last = _pow2(last, sum(exponents))
     rows = math.prod(d for b in g_blocks for d in b.cod)
     through = [w for w in cod if w in dom]
     if not through:
@@ -608,7 +598,7 @@ def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 def _same_block(x: _Block, y: _Block) -> bool:
-    return (x.dom == y.dom and x.cod == y.cod and x.perm == y.perm
+    return (x.dom == y.dom and x.cod == y.cod and x.perm == y.perm and x.exp == y.exp
             and _same_array(x.array, y.array) and _same_array(x.rows, y.rows)
             and _same_array(x.weights, y.weights))
 
@@ -621,20 +611,22 @@ def _sole_function(m: Morphism) -> _Block | None:
     return None
 
 
-def _function_distance(x_rows, x, y_rows, y) -> tuple[float, float, float]:
-    """``norm(x - y)``, ``norm(x)`` and ``norm(y)`` of two functions on the same wires.
-
-    They are compared column by column: a column whose rows agree
-    contributes ``|x - y|**2``, and one whose rows differ ``|x|**2 + |y|**2``.
-    """
+def _function_distance(x_rows, x, x_exp, y_rows, y, y_exp) -> list[tuple[float, int]]:
+    """``norm(x - y)``, ``norm(x)`` and ``norm(y)``, each as (float, exponent), of two functions
+    on the same wires with weights ``x * 2**x_exp`` and ``y * 2**y_exp``, compared column by
+    column: a column whose rows agree contributes ``|x - y|**2``, and one whose rows differ
+    ``|x|**2 + |y|**2``."""
     same = x_rows == y_rows
-    return math.hypot(_fro(np.where(same, _difference(x, y), x)), _fro(y[~same])), _fro(x), _fro(y)
+    x_at, y_at, e, norms = _aligned(x, x_exp, y, y_exp)
+    return [(math.hypot(_fro(np.where(same, x_at - y_at, x_at)), _fro(y_at[~same])), e), *norms]
 
 
-def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a - b``; an entry out of range is not finite, for :func:`_finite_norms` to refuse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a - b
+def _aligned(x: np.ndarray, x_exp: int, y: np.ndarray, y_exp: int):
+    """Two mantissa arrays at the larger exponent of a side that is not all 0, that exponent,
+    and each side's norm at its own exponent.  A side already there is not copied."""
+    x_norm, y_norm = _fro(x), _fro(y)
+    e = max(x_exp if x_norm else y_exp, y_exp if y_norm else x_exp)
+    return _pow2(x, x_exp - e), _pow2(y, y_exp - e), e, [(x_norm, x_exp), (y_norm, y_exp)]
 
 
 def _part_keys(a_blocks, b_blocks) -> list[list]:
@@ -675,37 +667,40 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     norm.  The other parts are taken together, each side's blocks in their
     order, which puts both sides' wires in the same order: as one function
     on each side where they hold no dense block, compared column by column
-    (:func:`_function_distance`), and built densely otherwise.  Raises
-    ValueError when a result is not finite.
+    (:func:`_function_distance`), and built densely otherwise, both at one
+    exponent (:func:`_aligned`).  Raises ValueError when a result is not finite.
     """
     if x.dom.factors != y.dom.factors or x.cod.factors != y.cod.factors:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
     fx, fy = _sole_function(x), _sole_function(y)
     if fx is not None and fy is not None:
-        return _finite_norms(*_function_distance(fx.rows, fx.weights, fy.rows, fy.weights))
+        built = _function_distance(fx.rows, fx.weights, fx.exp, fy.rows, fy.weights, fy.exp)
+        return _finite_norms(*(_pow2(v, e) for v, e in built))
     x_blocks, y_blocks = x._blocks, y._blocks
     keys = _part_keys(x_blocks, y_blocks)
     parts: dict = {}
     for side, blocks in enumerate((x_blocks, y_blocks)):
         for blk, k in zip(blocks, keys[side]):
             parts.setdefault(k, ([], []))[side].append(blk)
-    common, differ = [], set()
+    common, common_exp, differ = [], 0, set()
     for k, (xs, ys) in parts.items():
         if len(xs) == len(ys) and all(map(_same_block, xs, ys)):
             common += map(_block_norm, xs)
+            common_exp += sum(b.exp for b in xs)
         else:
             differ.add(k)
     differing = [[blk for blk, k in zip(blocks, side_keys) if k in differ]
                  for blocks, side_keys in zip((x_blocks, y_blocks), keys)]
     if not differ:  # every part is common: the sides are equal
-        built = 0.0, 1.0, 1.0
+        built = [(0.0, 0), (1.0, 0), (1.0, 0)]
     elif all(blk.array is None for side in differing for blk in side):
-        (x_rows, *xw), (y_rows, *yw) = map(_function_of, differing)
-        built = _function_distance(x_rows, _finite(_pow2(*xw)), y_rows, _finite(_pow2(*yw)))
+        built = _function_distance(*_function_of(differing[0]), *_function_of(differing[1]))
     else:
         a, b = map(_kron, differing)
-        built = _fro(_difference(a, b)), _fro(a), _fro(b)
-    return _finite_norms(*(_scaled_prod(common + [v]) for v in built))
+        a_exp, b_exp = (sum(blk.exp for blk in side) for side in differing)
+        a_at, b_at, e, norms = _aligned(a, a_exp, b, b_exp)
+        built = [(_fro(a_at - b_at), e), *norms]
+    return _finite_norms(*(_scaled_prod(common + [v], common_exp + e) for v, e in built))
 
 
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
@@ -755,11 +750,12 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
             dom = tuple(d for b in fs for d in b.dom)
             cod = tuple(d for b in gs for d in b.cod)
             if any(b.array is not None for b in fs + gs):
-                out.append(_Block(dom, cod, _finite(_einsum(gs, fs))))
+                exp = sum(b.exp for b in fs + gs)
+                out.append(_normal(_Block(dom, cod, _einsum(gs, fs), exp=exp)))
             elif any(b.weights is not None for b in fs + gs):  # g after f by a gather
                 (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = map(_function_of, (gs, fs))
-                weights = _pow2(g_weights[f_rows] * f_weights, g_exp + f_exp)
-                out.append(_function_block(dom, cod, g_rows[f_rows], weights))
+                out.append(_normal(_function_block(dom, cod, g_rows[f_rows],
+                                                   g_weights[f_rows] * f_weights, g_exp + f_exp)))
             else:  # g's output k is f's input f_perm[g_perm[k]]
                 f_perm = _wire_perm(fs)
                 out += _crossing(dom, cod, tuple(f_perm[k] for k in _wire_perm(gs)))

@@ -248,6 +248,33 @@ def test_putget_idem_holds_on_weak_structure():
     assert result.status == "holds" and result.residual == 0
 
 
+def indexed(dom: SetType, cod: SetType, index: list[int]) -> FinFunction:
+    """The function sending the i-th element of ``dom`` to the ``index[i]``-th of ``cod``."""
+    cod_elements = cod.elements()
+    return FinFunction(dom, cod, {x: cod_elements[i] for x, i in zip(dom.elements(), index)})
+
+
+def indexed_structure(put, get, mult, comult, trivial_update=None) -> UpdateStructure:
+    """A set structure on S = {s0, s1} and p = {a, b} from its tables in index form."""
+    s, p, unit = SetType((FinSet(("s0", "s1")),)), SetType((V2,)), SetType(())
+    return UpdateStructure(
+        system=s, prop=p, put=indexed(s @ p, s, put), get=indexed(s, s @ p, get),
+        mult=indexed(p @ p, p, mult), comult=indexed(p, p @ p, comult),
+        trivial_update=None if trivial_update is None else indexed(unit, p, trivial_update))
+
+
+@pytest.mark.parametrize("tables, prop, failing", [
+    (([0, 1, 0, 1], [0, 1], [1, 0, 1, 0], [0, 1]), "putget_idem", {"PutPut"}),
+    (([0, 1, 1, 0], [3, 1], [1, 0, 0, 1], [3, 1], [0]), "weak_trivial_implies_strong",
+     {"PutPut", "GetGet"}),
+])
+def test_putput_and_getget_are_no_premise_of_idempotence_or_trivial_strength(
+        tables, prop, failing):
+    U = indexed_structure(*tables)
+    assert failing <= {law for law in ("PutPut", "GetGet") if not check_law(U, law).holds}
+    assert verify_derived(U, prop).status == "holds"
+
+
 def test_weak_trivial_nonvacuous_on_spectrum_structure():
     U = build_example("qubit_z_pvs")
     result = verify_derived(U, "weak_trivial_implies_strong")

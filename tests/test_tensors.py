@@ -445,6 +445,9 @@ def exact_composites(draw):
         g, g_exact = draw(exact_pieces((), mid_g))
     else:
         g, g_exact, _, _ = draw(exact_layers(mid))
+    if draw(st.booleans()):  # a wire-less scalar: a piece of f >> g may then leave the
+        k = draw(EXPONENTS)  # float range where the whole composite does not
+        g, g_exact = g @ scalar(2.0**k), exact_kron(g_exact, ([[1]], k))
     return (f, f_exact), (g, g_exact), (h, h_exact)
 
 
@@ -475,8 +478,10 @@ def test_a_scalar_multiple_does_not_depend_on_block_order():
         assert [(x.dom, x.cod) for x in (2.0 * product)._blocks] == \
             [(x.dom, x.cod) for x in product._blocks]
     for out_of_range in (a, a @ a, a @ b @ a):
-        with pytest.raises(ValueError, match="finite"):
-            2.0**30 * out_of_range
+        scaled = 2.0**30 * out_of_range  # refused where it is read, not where it is made
+        for read in (lambda: scaled.array, scaled.norm):
+            with pytest.raises(ValueError, match="finite"):
+                read()
 
 
 def test_a_composite_that_cancels_to_zero_is_zero_on_every_path():
@@ -487,6 +492,37 @@ def test_a_composite_that_cancels_to_zero_is_zero_on_every_path():
     for composite in (f >> g, (f @ scalar(1)) >> (g @ scalar(1))):
         assert not composite.array.any()
         assert composite.norm() == 0.0
+
+
+def test_a_piece_out_of_range_does_not_refuse_a_composite_that_is_zero():
+    # the piece on the first wire is 2**2001 in every entry, the piece on the second is 0
+    t = TensorType((2,))
+    big = Morphism(t, t, np.full((2, 2), 2.0**1000))
+    a = Morphism(t, t, [[1, 1], [-1, -1]])
+    b = Morphism(t, t, np.ones((2, 2)))
+    composite = (big @ a) >> (big @ b)
+    assert np.array_equal(composite.array, np.zeros((4, 4)))
+    assert composite.norm() == 0.0
+
+
+def test_scalar_multiples_out_of_range_and_back_are_exact():
+    rng = np.random.default_rng(3)
+    t = TensorType((2,))
+    m = Morphism(t, t, rng.standard_normal((2, 2))) @ Morphism(t, t, rng.standard_normal((2, 2)))
+    back = 2.0**-1000 * (2.0**-1000 * (2.0**1000 * (2.0**1000 * m)))
+    assert np.array_equal(back.array, m.array)
+    assert back.distance(m) == 0.0
+
+
+@pytest.mark.parametrize("pattern", [np.ones((2, 2)), np.eye(2)])  # dense and function blocks
+def test_a_side_that_is_zero_does_not_scale_the_other_away(pattern):
+    # y is 0, held at an exponent near 1000; x is near 2**-1000
+    t = TensorType((2,))
+    x = Morphism(t, t, pattern * 2.0**-1000) @ Morphism(t, t, pattern)
+    y = Morphism(t, t, np.zeros((2, 2))) @ Morphism(t, t, pattern * 2.0**1000)
+    assert x.norm() == np.linalg.norm(pattern) ** 2 * 2.0**-1000
+    for distance in (x.distance(y), y.distance(x)):
+        assert distance == pytest.approx(x.norm(), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("arr", [[[2.0**1023, 0.0], [2.0**1023, 0.0]],  # a dense block
