@@ -40,11 +40,15 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite set of distinct string labels, in a fixed order."""
+    """A finite set of distinct string labels, in a fixed order.  A bare string is refused,
+    not read as its letters: ``FinSet(("safe",))`` is one label."""
 
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.elements, str):
+            raise TableError(f"labels must be a tuple of strings, got the string {self.elements!r}"
+                             f"; pass a tuple of labels, such as ({self.elements!r},)")
         elems = tuple(self.elements)
         if not all(isinstance(e, str) for e in elems):
             raise TableError(f"labels must be strings, got {elems!r}")

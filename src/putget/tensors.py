@@ -11,12 +11,20 @@ a dense matrix being one dense block.  A block is one of four kinds:
 
 - a dense matrix;
 - a function block, a matrix with at most one nonzero entry in each
-  column, held as one row index and one weight per column.  The
-  constructor keeps every such matrix this way (copy spiders,
-  decoherence, computational-basis projectors, effects and scalars);
+  column, held as one row index and one weight per column (copy
+  spiders, decoherence, computational-basis projectors, effects and
+  scalars);
 - a permutation block, a wire crossing (:func:`swap`) held as its wires,
   the permutation that takes inputs to outputs and the row of each input;
 - an identity block, held as its wire: one block per wire.
+
+One rule decides the kind of every block made from a matrix, by the
+constructor, by ``dagger`` (a block's matrix transposed) or by a sum: a
+function block where the matrix has at most one nonzero in each column,
+and else a dense block (:func:`_kept`).  So ``cap(d)``, the dagger of
+the dense Bell state, is the function block that its matrix passed to
+``Morphism`` makes.  A piece that ``compose`` contracts is left dense
+whatever its pattern, and a scalar multiple keeps its block's kind.
 
 ``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
 and one constructor, ``_crossing``, makes every identity and
@@ -34,13 +42,12 @@ the order that keeps each result smallest, and a permutation block only
 relabels wires.  ``double_blocks`` doubles each block as a composite
 between two pairing crossings, so it is ``compose`` that keeps each
 block's kind there.  ``tensor``, ``conj``, scalar multiples and
-``double_blocks`` keep a function block a function block, and so does
-``dagger`` where no two nonzero columns share a row.  A scalar multiple
-goes into the first dense or function block, or else is a wire-less
-1x1 function block of its own.  So neither ``1 (x) f`` nor a crossing
-is ever built as a matrix.  ``Morphism.array`` builds the dense matrix
-only when something reads it, as the composite of the blocks with the
-identity, so it takes the one contraction path too.
+``double_blocks`` keep a function block a function block.  A scalar
+multiple goes into the first dense or function block, or else is a
+wire-less 1x1 function block of its own.  So neither ``1 (x) f`` nor a
+crossing is ever built as a matrix.  ``Morphism.array`` builds the
+dense matrix only when something reads it, as the composite of the
+blocks with the identity, so it takes the one contraction path too.
 
 Comparisons work on the blocks too.  A product's norm is the product of
 its block norms, and ``distance`` groups the blocks of both sides into
@@ -164,7 +171,7 @@ class TensorType:
         return joined
 
     def identity(self) -> "Morphism":
-        return _product(self, self, _identity(self.factors))
+        return _new(self, self, _identity(self.factors))
 
     def swap(self, other: "TensorType") -> "Morphism":
         return swap(self, other)
@@ -237,8 +244,7 @@ class Morphism:
         if arr.shape != (cod.dim, dom.dim):
             raise WireError(f"matrix shape {arr.shape} does not match map {dom} -> {cod} "
                             f"(expected {(cod.dim, dom.dim)})")
-        block = _as_function(dom.factors, cod.factors, arr) or _Block(dom.factors, cod.factors, arr)
-        return _new(dom, cod, (_normal(block),))
+        return _new(dom, cod, (_kept(dom.factors, cod.factors, arr),))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: morphisms are immutable")
@@ -260,10 +266,14 @@ class Morphism:
         return tensor(self, other)
 
     def __add__(self, other: "Morphism") -> "Morphism":
+        """The sum, made from both sides' mantissas added at the larger exponent of a side that
+        is not 0, so a sum out of range is refused only where its matrix is read.  As in the
+        distance, an entry below that exponent's range underflows."""
         if self.dom != other.dom or self.cod != other.cod:
             raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        arr = self.array + other.array
-        return _new(self.dom, self.cod, (_normal(_Block(self.dom.factors, self.cod.factors, arr)),))
+        x, y, e, _ = _aligned(_kron(self._blocks), sum(b.exp for b in self._blocks),
+                              _kron(other._blocks), sum(b.exp for b in other._blocks))
+        return _new(self.dom, self.cod, (_kept(self.dom.factors, self.cod.factors, x + y, e),))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-1.0) * other
@@ -277,14 +287,14 @@ class Morphism:
             if not b.is_wiring:  # the other blocks stay lazy
                 scaled = _mapped(b, lambda entries: scalar_block.weights[0] * entries)
                 blocks[i] = _normal(scaled._replace(exp=b.exp + scalar_block.exp))
-                return _product(self.dom, self.cod, blocks)
-        return _product(self.dom, self.cod, blocks + [scalar_block])
+                return _new(self.dom, self.cod, blocks)
+        return _new(self.dom, self.cod, blocks + [scalar_block])
 
     def dagger(self) -> "Morphism":
-        return _product(self.cod, self.dom, _transpose(self.conj()._blocks))
+        return _new(self.cod, self.dom, _transpose(self.conj()._blocks))
 
     def conj(self) -> "Morphism":
-        return _product(self.dom, self.cod, [
+        return _new(self.dom, self.cod, [
             b if b.is_wiring else _mapped(b, np.conj) for b in self._blocks])
 
     def norm(self) -> float:
@@ -368,6 +378,13 @@ def _normal(b: _Block) -> _Block:
     return _mapped(b, lambda entries: _pow2(entries, -e))._replace(exp=b.exp + e)
 
 
+def _kept(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray, exp: int = 0) -> _Block:
+    """The matrix ``arr * 2**exp`` as a block: a function block where it has at most one nonzero
+    in each column, and else a dense block.  The one rule for a block's kind: the constructor,
+    a transpose and a sum all make their blocks here."""
+    return _normal((_as_function(dom, cod, arr) or _Block(dom, cod, arr))._replace(exp=exp))
+
+
 def _matrix(b: _Block) -> np.ndarray:
     """The mantissas of a dense block, or of a function block densified."""
     if b.array is not None:
@@ -377,18 +394,14 @@ def _matrix(b: _Block) -> np.ndarray:
     return out
 
 
-def _new(dom: TensorType, cod: TensorType, blocks: tuple[_Block, ...]) -> Morphism:
+def _new(dom: TensorType, cod: TensorType, blocks) -> Morphism:
+    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are."""
     m = object.__new__(Morphism)
     object.__setattr__(m, "dom", dom)
     object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "_blocks", blocks)
+    object.__setattr__(m, "_blocks", tuple(blocks))
     object.__setattr__(m, "_array", None)
     return m
-
-
-def _product(dom: TensorType, cod: TensorType, blocks) -> Morphism:
-    """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are."""
-    return _new(dom, cod, tuple(blocks))
 
 
 # -- overflow-free products -------------------------------------------------
@@ -480,28 +493,17 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _transpose(blocks) -> list[_Block]:
+    """The transposed blocks: a crossing reversed, an identity kept, and a dense or function
+    block's matrix transposed and kept by :func:`_kept`'s rule."""
     out: list[_Block] = []
     for b in blocks:
         if b.perm is not None:
             out += _crossing(b.cod, b.dom, _inverse(b.perm))
+        elif b.is_identity:
+            out.append(b)
         else:
-            out.append(_transposed_function(b) if b.weights is not None else b._replace(
-                dom=b.cod, cod=b.dom, array=None if b.array is None else b.array.T))
+            out.append(_kept(b.cod, b.dom, _matrix(b).T, b.exp))
     return out
-
-
-def _transposed_function(b: _Block) -> _Block:
-    """The transpose of a function block: a function block where no two nonzero
-    columns share a row, and a dense block otherwise."""
-    height = math.prod(b.cod)
-    columns = np.flatnonzero(b.weights)
-    hit = b.rows[columns]
-    if np.bincount(hit, minlength=height).max() > 1:
-        return _Block(b.cod, b.dom, _finite(_matrix(b).T), exp=b.exp)
-    rows = np.zeros(height, dtype=np.intp)
-    weights = np.zeros(height, dtype=np.complex128)
-    rows[hit], weights[hit] = columns, b.weights[columns]
-    return _function_block(b.cod, b.dom, rows, weights, b.exp)
 
 
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
@@ -603,14 +605,6 @@ def _same_block(x: _Block, y: _Block) -> bool:
             and _same_array(x.weights, y.weights))
 
 
-def _sole_function(m: Morphism) -> _Block | None:
-    """The function block that ``m`` is, if it is one block of that kind."""
-    blocks = m._blocks
-    if len(blocks) == 1 and blocks[0].weights is not None:
-        return blocks[0]
-    return None
-
-
 def _function_distance(x_rows, x, x_exp, y_rows, y, y_exp) -> list[tuple[float, int]]:
     """``norm(x - y)``, ``norm(x)`` and ``norm(y)``, each as (float, exponent), of two functions
     on the same wires with weights ``x * 2**x_exp`` and ``y * 2**y_exp``, compared column by
@@ -672,10 +666,6 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     """
     if x.dom.factors != y.dom.factors or x.cod.factors != y.cod.factors:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
-    fx, fy = _sole_function(x), _sole_function(y)
-    if fx is not None and fy is not None:
-        built = _function_distance(fx.rows, fx.weights, fx.exp, fy.rows, fy.weights, fy.exp)
-        return _finite_norms(*(_pow2(v, e) for v, e in built))
     x_blocks, y_blocks = x._blocks, y._blocks
     keys = _part_keys(x_blocks, y_blocks)
     parts: dict = {}
@@ -765,12 +755,12 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite ``g after f``, composed piece by piece (:func:`_compose_blocks`)."""
     if f.cod.factors != g.dom.factors:
         raise WireError(f"cannot compose: codomain {f.cod} does not match domain {g.dom}")
-    return _product(f.dom, g.cod, _compose_blocks(g._blocks, f._blocks))
+    return _new(f.dom, g.cod, _compose_blocks(g._blocks, f._blocks))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """The tensor product, held lazily as the blocks of both factors."""
-    return _product(f.dom @ g.dom, f.cod @ g.cod, f._blocks + g._blocks)
+    return _new(f.dom @ g.dom, f.cod @ g.cod, f._blocks + g._blocks)
 
 
 def swap(a: TensorType, b: TensorType) -> Morphism:
@@ -778,7 +768,7 @@ def swap(a: TensorType, b: TensorType) -> Morphism:
     side is empty."""
     n = len(a.factors)
     perm = (*range(n, n + len(b.factors)), *range(n))
-    return _product(a @ b, b @ a, _crossing((a @ b).factors, (b @ a).factors, perm))
+    return _new(a @ b, b @ a, _crossing((a @ b).factors, (b @ a).factors, perm))
 
 
 def double_type(t: TensorType) -> TensorType:
@@ -810,7 +800,7 @@ def double_blocks(f: Morphism) -> Morphism:
         pair = [b, b if b.is_wiring else _mapped(b, np.conj)]
         blocks += _compose_blocks(_pairing(b.cod),
                                   _compose_blocks(pair, _transpose(_pairing(b.dom))))
-    return _product(double_type(f.dom), double_type(f.cod), blocks)
+    return _new(double_type(f.dom), double_type(f.cod), blocks)
 
 
 def cup(d: int) -> Morphism:

@@ -34,6 +34,13 @@ def test_finset_rejects_duplicates_and_nonstrings():
         FinSet((1, 2))
 
 
+@pytest.mark.parametrize("labels", ["abc", "safe", ""])
+def test_finset_refuses_a_bare_string_rather_than_split_it_into_letters(labels):
+    with pytest.raises(TableError, match="tuple of labels"):
+        FinSet(labels)
+    assert FinSet((labels,)).elements == (labels,)
+
+
 def test_settype_elements_are_lexicographic():
     t = SetType((AB, XYZ))
     assert t.size == 6

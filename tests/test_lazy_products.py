@@ -9,6 +9,7 @@ doubling taken as ``kron(f, conj(f))`` with interleaved wires.  ``norm``
 and ``distance`` factor out the blocks two products share, and are
 checked against ``np.linalg.norm`` of the dense matrices.
 """
+import dataclasses
 import itertools
 import math
 from functools import reduce
@@ -30,7 +31,7 @@ from putget.quantum import (
     quantum_db_postselected,
     quantum_measurement,
 )
-from putget.registry import run_example
+from putget.registry import RunScope, names, run_example
 from putget.structures import (
     DERIVED_PROPS,
     applicable_laws,
@@ -39,7 +40,17 @@ from putget.structures import (
     classify,
     verify_derived,
 )
-from putget.tensors import UNIT, Morphism, TensorType, cap, cup, scalar, swap
+from putget.tensors import (
+    DEFAULT_TOL,
+    UNIT,
+    Morphism,
+    TensorType,
+    basis_effect,
+    cap,
+    cup,
+    scalar,
+    swap,
+)
 
 AGREE = 1e-12
 
@@ -87,7 +98,7 @@ def function_matrix(draw, rng, rows: int, cols: int) -> np.ndarray:
 
 def is_function(m: Morphism) -> bool:
     """Whether ``m`` is held as one function block."""
-    return tensors._sole_function(m) is not None
+    return len(m._blocks) == 1 and m._blocks[0].weights is not None
 
 
 def is_identity(m: Morphism) -> bool:
@@ -152,7 +163,7 @@ def products(draw, wires: TensorType, side: str, rng, kinds=ALL_KINDS):
 def dense(m: Morphism) -> Morphism:
     """The same map held as one dense matrix (the constructor would keep a
     matrix with one nonzero per column as a function block)."""
-    return tensors._product(m.dom, m.cod, [tensors._Block(m.dom.factors, m.cod.factors, m.array)])
+    return tensors._new(m.dom, m.cod, [tensors._Block(m.dom.factors, m.cod.factors, m.array)])
 
 
 def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -308,6 +319,52 @@ def test_the_constructor_keeps_a_matrix_with_one_nonzero_per_column_as_indices()
     assert_close(m.array, arr)
     arr[1, 0] = 1.0  # a second nonzero in column 0
     assert [b.array is not None for b in Morphism(t, t, arr)._blocks] == [True]  # one dense block
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_bell_and_basis_effects_are_the_function_blocks_the_constructor_makes(d):
+    # each is a dagger: cap(d) of the dense Bell state, basis_effect(d, i) of a function block
+    effects = [(cap(d), np.eye(d).reshape(1, d * d))]
+    effects += [(basis_effect(d, i), np.eye(d)[i:i + 1]) for i in range(d)]
+    for m, arr in effects:
+        built = Morphism(m.dom, m.cod, arr)
+        assert is_function(m) and is_function(built)
+        assert tensors._same_block(m._blocks[0], built._blocks[0])
+
+
+@given(st.data(), types(max_len=3), types(max_len=3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_dagger_is_exact_and_kept_by_the_constructors_rule(data, dom, cod, collide, seed):
+    # the matrix has a function pattern; with ``collide`` two nonzero columns share a row, so
+    # its dagger has two nonzeros in one column and comes out dense
+    rng = np.random.default_rng(seed)
+    arr = function_matrix(data.draw, rng, cod.dim, dom.dim)
+    if collide and dom.dim > 1:
+        arr[:, :2] = 0
+        arr[rng.integers(cod.dim), :2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    function_pattern_back = np.count_nonzero(arr, axis=1).max() <= 1
+    built_back = Morphism(cod, dom, arr.conj().T)
+    for m in (dense(Morphism(dom, cod, arr)), Morphism(dom, cod, arr)):  # a dense, a function block
+        back = m.dagger()
+        assert np.array_equal(back.array, m.array.conj().T)
+        assert is_function(back) == function_pattern_back
+        assert tensors._same_block(back._blocks[0], built_back._blocks[0])
+
+
+def test_every_registry_block_is_a_function_block_exactly_when_it_has_one_nonzero_per_column():
+    scope, seen = RunScope(DEFAULT_TOL), 0
+    for name in names():
+        U = scope.build(name)
+        for field in dataclasses.fields(U):
+            m = getattr(U, field.name)
+            if not isinstance(m, Morphism):
+                continue
+            for b in m._blocks:
+                if not b.is_wiring:
+                    seen += 1
+                    one_per_column = np.count_nonzero(tensors._matrix(b), axis=0).max() <= 1
+                    assert (b.weights is not None) == one_per_column, (name, field.name)
+    assert seen > 50  # the linear entries have blocks of their own
 
 
 def test_doubled_crossings_and_identities_stay_lazy():
