@@ -257,9 +257,10 @@ def security_db_update_flag(entries: FinSet) -> UpdateStructure:
 
 
 def update_flag_lens(entries: FinSet) -> VwbLens:
-    """The write-flag database as a lens on fused state labels."""
+    """The write-flag database as a lens on fused state labels ``entry/flag``;
+    the flag has no ``/``, so an entry label may hold one."""
     source = FinSet(tuple(f"{q}/{x}" for q in entries.elements for x in WRITE_FLAGS.elements))
     s, v = SetType((source,)), SetType((entries,))
-    get_fn = FinFunction.from_callable(s, v, lambda x: (x[0].split("/")[0],))
+    get_fn = FinFunction.from_callable(s, v, lambda x: (x[0].rpartition("/")[0],))
     put_fn = FinFunction.from_callable(s @ v, s, lambda x: (f"{x[1]}/updated",))
     return VwbLens(source, entries, get_fn, put_fn)

@@ -394,6 +394,17 @@ def _measurement(name, description, family) -> ExampleSpec:
                  _MEASUREMENT_FAILS, _measurement_extras(family))
 
 
+def _pop(d, description) -> ExampleSpec:
+    return _spec(f"pair_of_pants_{d}", description, lambda _: pair_of_pants_update(d),
+                 ("PutGetA", "CommutativePut", "CommutativeGet"), _pop_extras(d))
+
+
+def _lens(name, description, make_lens) -> ExampleSpec:
+    """A very well-behaved lens's update structure, with the lens extras."""
+    return _spec(name, description, lambda _: lens_to_update(make_lens()), _STRONG_LENS_FAILS,
+                 _vwb_lens_extras(make_lens))
+
+
 def _karoubi(base, description, failing) -> ExampleSpec:
     """``karoubi_<base>``: the entry ``base`` restricted along ``get ; put``."""
     return _spec(f"karoubi_{base}", description,
@@ -404,20 +415,11 @@ def _karoubi(base, description, failing) -> ExampleSpec:
 # Builds reach library functions through lambdas, so that every call goes
 # through the module binding current at run time.
 _ENTRIES: tuple[ExampleSpec, ...] = (
-    _spec(
-        "lens_constant_complement_3_2",
-        "vwb lens from a bijection S ~ V x R with 3 views and a 2-element complement",
-        lambda _: lens_to_update(constant_complement_lens(_COLOURS, _COMPLEMENT)),
-        _STRONG_LENS_FAILS,
-        _vwb_lens_extras(lambda: constant_complement_lens(_COLOURS, _COMPLEMENT)),
-    ),
-    _spec(
-        "identity_lens_4",
-        "the whole 4-element store is the view; put replaces, get reads",
-        lambda _: lens_to_update(identity_lens(_COMPASS)),
-        _STRONG_LENS_FAILS,
-        _vwb_lens_extras(lambda: identity_lens(_COMPASS)),
-    ),
+    _lens("lens_constant_complement_3_2",
+          "vwb lens from a bijection S ~ V x R with 3 views and a 2-element complement",
+          lambda: constant_complement_lens(_COLOURS, _COMPLEMENT)),
+    _lens("identity_lens_4", "the whole 4-element store is the view; put replaces, get reads",
+          lambda: identity_lens(_COMPASS)),
     _spec(
         "ignore_put_lens_4",
         "put discards the incoming view entirely, so PutGet cannot hold",
@@ -459,27 +461,9 @@ _ENTRIES: tuple[ExampleSpec, ...] = (
         _MEASUREMENT_FAILS,
         _decohered_extras,
     ),
-    _spec(
-        "pair_of_pants_2",
-        "2x2 matrices acting on their own column space; strong but order-sensitive",
-        lambda _: pair_of_pants_update(2),
-        ("PutGetA", "CommutativePut", "CommutativeGet"),
-        _pop_extras(2),
-    ),
-    _spec(
-        "pair_of_pants_3",
-        "3x3 matrices acting on their own column space",
-        lambda _: pair_of_pants_update(3),
-        ("PutGetA", "CommutativePut", "CommutativeGet"),
-        _pop_extras(3),
-    ),
-    _spec(
-        "pair_of_pants_4",
-        "4x4 matrices acting on their own column space",
-        lambda _: pair_of_pants_update(4),
-        ("PutGetA", "CommutativePut", "CommutativeGet"),
-        _pop_extras(4),
-    ),
+    _pop(2, "2x2 matrices acting on their own column space; strong but order-sensitive"),
+    _pop(3, "3x3 matrices acting on their own column space"),
+    _pop(4, "4x4 matrices acting on their own column space"),
     _spec(
         "quantum_db_postselected_2_2",
         "two-register store; writing deletes the old value by postselection",

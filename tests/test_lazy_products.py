@@ -862,13 +862,40 @@ def test_law_and_derived_residuals_match_the_dense_oracle(U):
         pairs = []
         for part in structures._DERIVED[prop][1]:  # a builder, or a law read from the memo
             if part in ALGEBRA_LAWS:
-                pairs += structures._acting(oracle, "nose", oracle.term(part))
+                pairs += oracle.term(part)
             elif isinstance(part, str):
                 pairs.append(structures._law_sides(oracle, part))
             else:
                 pairs += part(oracle)
         want = max(lhs.distance(rhs) for lhs, rhs in pairs)
         assert abs(result.residual - want) <= AGREE, prop
+
+
+@given(st.sampled_from([(3,), (2, 2)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_the_three_wire_sides_act_as_the_plain_composites(prop, seed):
+    # coassoc through put and assoc through get act part by part; plainly, each side
+    # x of the law acts as (1 x x) ; (put x 1_p x 1_p), or (get x 1_p x 1_p) ; (1 x x)
+    rng = np.random.default_rng(seed)
+    s, p = TensorType((2,)), TensorType(prop)
+
+    def arrow(dom, cod):
+        shape = (cod.dim, dom.dim)
+        return Morphism(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    U = structures.UpdateStructure(s, p, arrow(s @ p, s), arrow(s, s @ p), arrow(p @ p, p),
+                                   arrow(p, p @ p))
+    oracle = dense_structure(U)
+    ids, idp = oracle.term("ids"), oracle.term("idp")
+    put, get = oracle.put @ idp @ idp, oracle.get @ idp @ idp
+    plain = [((ids @ lhs) >> put, (ids @ rhs) >> put) for lhs, rhs in oracle.term("coassoc")]
+    plain += [(get >> (ids @ lhs), get >> (ids @ rhs)) for lhs, rhs in oracle.term("assoc")]
+    sides = structures._coassoc_through_put(U) + structures._assoc_through_get(U)
+    assert len(sides) == len(plain) == 2
+    for mine, want in zip(sides, plain):
+        assert want[0].distance(want[1]) > 1e-6  # random arrows: the two sides differ
+        for m, w in zip(mine, want):
+            assert_close(m.array, w.array)
 
 
 @pytest.fixture

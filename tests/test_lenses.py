@@ -54,6 +54,13 @@ def test_update_flag_lens_breaks_exactly_get_put():
     assert report.get_put.residual == len(ENTRIES.elements)
 
 
+@pytest.mark.parametrize("entries", [("a", "a/untouched"), ("a/b", "c")])
+def test_update_flag_lens_reads_an_entry_label_that_holds_a_slash(entries):
+    # the fused label is entry/flag: the flag is the part after the last "/"
+    report = check_vwb(update_flag_lens(FinSet(entries)))
+    assert (report.put_put.residual, report.put_get.residual, report.get_put.residual) == (0, 0, 2)
+
+
 def test_random_lens_is_lawless_for_this_seed():
     lens = random_lens(FinSet(("s0", "s1", "s2", "s3")), AB, random.Random(5))
     assert not check_vwb(lens).is_vwb

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from putget.structures import _DERIVED
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -16,3 +18,9 @@ def test_the_library_tour_runs():
     assert getput == pytest.approx(2 ** 0.5, rel=1e-15)
     assert getput == pytest.approx(names["getput_defect_formula"](names["pvs"]), rel=1e-15)
     assert names["check_algebra"](names["alg"], "counit").residual == pytest.approx(1.5)
+
+
+def test_the_derived_table_lists_each_implications_premises():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", README.read_text(encoding="utf-8"), re.M)
+    premises = {name: tuple(cell.split(", ")) for name, cell in rows if name in _DERIVED}
+    assert premises == {name: entry[0] for name, entry in _DERIVED.items()}

@@ -1,5 +1,7 @@
+import json
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,54 @@ def test_putput_and_getget_are_no_premise_of_idempotence_or_trivial_strength(
     assert verify_derived(U, prop).status == "holds"
 
 
+WITNESSES = json.loads((Path(__file__).parent / "data" / "premise_witnesses.json").read_text())
+
+
+def witness_structure(w: dict) -> UpdateStructure:
+    """A witness's structure: set tables in index form, or row-major matrices."""
+    if w["backend"] == "set":
+        s = SetType((FinSet(tuple(f"s{i}" for i in range(w["system"]))),))
+        p = SetType((FinSet(tuple(f"v{i}" for i in range(w["prop"]))),))
+        make = indexed
+    else:
+        s, p = TensorType((w["system"],)), TensorType((w["prop"],))
+        make = lambda dom, cod, entries: Morphism(dom, cod, np.reshape(entries, (cod.dim, dom.dim)))
+    unit = type(s).unit()
+    shapes = {"put": (s @ p, s), "get": (s, s @ p), "mult": (p @ p, p), "comult": (p, p @ p),
+              "trivial_update": (unit, p), "trivial_outcome": (p, unit)}
+    return UpdateStructure(system=s, prop=p, **{part: make(*shape, w[part])
+                                                for part, shape in shapes.items() if part in w})
+
+
+@pytest.mark.parametrize("w", WITNESSES, ids=lambda w: f"{w['implication']}-{w['premise']}")
+def test_each_premise_of_each_derived_implication_is_needed(monkeypatch, w):
+    # the witness fails this premise only, and the conclusion fails without it
+    premises, conclusion = structures._DERIVED[w["implication"]]
+    assert w["premise"] in premises
+    U = witness_structure(w)
+    assert verify_derived(U, w["implication"]).failed_premises == (w["premise"],)
+    monkeypatch.setitem(structures._DERIVED, w["implication"],
+                        (tuple(law for law in premises if law != w["premise"]), conclusion))
+    assert verify_derived(U, w["implication"]).status == "fails"
+
+
+def test_every_premise_has_a_witness():
+    assert sorted((w["implication"], w["premise"]) for w in WITNESSES) == sorted(
+        (prop, law) for prop, (premises, _) in structures._DERIVED.items() for law in premises)
+
+
+@pytest.mark.parametrize("backend", ["set", "linear"])
+def test_every_derived_check_holds_on_the_unit_property_wire(backend):
+    # p = I, so p x p = I too: each law side starts and ends on the property wire
+    s, unit = (SetType((V2,)), SetType.unit()) if backend == "set" else (TensorType((2,)),
+                                                                          TensorType.unit())
+    one = unit.identity()
+    U = UpdateStructure(system=s, prop=unit, put=s.identity(), get=s.identity(), mult=one,
+                        comult=one, trivial_update=one, trivial_outcome=one)
+    assert all(check_law(U, law).holds for law in applicable_laws(U))
+    assert [verify_derived(U, prop).status for prop in DERIVED_PROPS] == ["holds"] * 9
+
+
 def test_weak_trivial_nonvacuous_on_spectrum_structure():
     U = build_example("qubit_z_pvs")
     result = verify_derived(U, "weak_trivial_implies_strong")
@@ -432,7 +482,7 @@ def test_algebra_laws_on_the_nose_agree_with_the_algebra_record(name):
         assert mine.law == law
         assert (mine.holds, mine.residual, mine.threshold) == tuple(record), law
         assert check_law(U, law) is mine  # memoised like every other law
-    assert U.term("assoc")[0][0].kept  # the sides were built from the structure's terms
+    assert U.term("assoc") is U._memo["assoc"]  # the sides are one memo entry
 
 
 def test_dagger_laws_of_a_set_structure_need_the_linear_backend():
