@@ -213,18 +213,15 @@ READ_FLAGS = FinSet(("safe", "breached"))
 WRITE_FLAGS = FinSet(("untouched", "updated"))
 
 
-def security_db(entries: FinSet) -> UpdateStructure:
-    """A database that flags any access at all.
-
-    The state is (record, flag).  A write installs the new record and
-    raises the flag; a read reports the record but also raises the
-    flag, since a read is already a breach.  GetPut therefore fails on
-    exactly the safe stratum, while every weak law holds exactly.
-    """
-    s = SetType((entries, READ_FLAGS))
+def _flag_db(entries: FinSet, flags: FinSet, read_trips: bool) -> UpdateStructure:
+    """The database on (record, flag) whose write installs the new record and raises the
+    flag, ``flags``' second element; with ``read_trips`` a read raises it too."""
+    s = SetType((entries, flags))
     p = SetType((entries,))
-    put = FinFunction.from_callable(s @ p, s, lambda x: (x[2], "breached"))
-    get = FinFunction.from_callable(s, s @ p, lambda x: (x[0], "breached", x[0]))
+    raised = flags.elements[1]
+    put = FinFunction.from_callable(s @ p, s, lambda x: (x[2], raised))
+    get = FinFunction.from_callable(
+        s, s @ p, lambda x: (x[0], raised if read_trips else x[1], x[0]))
     return UpdateStructure(
         system=s,
         prop=p,
@@ -233,6 +230,17 @@ def security_db(entries: FinSet) -> UpdateStructure:
         mult=projection(p @ p, 1),
         comult=diagonal(p),
     )
+
+
+def security_db(entries: FinSet) -> UpdateStructure:
+    """A database that flags any access at all.
+
+    The state is (record, flag).  A write installs the new record and
+    raises the flag; a read reports the record but also raises the
+    flag, since a read is already a breach.  GetPut therefore fails on
+    exactly the safe stratum, while every weak law holds exactly.
+    """
+    return _flag_db(entries, READ_FLAGS, read_trips=True)
 
 
 def security_db_update_flag(entries: FinSet) -> UpdateStructure:
@@ -242,18 +250,7 @@ def security_db_update_flag(entries: FinSet) -> UpdateStructure:
     but not a very well behaved one: GetPut still fails on states that
     have never been written.
     """
-    s = SetType((entries, WRITE_FLAGS))
-    p = SetType((entries,))
-    put = FinFunction.from_callable(s @ p, s, lambda x: (x[2], "updated"))
-    get = FinFunction.from_callable(s, s @ p, lambda x: (x[0], x[1], x[0]))
-    return UpdateStructure(
-        system=s,
-        prop=p,
-        put=put,
-        get=get,
-        mult=projection(p @ p, 1),
-        comult=diagonal(p),
-    )
+    return _flag_db(entries, WRITE_FLAGS, read_trips=False)
 
 
 def update_flag_lens(entries: FinSet) -> VwbLens:

@@ -207,33 +207,30 @@ class ProjectorValuedSpectrum:
         return self.structure.system
 
 
+_READINGS = {"p_idempotent": "the projectors are not idempotent, or not orthogonal",
+             "p_self_adjoint": "the projectors are not self-adjoint",
+             "p_complete": "the projectors do not sum to the identity",
+             "isometry": "get then put is not the identity",
+             "projector_recovery": "a projector is not read back from the spectrum"}
+
+
 def pvs_from_projectors(
     projectors, tol: Tolerance = DEFAULT_TOL
 ) -> ProjectorValuedSpectrum:
-    """Validate a projector family and assemble its spectrum map."""
+    """Assemble a projector family's spectrum and validate it by the spectrum's own
+    equations (:func:`pvs_equations`), whose verdicts stay memoised on its structure.
+
+    Raises :class:`PvsError` for an empty family, a projector that is no endomap of
+    the first one's domain, or, naming each failing equation with its residual, a
+    family that is not complete, orthogonal, idempotent and self-adjoint.
+    """
     projectors = tuple(projectors)
     if not projectors:
         raise PvsError("need at least one projector")
     s = projectors[0].dom
-    problems = []
     for i, p in enumerate(projectors):
         if p.dom != s or p.cod != s:
             raise PvsError(f"projector {i} is {p.dom} -> {p.cod}, expected an endomap of {s}")
-        if not compare(p >> p, p, tol).holds:
-            problems.append(f"projector {i} is not idempotent")
-        if not compare(p, p.dagger(), tol).holds:
-            problems.append(f"projector {i} is not self-adjoint")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if not compare(projectors[i] >> projectors[j], 0.0 * projectors[i], tol).holds:
-                problems.append(f"projectors {i} and {j} are not orthogonal")
-    total = projectors[0]
-    for p in projectors[1:]:
-        total = total + p
-    if not compare(total, s.identity(), tol).holds:
-        problems.append("projectors do not sum to the identity")
-    if problems:
-        raise PvsError("; ".join(problems))
     k = len(projectors)
     arr = np.zeros((s.dim * k, s.dim), dtype=np.complex128)
     view = arr.reshape(s.dim, k, s.dim)
@@ -245,9 +242,10 @@ def pvs_from_projectors(
         system=s, prop=spider.carrier, put=spectrum.dagger(), get=spectrum,
         mult=spider.mult, comult=spider.comult,
         trivial_update=spider.unit, trivial_outcome=spider.counit), projectors)
-    bad = [r.law for r in pvs_equations(pvs, tol) if not r.holds]
-    if bad:  # cannot happen for a family passing the checks above
-        raise PvsError(f"spectrum equations fail: {bad}")
+    problems = [f"{r.law} fails, residual {r.residual:.3e}: {_READINGS[r.law]}"
+                for r in pvs_equations(pvs, tol) if not r.holds]
+    if problems:
+        raise PvsError("; ".join(problems))
     return pvs
 
 
@@ -311,8 +309,9 @@ def quantum_measurement(pvs: ProjectorValuedSpectrum) -> UpdateStructure:
 
 
 def getput_defect_formula(pvs: ProjectorValuedSpectrum) -> float:
-    """Predicted GetPut residual of the measurement structure."""
-    ranks = [int(np.linalg.matrix_rank(p.array)) for p in pvs.projectors]
+    """Predicted GetPut residual of the measurement structure.  A projector's rank is its
+    trace, rounded, so the ranks come from no tolerance of their own and sum to dim(S)."""
+    ranks = [round(np.trace(p.array).real) for p in pvs.projectors]
     return float(np.sqrt(pvs.system.dim**2 - sum(r * r for r in ranks)))
 
 

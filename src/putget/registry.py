@@ -282,28 +282,28 @@ def _pop_extras(d: int):
     return run
 
 
+def _getput_breaks_exactly_on(U: UpdateStructure, flag: str, name: str) -> ExtraCheck:
+    """Whether GetPut fails on exactly the states whose flag is ``flag``; the residual
+    counts the states where the two sets differ."""
+    broken = set(U.term("get_put").disagreements(U.system.identity()))
+    gap = broken ^ {x for x in U.system.elements() if x[1] == flag}
+    return ExtraCheck(name, not gap, float(len(gap)))
+
+
 def _security_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
-    e = U.term("get_put")
-    broken = set(e.disagreements(U.system.identity()))
-    safe = {x for x in U.system.elements() if x[1] == "safe"}
-    gap = broken ^ safe
-    stuck = e.image()
+    stuck = U.term("get_put").image()
     breached = {x for x in U.system.elements() if x[1] == "breached"}
     return [
-        ExtraCheck("getput_breaks_exactly_on_safe_states", not gap, float(len(gap))),
+        _getput_breaks_exactly_on(U, "safe", "getput_breaks_exactly_on_safe_states"),
         ExtraCheck("stable_states_all_breached", stuck <= breached,
                    float(len(stuck - breached))),
     ]
 
 
 def _flag_db_extras(U: UpdateStructure, scope: RunScope) -> list[ExtraCheck]:
-    e = U.term("get_put")
-    broken = set(e.disagreements(U.system.identity()))
-    unwritten = {x for x in U.system.elements() if x[1] == "untouched"}
-    gap = broken ^ unwritten
     report = check_vwb(update_flag_lens(_DB_ENTRIES))
     return [
-        ExtraCheck("getput_breaks_exactly_on_unwritten_states", not gap, float(len(gap))),
+        _getput_breaks_exactly_on(U, "untouched", "getput_breaks_exactly_on_unwritten_states"),
         ExtraCheck("lens_put_put", report.put_put.holds, report.put_put.residual),
         ExtraCheck("lens_put_get", report.put_get.holds, report.put_get.residual),
         ExtraCheck("lens_get_put_fails", not report.get_put.holds, report.get_put.residual),

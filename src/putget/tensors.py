@@ -19,9 +19,9 @@ a dense matrix being one dense block.  A block is one of four kinds:
 - an identity block, held as its wire: one block per wire.
 
 One rule decides the kind of every block made from a matrix, by the
-constructor, by ``dagger`` (a block's matrix transposed) or by a sum: a
-function block where the matrix has at most one nonzero in each column,
-and else a dense block (:func:`_kept`).  So ``cap(d)``, the dagger of
+constructor or by ``dagger`` (a block's matrix transposed): a function
+block where the matrix has at most one nonzero in each column, and else
+a dense block (:func:`_kept`).  So ``cap(d)``, the dagger of
 the dense Bell state, is the function block that its matrix passed to
 ``Morphism`` makes.  A piece that ``compose`` contracts is left dense
 whatever its pattern, and a scalar multiple keeps its block's kind.
@@ -265,19 +265,6 @@ class Morphism:
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return tensor(self, other)
 
-    def __add__(self, other: "Morphism") -> "Morphism":
-        """The sum, made from both sides' mantissas added at the larger exponent of a side that
-        is not 0, so a sum out of range is refused only where its matrix is read.  As in the
-        distance, an entry below that exponent's range underflows."""
-        if self.dom != other.dom or self.cod != other.cod:
-            raise WireError(f"cannot add {self.dom} -> {self.cod} and {other.dom} -> {other.cod}")
-        x, y, e, _ = _aligned(_kron(self._blocks), sum(b.exp for b in self._blocks),
-                              _kron(other._blocks), sum(b.exp for b in other._blocks))
-        return _new(self.dom, self.cod, (_kept(self.dom.factors, self.cod.factors, x + y, e),))
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        return self + (-1.0) * other
-
     def __rmul__(self, z: complex) -> "Morphism":
         """``z`` times the map: the first dense or function block's mantissas times z's, and
         z's exponent added to its own; with no such block, z as a wire-less scalar block."""
@@ -380,8 +367,8 @@ def _normal(b: _Block) -> _Block:
 
 def _kept(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray, exp: int = 0) -> _Block:
     """The matrix ``arr * 2**exp`` as a block: a function block where it has at most one nonzero
-    in each column, and else a dense block.  The one rule for a block's kind: the constructor,
-    a transpose and a sum all make their blocks here."""
+    in each column, and else a dense block.  The one rule for a block's kind: the constructor
+    and a transpose both make their blocks here."""
     return _normal((_as_function(dom, cod, arr) or _Block(dom, cod, arr))._replace(exp=exp))
 
 

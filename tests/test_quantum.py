@@ -211,6 +211,35 @@ def test_projector_family_validation_names_the_problem():
         pvs_from_projectors([])
 
 
+def test_an_incomplete_family_is_refused_by_name_and_residual():
+    t = TensorType((2,))
+    with pytest.raises(PvsError, match=r"p_complete fails, residual 1\.000e\+00: "
+                                       "the projectors do not sum to the identity"):
+        pvs_from_projectors([Morphism(t, t, np.diag([1.0, 0.0]))])
+
+
+def test_a_family_is_validated_by_the_spectrum_equations_alone(monkeypatch):
+    from dataclasses import replace
+
+    from putget import quantum, structures, tensors
+    from putget.quantum import ProjectorValuedSpectrum
+
+    compared = []
+    for module in (quantum, structures, tensors):
+        original = module.compare
+        monkeypatch.setattr(module, "compare",
+                            lambda *args, original=original: compared.append(args) or original(*args))
+    t = TensorType((3,))
+    pvs = pvs_from_projectors([Morphism(t, t, np.diag(row)) for row in np.eye(3)])
+    validating = len(compared)
+    compared.clear()
+    pvs_equations(pvs)
+    assert compared == []  # the verdicts validation made are the memoised ones
+    fresh = ProjectorValuedSpectrum(replace(pvs.structure), pvs.projectors)
+    pvs_equations(fresh)
+    assert validating == len(compared) > 0
+
+
 @pytest.mark.parametrize("make", [qubit_z, qubit_x, qutrit_degenerate])
 def test_spectrum_update_structure_is_strong(make):
     U = pvs_to_update(make())
@@ -234,6 +263,22 @@ def test_measurement_is_weak_with_predicted_getput_defect(make, defect):
     residual = check_law(U, "GetPut").residual
     assert abs(residual - defect) < 1e-6
     assert abs(getput_defect_formula(pvs) - defect) < 1e-12
+
+
+def test_the_defect_formula_reads_each_rank_as_a_trace():
+    # within a loose tolerance of a rank-1 pair; an SVD rank would read [2, 1] and give NaN
+    import warnings
+
+    from putget.tensors import Tolerance
+
+    t = TensorType((2,))
+    family = [Morphism(t, t, np.diag([1.0, 1e-6])), Morphism(t, t, np.diag([0.0, 1.0 - 1e-6]))]
+    pvs = pvs_from_projectors(family, Tolerance(1e-3, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert getput_defect_formula(pvs) == np.sqrt(2.0)
+    measured = check_law(quantum_measurement(pvs), "GetPut").residual
+    assert measured == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def test_measurement_read_is_causal_but_write_is_not():

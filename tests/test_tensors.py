@@ -209,9 +209,6 @@ def test_distance_and_arithmetic():
     t = TensorType((2,))
     one = t.identity()
     assert one.distance(one) == 0
-    doubled = one + one
-    assert doubled.distance(2.0 * one) < 1e-12
-    assert (doubled - one).distance(one) < 1e-12
     assert one.norm() == pytest.approx(np.sqrt(2))
 
 
@@ -534,24 +531,3 @@ def test_a_difference_out_of_range_is_refused(arr):
     for lhs, rhs in ((a, -1.0 * a), (a @ scalar(1), (-1.0 * a) @ scalar(1))):
         with pytest.raises(ValueError, match="finite"):
             compare(lhs, rhs)
-
-
-def test_a_sum_out_of_range_is_made_and_refused_where_its_matrix_is_read():
-    # each side is in range, but every entry of the sum is 2e308
-    t = TensorType((2,))
-    a = Morphism(t, t, np.full((2, 2), 1e308))
-    total = a + a
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        total.array
-
-
-def test_sums_in_range_are_exact_and_a_map_minus_itself_is_zero():
-    rng = np.random.default_rng(4)
-    t = TensorType((2, 3))
-    lazy = 2.0**40 * (rand_morphism(rng, TensorType((2,)), TensorType((2,)))
-                      @ rand_morphism(rng, TensorType((3,)), TensorType((3,))))
-    function = Morphism(t, t, 2.0**-30 * np.eye(6)[rng.permutation(6)])
-    for a, b in ((lazy, function), (function, lazy), (lazy, rand_morphism(rng, t, t))):
-        assert np.array_equal((a + b).array, a.array + b.array)
-        assert (b + (-1.0) * b).norm() == 0.0
-    assert (function + function)._blocks[0].weights is not None  # a sum keeps the one rule too
