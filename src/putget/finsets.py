@@ -212,10 +212,15 @@ def projection(t: FinSet | SetType, keep: int | Iterable[int]) -> FinFunction:
     for i in idxs:
         if i < 0 or i >= len(t.factors):
             raise TableError(f"no factor {i} in {t}")
-    coords = np.indices([len(f) for f in t.factors], dtype=np.intp).reshape(len(t.factors), t.size)
-    index = np.zeros(t.size, np.intp)
-    for i in idxs:
-        index = index * len(t.factors[i]) + coords[i]
+    # the index is linear in the coordinates: a step along factor i adds scale[i]
+    sizes = [len(f) for f in t.factors]
+    scale, step = [0] * len(sizes), 1
+    for i in reversed(idxs):
+        scale[i] += step
+        step *= sizes[i]
+    index = np.zeros(1, np.intp)
+    for size, s in zip(sizes, scale):
+        index = (index[:, None] + s * np.arange(size, dtype=np.intp)).ravel()
     return _of(t, SetType(tuple(t.factors[i] for i in idxs)), index)
 
 

@@ -79,6 +79,8 @@ class StructureError(ValueError):
 Wires = TensorType | SetType
 Arrow = Morphism | FinFunction
 
+_UNSET = object()  # what a memo holds for a key it has not made yet
+
 CORE_LAWS = ("PutPut", "GetGet", "PutGet", "GetPut", "RepeatUpdate")
 WEAK_LAWS = ("PutPut", "GetGet", "PutGet", "RepeatUpdate")
 
@@ -152,10 +154,10 @@ class UpdateStructure:
 
     def memo(self, key, make):
         """The value stored under ``key``, made by ``make()`` the first time it is asked for."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
+        value = self._memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._memo[key] = make()
+        return value
 
     def term(self, name: str):
         """A shared composite, or an algebra law's sides, by name (see ``_TERMS``), built once."""

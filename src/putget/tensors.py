@@ -21,10 +21,12 @@ a dense matrix being one dense block.  A block is one of four kinds:
 One rule decides the kind of every block made from a matrix, by the
 constructor or by ``dagger`` (a block's matrix transposed): a function
 block where the matrix has at most one nonzero in each column, and else
-a dense block (:func:`_kept`).  So ``cap(d)``, the dagger of
-the dense Bell state, is the function block that its matrix passed to
-``Morphism`` makes.  A piece that ``compose`` contracts is left dense
-whatever its pattern, and a scalar multiple keeps its block's kind.
+a dense block (:func:`_kept`).  So ``cap(d)``, the dagger of the dense
+Bell state, is the function block that its matrix passed to
+``Morphism`` makes, and a function block whose nonzero entries sit on
+distinct rows is transposed as index arrays into that same block.  A
+piece that ``compose`` contracts is left dense whatever its pattern,
+and a scalar multiple keeps its block's kind.
 
 ``tensor``, ``swap`` and ``TensorType.identity`` build lazy products,
 and one constructor, ``_crossing``, makes every identity and
@@ -34,9 +36,10 @@ blocks cuts the shared middle wires wherever both have a block boundary
 and composes each piece on its own.  A piece with an identity on one
 side is the other side's blocks, untouched.  A piece of function,
 permutation and identity blocks composes into one function block by a
-gather of index arrays, or, with no function block, into one
-permutation block.  Every piece with a dense block, a side of one block
-included, is contracted wire by wire on one path: a function block in it is
+gather of index arrays (of one gather of its rows and weights where each
+side is one block), or, with no function block, into one permutation
+block.  Every piece with a dense block, a side of one block included,
+is contracted wire by wire on one path: a function block in it is
 densified, the dense blocks are multiplied two at a time by matmul in
 the order that keeps each result smallest, and a permutation block only
 relabels wires.  ``double_blocks`` doubles each block as a composite
@@ -47,18 +50,21 @@ multiple goes into the first dense or function block, or else is a
 wire-less 1x1 function block of its own.  So neither ``1 (x) f`` nor a
 crossing is ever built as a matrix.  ``Morphism.array`` builds the
 dense matrix only when something reads it, as the composite of the
-blocks with the identity, so it takes the one contraction path too.
+blocks with the identity, so it takes the one contraction path too; one
+dense or function block is its own matrix.
 
 Comparisons work on the blocks too.  A product's norm is the product of
-its block norms, and ``distance`` groups the blocks of both sides into
-the finest parts that cover the same wires: a part with the same blocks
-on both sides is a common factor and contributes only its norm, so only
-the parts where the sides differ are looked at.  Where those hold no
-dense block they are compared column by column as index arrays, and
-otherwise built densely, the same way.  A dense norm is one sum of
+its block norms.  ``distance`` pairs the blocks of both sides by position
+where they line up (as many blocks, each position on as many wires on
+both sides, and no wire-less scalar), and else groups them into the
+finest parts that cover the same wires: a pair or part with the same
+blocks on both sides is a common factor and contributes only its norm,
+so only the parts where the sides differ are looked at.  Where those
+hold no dense block they are compared column by column as index arrays,
+and otherwise built densely, the same way.  A dense norm is one sum of
 squares over the entries in memory order.  A dense or function block
 holds mantissas, the largest in [1, 2) or all 0, and a binary exponent,
-set once by ``_normal`` where the block is made.  Every product
+set once by ``_mantissas`` where the block is made.  Every product
 multiplies mantissas and adds exponents, so no partial product
 overflows and a 0 stays 0.  A matrix, norm or distance applies the
 exponent where it is read, and refuses a result out of range there.
@@ -129,6 +135,11 @@ class Tolerance:
             raise ValueError("tolerance bounds must be non-negative")
         if self.absolute == 0 and self.relative == 0:
             raise ValueError("at least one tolerance bound must be positive")
+        # taken once: a tolerance is part of the key of every memoised verdict
+        object.__setattr__(self, "_hash", hash((self.absolute, self.relative)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def threshold(self, scale: float = 0.0) -> float:
         """``absolute + relative * scale``; raises ValueError where that is not finite, so
@@ -198,13 +209,15 @@ class _Block(NamedTuple):
     - dense: ``array`` is the ``cod x dom`` matrix;
     - function: column j of the matrix, in the row-major enumeration of
       ``dom``, is ``weights[j]`` at row ``rows[j]`` and 0 elsewhere (a
-      zero column points at row 0);
+      zero column made from a matrix points at row 0; one made by a
+      gather keeps the row it reached);
     - permutation: output wire k is input wire ``perm[k]``, and column j
       is 1 at row ``rows[j]`` (``weights`` is None);
     - identity on the one wire ``dom``: all else is None.
 
     A dense or function block is its entries times ``2**exp``, the entries
-    made mantissas by :func:`_normal`; a wiring block has ``exp`` 0.
+    made mantissas by :func:`_normal` (a block that is all 0 keeps the
+    exponent it was made with); a wiring block has ``exp`` 0.
     """
 
     dom: tuple[int, ...]
@@ -217,7 +230,7 @@ class _Block(NamedTuple):
 
     @property
     def is_identity(self) -> bool:
-        return self.array is None and self.perm is None and self.rows is None
+        return self.rows is None and self.array is None
 
     @property
     def is_wiring(self) -> bool:
@@ -306,7 +319,7 @@ class Morphism:
 
 def _finite(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only, after checking that every entry is finite."""
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError("matrix entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -338,12 +351,13 @@ def _identity(wires: tuple[int, ...]) -> list[_Block]:
     return _crossing(wires, wires, tuple(range(len(wires))))
 
 
-def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray) -> _Block | None:
-    """``arr`` as a function block, or None if a column has two nonzero entries."""
-    if np.count_nonzero(arr, axis=0).max() > 1:
-        return None
+def _as_function(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray,
+                 exp: int = 0) -> _Block | None:
+    """``arr * 2**exp`` as a function block, or None if a column has two nonzero entries."""
+    if np.count_nonzero(arr) > arr.shape[1] or np.count_nonzero(arr, axis=0).max() > 1:
+        return None  # the first test holds for most dense matrices, and is one count
     rows = np.argmax(arr != 0, axis=0)  # a zero column gives row 0
-    return _function_block(dom, cod, rows, arr[rows, np.arange(arr.shape[1])])
+    return _function_block(dom, cod, rows, arr[rows, np.arange(arr.shape[1])], exp)
 
 
 def _entries(b: _Block) -> np.ndarray:
@@ -354,22 +368,32 @@ def _entries(b: _Block) -> np.ndarray:
 def _mapped(b: _Block, fn) -> _Block:
     """A dense or function block with ``fn`` applied to its entries; its exponent stays."""
     if b.array is not None:
-        return b._replace(array=_finite(fn(b.array)))
-    return b._replace(weights=_finite(fn(b.weights)))
+        return _Block(b.dom, b.cod, _finite(fn(b.array)), exp=b.exp)
+    return _Block(b.dom, b.cod, None, None, b.rows, _finite(fn(b.weights)), b.exp)
+
+
+def _mantissas(entries: np.ndarray) -> tuple[np.ndarray, int]:
+    """``entries`` scaled by the power of two that brings the largest into [1, 2), checked by
+    :func:`_finite`, and that power's exponent: the one scaling of block entries."""
+    e = _exponent(entries)
+    return _finite(_pow2(entries, -e)), e
 
 
 def _normal(b: _Block) -> _Block:
-    """A dense or function block with its entries scaled, by the power of two that brings the
-    largest into [1, 2), into ``exp``: the one scaling of block entries.  Refuses inf and NaN."""
-    e = _exponent(_entries(b))
-    return _mapped(b, lambda entries: _pow2(entries, -e))._replace(exp=b.exp + e)
+    """A dense or function block with its entries made mantissas (:func:`_mantissas`) and the
+    scale moved into ``exp``.  Refuses inf and NaN."""
+    if b.array is None:
+        weights, e = _mantissas(b.weights)
+        return _Block(b.dom, b.cod, None, None, b.rows, weights, b.exp + e)
+    array, e = _mantissas(b.array)
+    return _Block(b.dom, b.cod, array, exp=b.exp + e)
 
 
 def _kept(dom: tuple[int, ...], cod: tuple[int, ...], arr: np.ndarray, exp: int = 0) -> _Block:
     """The matrix ``arr * 2**exp`` as a block: a function block where it has at most one nonzero
     in each column, and else a dense block.  The one rule for a block's kind: the constructor
     and a transpose both make their blocks here."""
-    return _normal((_as_function(dom, cod, arr) or _Block(dom, cod, arr))._replace(exp=exp))
+    return _normal(_as_function(dom, cod, arr, exp) or _Block(dom, cod, arr, exp=exp))
 
 
 def _matrix(b: _Block) -> np.ndarray:
@@ -381,13 +405,17 @@ def _matrix(b: _Block) -> np.ndarray:
     return out
 
 
+_SET_DOM, _SET_COD = Morphism.dom.__set__, Morphism.cod.__set__
+_SET_BLOCKS, _SET_ARRAY = Morphism._blocks.__set__, Morphism._array.__set__
+
+
 def _new(dom: TensorType, cod: TensorType, blocks) -> Morphism:
     """The map ``dom -> cod`` held as the Kronecker product of ``blocks``, as they are."""
     m = object.__new__(Morphism)
-    object.__setattr__(m, "dom", dom)
-    object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "_blocks", tuple(blocks))
-    object.__setattr__(m, "_array", None)
+    _SET_DOM(m, dom)
+    _SET_COD(m, cod)
+    _SET_BLOCKS(m, tuple(blocks))
+    _SET_ARRAY(m, None)
     return m
 
 
@@ -398,7 +426,9 @@ def _pow2(x, e: int):
     """``x * 2**e`` for a float or an array: exact where the result is a normal float, and not
     finite (for :func:`_finite` or :func:`_finite_norms` to refuse) where it is out of range.
     An array goes in steps of at most ``2**±1000``, all one way, so a step overflows only where
-    the result does; a complex entry overflowing early is inf in one part and NaN in the other."""
+    the result does; a complex entry overflowing early is inf in one part and NaN in the other.
+    One step down, the scaling :func:`_mantissas` makes of every block, cannot overflow and
+    needs no error state."""
     if isinstance(x, float):
         try:
             return math.ldexp(x, e)
@@ -406,6 +436,8 @@ def _pow2(x, e: int):
             return math.inf
     if e == 0:
         return x
+    if -1000 <= e < 0:
+        return x * 2.0 ** e
     with np.errstate(over="ignore", invalid="ignore"):
         while e:
             step = max(-1000, min(e, 1000))
@@ -413,19 +445,24 @@ def _pow2(x, e: int):
     return x
 
 
-def _scaled_prod(values, exponent: int = 0) -> float:
-    """The product of non-negative floats and ``2**exponent``, kept as a mantissa and exponent."""
-    mantissa = 1.0
+def _scaled_prod(values, exponent: int = 0, mantissa: float = 1.0) -> float:
+    """The product of non-negative floats and ``mantissa * 2**exponent``."""
+    return _pow2(*_mantissa_prod(values, exponent, mantissa))
+
+
+def _mantissa_prod(values, exponent: int = 0, mantissa: float = 1.0) -> tuple[float, int]:
+    """The product of non-negative floats and ``mantissa * 2**exponent``, as a mantissa and an
+    exponent, so that no partial product leaves the float range."""
     for v in values:
         m, e = math.frexp(v)
         mantissa, shift = math.frexp(mantissa * m)
         exponent += e + shift
-    return _pow2(mantissa, exponent)
+    return mantissa, exponent
 
 
 def _exponent(arr: np.ndarray) -> int:
     """The ``e`` that brings the largest entry of ``arr / 2**e`` into [1, 2), or 0 if all are 0."""
-    top = float(np.abs(arr).max())
+    top = float(np.maximum.reduce(np.abs(arr), axis=None))
     return math.frexp(top)[1] - 1 if top else 0
 
 
@@ -442,21 +479,43 @@ def _fro(arr: np.ndarray) -> float:
 
 
 def _kron(blocks) -> np.ndarray:
-    """The mantissas of a Kronecker product of blocks, as their composite with the identity."""
+    """The mantissas of a Kronecker product of blocks, as their composite with the identity; of
+    one dense or function block, its matrix (:func:`_matrix`)."""
+    if len(blocks) == 1 and not blocks[0].is_wiring:
+        return _matrix(blocks[0])
     return _einsum(blocks, _identity(tuple(d for b in blocks for d in b.dom)))
 
 
-def _function_of(blocks) -> tuple[np.ndarray, np.ndarray, int]:
+def _function_of(blocks) -> tuple[np.ndarray, np.ndarray | None, int]:
     """A Kronecker product of identity, permutation and function blocks as one function:
-    its rows, the products of the blocks' weight mantissas, and the sum of their exponents."""
+    its rows, the products of the blocks' weight mantissas (None where no block has weights),
+    and the sum of their exponents.  One function or permutation block gives its own arrays."""
+    if len(blocks) == 1 and blocks[0].rows is not None:
+        return blocks[0].rows, blocks[0].weights, blocks[0].exp
     rows = weights = None
     for out, height, w in _function_factors(blocks):
         if rows is None:
-            rows, weights = out, np.ones(out.size, dtype=np.complex128) if w is None else w
-        else:
-            rows = (rows[:, None] * height + out).ravel()
+            rows, weights = out, w
+            continue
+        if weights is not None:
             weights = np.repeat(weights, out.size) if w is None else (weights[:, None] * w).ravel()
+        elif w is not None:
+            weights = w[None, :].repeat(rows.size, axis=0).ravel()
+        rows = (rows[:, None] * height + out).ravel()
     return rows, weights, sum(b.exp for b in blocks)
+
+
+def _gather(g, f) -> tuple[np.ndarray, np.ndarray, int]:
+    """Function ``g`` after function ``f``, each as :func:`_function_of` gives it and at least
+    one with weights: one gather of g's rows and weights by f's rows, the weights multiplied."""
+    (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = g, f
+    if g_weights is None:
+        weights = f_weights
+    elif f_weights is None:
+        weights = g_weights[f_rows]
+    else:
+        weights = g_weights[f_rows] * f_weights
+    return g_rows[f_rows], weights, g_exp + f_exp
 
 
 def _function_factors(blocks) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
@@ -481,7 +540,10 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 def _transpose(blocks) -> list[_Block]:
     """The transposed blocks: a crossing reversed, an identity kept, and a dense or function
-    block's matrix transposed and kept by :func:`_kept`'s rule."""
+    block's matrix transposed and kept by :func:`_kept`'s rule.  A function block whose nonzero
+    entries sit on distinct rows is transposed as index arrays, into the block that ``_kept``
+    makes of its densified transpose: row r becomes column r, and a row with no nonzero entry a
+    zero column at row 0."""
     out: list[_Block] = []
     for b in blocks:
         if b.perm is not None:
@@ -489,8 +551,25 @@ def _transpose(blocks) -> list[_Block]:
         elif b.is_identity:
             out.append(b)
         else:
-            out.append(_kept(b.cod, b.dom, _matrix(b).T, b.exp))
+            out.append(_function_transpose(b) or _kept(b.cod, b.dom, _matrix(b).T, b.exp))
     return out
+
+
+def _function_transpose(b: _Block) -> _Block | None:
+    """The transpose of function block ``b`` as a function block, or None if ``b`` is dense or
+    has two nonzero entries on one row."""
+    height = math.prod(b.cod)
+    if b.weights is None or np.count_nonzero(b.weights) > height:
+        return None
+    (columns,) = b.weights.nonzero()
+    at = b.rows[columns]
+    weights = np.zeros(height, dtype=np.complex128)
+    weights[at] = b.weights[columns]
+    if np.count_nonzero(weights) < columns.size:  # two entries on one row: one overwrote
+        return None
+    rows = np.zeros(weights.size, dtype=np.intp)
+    rows[at] = columns
+    return _normal(_function_block(b.cod, b.dom, rows, weights, b.exp))
 
 
 def _einsum(g_blocks, f_blocks) -> np.ndarray:
@@ -537,10 +616,12 @@ def _einsum(g_blocks, f_blocks) -> np.ndarray:
             out = [next(label) for _ in b.cod]
             cod += out
             operands.append((_matrix(b).reshape(b.cod + b.dom), out + inputs))
-    dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
     while len(operands) > 1:
-        i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
-            dims[w] for w in set(operands[ij[0]][1]).symmetric_difference(operands[ij[1]][1])))
+        i, j = 0, 1
+        if len(operands) > 2:  # the pair with the smallest result
+            dims = {w: d for arr, wires in operands for w, d in zip(wires, arr.shape)}
+            i, j = min(itertools.combinations(range(len(operands)), 2), key=lambda ij: math.prod(
+                dims[w] for w in set(operands[ij[0]][1]).symmetric_difference(operands[ij[1]][1])))
         (y, y_wires), (x, x_wires) = operands.pop(j), operands.pop(i)
         summed = [w for w in x_wires if w in y_wires]
         x_kept = [w for w in x_wires if w not in summed]
@@ -583,11 +664,13 @@ def _block_norm(b: _Block) -> float:
 
 
 def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+    """Whether two arrays of one shape, or two Nones, hold equal entries (so 0 and -0 are)."""
+    return a is b or (a is not None and b is not None
+                      and (a.tobytes() == b.tobytes() or np.array_equal(a, b)))
 
 
 def _same_block(x: _Block, y: _Block) -> bool:
-    return (x.dom == y.dom and x.cod == y.cod and x.perm == y.perm and x.exp == y.exp
+    return x is y or (x.dom == y.dom and x.cod == y.cod and x.perm == y.perm and x.exp == y.exp
             and _same_array(x.array, y.array) and _same_array(x.rows, y.rows)
             and _same_array(x.weights, y.weights))
 
@@ -596,7 +679,9 @@ def _function_distance(x_rows, x, x_exp, y_rows, y, y_exp) -> list[tuple[float, 
     """``norm(x - y)``, ``norm(x)`` and ``norm(y)``, each as (float, exponent), of two functions
     on the same wires with weights ``x * 2**x_exp`` and ``y * 2**y_exp``, compared column by
     column: a column whose rows agree contributes ``|x - y|**2``, and one whose rows differ
-    ``|x|**2 + |y|**2``."""
+    ``|x|**2 + |y|**2``.  Weights None are all 1."""
+    x = np.ones(x_rows.size, dtype=np.complex128) if x is None else x
+    y = np.ones(y_rows.size, dtype=np.complex128) if y is None else y
     same = x_rows == y_rows
     x_at, y_at, e, norms = _aligned(x, x_exp, y, y_exp)
     return [(math.hypot(_fro(np.where(same, x_at - y_at, x_at)), _fro(y_at[~same])), e), *norms]
@@ -610,13 +695,27 @@ def _aligned(x: np.ndarray, x_exp: int, y: np.ndarray, y_exp: int):
     return _pow2(x, x_exp - e), _pow2(y, y_exp - e), e, [(x_norm, x_exp), (y_norm, y_exp)]
 
 
+def _lined_up(a_blocks, b_blocks) -> bool:
+    """Whether two products on the same wires have as many blocks, each position covering as
+    many codomain and as many domain wires on both sides, and no wire-less scalar block."""
+    if len(a_blocks) != len(b_blocks):
+        return False
+    for a, b in zip(a_blocks, b_blocks):
+        if len(a.cod) != len(b.cod) or len(a.dom) != len(b.dom) or not (a.cod or a.dom):
+            return False
+    return True
+
+
 def _part_keys(a_blocks, b_blocks) -> list[list]:
     """For each block of two products on the same wires, the part it belongs to.
 
     The codomain and the domain wire positions are the nodes of a
     union-find, and every block, on either side, joins all of its wires.
     So each part covers the same wires on both sides, and no finer split
-    does.  Wire-less scalar blocks all get the key None.
+    does.  Wire-less scalar blocks all get the key None.  Two products
+    whose blocks line up (:func:`_lined_up`) need no such split: each
+    position is a part of its own, and ``_distance_and_norms`` pairs
+    their blocks by position.
     """
     n_cod = sum(len(b.cod) for b in a_blocks)
     root = list(range(n_cod + sum(len(b.dom) for b in a_blocks)))
@@ -643,9 +742,11 @@ def _part_keys(a_blocks, b_blocks) -> list[list]:
 def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     """``norm(x - y)``, ``norm(x)`` and ``norm(y)``, building only where ``x`` and ``y`` differ.
 
-    Of two products, a part (see :func:`_part_keys`) with the same blocks
-    on both sides is a common Kronecker factor, so it contributes only its
-    norm.  The other parts are taken together, each side's blocks in their
+    Of two products, a part with the same blocks on both sides is a common
+    Kronecker factor, so it contributes only its norm.  Where the blocks
+    line up (:func:`_lined_up`), the parts are the positions; otherwise
+    they are the finest parts that cover the same wires (:func:`_part_keys`).
+    The differing parts are taken together, each side's blocks in their
     order, which puts both sides' wires in the same order: as one function
     on each side where they hold no dense block, compared column by column
     (:func:`_function_distance`), and built densely otherwise, both at one
@@ -654,30 +755,41 @@ def _distance_and_norms(x: Morphism, y: Morphism) -> tuple[float, float, float]:
     if x.dom.factors != y.dom.factors or x.cod.factors != y.cod.factors:
         raise WireError(f"cannot compare {x.dom} -> {x.cod} with {y.dom} -> {y.cod}")
     x_blocks, y_blocks = x._blocks, y._blocks
-    keys = _part_keys(x_blocks, y_blocks)
-    parts: dict = {}
-    for side, blocks in enumerate((x_blocks, y_blocks)):
-        for blk, k in zip(blocks, keys[side]):
-            parts.setdefault(k, ([], []))[side].append(blk)
-    common, common_exp, differ = [], 0, set()
-    for k, (xs, ys) in parts.items():
-        if len(xs) == len(ys) and all(map(_same_block, xs, ys)):
-            common += map(_block_norm, xs)
-            common_exp += sum(b.exp for b in xs)
-        else:
-            differ.add(k)
-    differing = [[blk for blk, k in zip(blocks, side_keys) if k in differ]
-                 for blocks, side_keys in zip((x_blocks, y_blocks), keys)]
-    if not differ:  # every part is common: the sides are equal
-        built = [(0.0, 0), (1.0, 0), (1.0, 0)]
-    elif all(blk.array is None for side in differing for blk in side):
+    common: list[_Block] = []
+    if _lined_up(x_blocks, y_blocks):
+        differing: tuple[list, list] = ([], [])
+        for a, b in zip(x_blocks, y_blocks):
+            if _same_block(a, b):
+                common.append(a)
+            else:
+                differing[0].append(a)
+                differing[1].append(b)
+    else:
+        keys = _part_keys(x_blocks, y_blocks)
+        parts: dict = {}
+        for side, blocks in enumerate((x_blocks, y_blocks)):
+            for blk, k in zip(blocks, keys[side]):
+                parts.setdefault(k, ([], []))[side].append(blk)
+        differ = set()
+        for k, (xs, ys) in parts.items():
+            if len(xs) == len(ys) and all(map(_same_block, xs, ys)):
+                common += xs
+            else:
+                differ.add(k)
+        differing = tuple([blk for blk, k in zip(blocks, side_keys) if k in differ]
+                          for blocks, side_keys in zip((x_blocks, y_blocks), keys))
+    mantissa, exp = _mantissa_prod(map(_block_norm, common), sum(b.exp for b in common))
+    if not differing[0] and not differing[1]:  # every part is common: the sides are equal
+        norm = _finite_norms(_pow2(mantissa, exp))[0]
+        return 0.0, norm, norm
+    if all(blk.array is None for side in differing for blk in side):
         built = _function_distance(*_function_of(differing[0]), *_function_of(differing[1]))
     else:
         a, b = map(_kron, differing)
         a_exp, b_exp = (sum(blk.exp for blk in side) for side in differing)
         a_at, b_at, e, norms = _aligned(a, a_exp, b, b_exp)
         built = [(_fro(a_at - b_at), e), *norms]
-    return _finite_norms(*(_scaled_prod(common + [v], common_exp + e) for v, e in built))
+    return _finite_norms(*(_scaled_prod((v,), exp + e, mantissa) for v, e in built))
 
 
 def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
@@ -700,18 +812,22 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
     """
     out: list[_Block] = []
     i = j = 0
+    n = len(f_blocks)
     while True:
-        while i < len(f_blocks) and not f_blocks[i].cod:
+        while i < n and not f_blocks[i].cod:
             out.append(f_blocks[i])
             i += 1
         while j < len(g_blocks) and not g_blocks[j].dom:
             out.append(g_blocks[j])
             j += 1
-        if i == len(f_blocks):  # so j == len(g_blocks): both sides end on the last wire
+        if i == n:  # so j == len(g_blocks): both sides end on the last wire
             return out
-        fs, gs, f_wires, g_wires = [], [], 0, 0
-        while not fs or f_wires != g_wires:
-            if f_wires <= g_wires:
+        fs, gs = [f_blocks[i]], [g_blocks[j]]
+        f_wires, g_wires = len(fs[0].cod), len(gs[0].dom)
+        i += 1
+        j += 1
+        while f_wires != g_wires:
+            if f_wires < g_wires:
                 fs.append(f_blocks[i])
                 f_wires += len(f_blocks[i].cod)
                 i += 1
@@ -719,23 +835,28 @@ def _compose_blocks(g_blocks, f_blocks) -> list[_Block]:
                 gs.append(g_blocks[j])
                 g_wires += len(g_blocks[j].dom)
                 j += 1
-        if all(b.is_identity for b in fs):
-            out += gs
-        elif all(b.is_identity for b in gs):
-            out += fs
-        else:
-            dom = tuple(d for b in fs for d in b.dom)
-            cod = tuple(d for b in gs for d in b.cod)
-            if any(b.array is not None for b in fs + gs):
-                exp = sum(b.exp for b in fs + gs)
-                out.append(_normal(_Block(dom, cod, _einsum(gs, fs), exp=exp)))
-            elif any(b.weights is not None for b in fs + gs):  # g after f by a gather
-                (g_rows, g_weights, g_exp), (f_rows, f_weights, f_exp) = map(_function_of, (gs, fs))
-                out.append(_normal(_function_block(dom, cod, g_rows[f_rows],
-                                                   g_weights[f_rows] * f_weights, g_exp + f_exp)))
-            else:  # g's output k is f's input f_perm[g_perm[k]]
-                f_perm = _wire_perm(fs)
-                out += _crossing(dom, cod, tuple(f_perm[k] for k in _wire_perm(gs)))
+        out += _piece(gs, fs)
+
+
+def _piece(gs: list[_Block], fs: list[_Block]) -> list[_Block]:
+    """The blocks of one piece of :func:`_compose_blocks`, ``gs`` after ``fs``."""
+    if all(b.rows is None and b.array is None for b in fs):  # all identities
+        return gs
+    if all(b.rows is None and b.array is None for b in gs):
+        return fs
+    dom, cod, dense, weighted = (), (), False, False
+    for b in fs:
+        dom += b.dom
+        dense, weighted = dense or b.array is not None, weighted or b.weights is not None
+    for b in gs:
+        cod += b.cod
+        dense, weighted = dense or b.array is not None, weighted or b.weights is not None
+    if dense:
+        return [_normal(_Block(dom, cod, _einsum(gs, fs), exp=sum(b.exp for b in fs + gs)))]
+    if weighted:  # g after f by a gather
+        return [_normal(_function_block(dom, cod, *_gather(_function_of(gs), _function_of(fs))))]
+    f_perm = _wire_perm(fs)  # g's output k is f's input f_perm[g_perm[k]]
+    return _crossing(dom, cod, tuple(f_perm[k] for k in _wire_perm(gs)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -801,7 +922,9 @@ def cap(d: int) -> Morphism:
 
 
 def scalar(z: complex) -> Morphism:
-    return Morphism(UNIT, UNIT, np.array([[z]]))
+    """The 1x1 map ``z``, one wire-less function block (as the constructor keeps it)."""
+    weights = np.array([z], dtype=np.complex128)
+    return _new(UNIT, UNIT, [_normal(_function_block((), (), np.zeros(1, np.intp), weights))])
 
 
 def basis_state(d: int, i: int) -> Morphism:

@@ -351,6 +351,68 @@ def test_a_dagger_is_exact_and_kept_by_the_constructors_rule(data, dom, cod, col
         assert tensors._same_block(back._blocks[0], built_back._blocks[0])
 
 
+def dyadic_function(rng, rows: int, cols: int, distinct: bool) -> np.ndarray:
+    """A matrix with at most one nonzero entry in each column, each a small dyadic complex
+    number, so that any product of two is exact; about a third of the columns are zero.
+    With ``distinct``, no two nonzero entries share a row."""
+    arr = np.zeros((rows, cols), dtype=np.complex128)
+    live = np.flatnonzero(rng.random(cols) >= 1 / 3)
+    if distinct:
+        live = live[:rows]
+    hit = rng.permutation(rows)[:live.size] if distinct else rng.integers(0, rows, live.size)
+    parts = np.array([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0])
+    weights = rng.choice(parts, live.size) + 1j * rng.choice(parts, live.size)
+    weights[weights == 0] = 1.0
+    arr[hit, live] = weights
+    return arr
+
+
+def wire_pair(draw) -> tuple[TensorType, TensorType]:
+    return TensorType((draw(st.integers(1, 3)),)), TensorType((draw(st.integers(1, 3)),))
+
+
+@given(st.data(), st.sampled_from(("functions", "crossing first", "crossing second")),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_one_block_gather_is_the_block_kept_from_the_dense_composite(data, sides, seed):
+    rng = np.random.default_rng(seed)
+    a, b = wire_pair(data.draw)
+    dom, cod = data.draw(types()), data.draw(types())
+    if sides == "crossing first":  # a crossing, then a function block on its codomain
+        f = swap(a, b)
+        g = Morphism(f.cod, cod, dyadic_function(rng, cod.dim, f.cod.dim, False))
+    elif sides == "crossing second":
+        g = swap(a, b)
+        f = Morphism(dom, g.dom, dyadic_function(rng, g.dom.dim, dom.dim, False))
+    else:
+        f = Morphism(dom, a @ b, dyadic_function(rng, (a @ b).dim, dom.dim, False))
+        g = Morphism(a @ b, cod, dyadic_function(rng, cod.dim, (a @ b).dim, False))
+    (block,) = (f >> g)._blocks
+    want = tensors._kept(f.dom.factors, g.cod.factors, g.array @ f.array)
+    # a zero column made by a gather keeps the row it reached, and an all-zero block the
+    # exponents of its factors; the kept block has row 0 and exponent 0 there
+    zero = block.weights == 0
+    exp = 0 if zero.all() else block.exp
+    assert tensors._same_block(block._replace(rows=np.where(zero, 0, block.rows), exp=exp), want)
+
+
+@given(st.data(), types(max_len=3), types(max_len=3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_function_block_with_distinct_rows_transposes_into_the_block_kept_from_its_matrix(
+        data, dom, cod, collide, seed):
+    # with ``collide`` two nonzero entries share a row, so the transpose is a dense block
+    rng = np.random.default_rng(seed)
+    arr = dyadic_function(rng, cod.dim, dom.dim, True)
+    collide = collide and dom.dim > 1
+    if collide:
+        arr[:, :2] = 0
+        arr[rng.integers(cod.dim), :2] = [1.0, -0.5j]
+    (block,) = Morphism(dom, cod, arr)._blocks
+    (transposed,) = tensors._transpose([block])
+    assert (transposed.array is not None) == collide
+    assert tensors._same_block(transposed, tensors._kept(cod.factors, dom.factors, arr.T))
+
+
 def test_every_registry_block_is_a_function_block_exactly_when_it_has_one_nonzero_per_column():
     scope, seen = RunScope(DEFAULT_TOL), 0
     for name in names():
@@ -754,6 +816,111 @@ def test_comparisons_on_pair_of_pants_5_build_only_where_the_sides_differ(distan
     assert max(distance_builds) <= 5 ** 6  # the size of put; both sides built: 5 ** 8
 
 
+@st.composite
+def lined_up(draw, rng):
+    """Two lazy products whose blocks line up, position by position, as lists of pieces.
+
+    Each piece is an identity on one wire, a swap of two wires, or a dense
+    block, a function block, a state or an effect on drawn wires.  The
+    second list keeps it (the same block), copies it (an equal block, and a
+    function block for an identity or a swap), redraws its entries, or
+    trades it for a block of another kind on the same wires: a function
+    block for a dense one, and a dense block for any other.
+    """
+    def entries(kind, dom, cod):
+        if kind == "dense":
+            return random_matrix(rng, cod.dim, dom.dim)
+        return function_matrix(draw, rng, cod.dim, dom.dim)
+
+    def wires():
+        return TensorType(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))))
+
+    first, second = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("identity", "swap", "dense", "function", "state", "effect")))
+        if kind == "identity":
+            m = TensorType((draw(st.integers(1, 3)),)).identity()
+        elif kind == "swap":
+            m = swap(*(TensorType((draw(st.integers(1, 3)),)) for _ in range(2)))
+        else:
+            dom = UNIT if kind == "state" else wires()
+            cod = UNIT if kind == "effect" else wires()
+            m = Morphism(dom, cod, entries(kind, dom, cod))
+        how = draw(st.sampled_from(("keep", "copy", "redraw", "trade")))
+        if how == "keep":
+            n = m
+        elif how == "copy":
+            n = Morphism(m.dom, m.cod, m.array)
+        else:
+            was_dense = m._blocks[0].array is not None
+            n = Morphism(m.dom, m.cod, entries(
+                "dense" if was_dense == (how == "redraw") else "function", m.dom, m.cod))
+        first.append(m)
+        second.append(n)
+    return first, second
+
+
+def tensor_all(pieces):
+    return reduce(lambda f, g: f @ g, pieces)
+
+
+def assert_compare_matches_the_dense_oracle(x: Morphism, y: Morphism) -> None:
+    """``distance``, both norms and ``compare``'s verdict against ``np.linalg.norm`` of the
+    ``.array``s: each value within 1e-12 of its own size, the verdict away from the threshold."""
+    norms = [np.linalg.norm(x.array), np.linalg.norm(y.array)]
+    want = [np.linalg.norm(x.array - y.array), *norms]
+    got = tensors._distance_and_norms(x, y)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= AGREE * w + 1e-300, (got, want)
+    assert x.distance(y) == got[0]
+    threshold = DEFAULT_TOL.threshold(max(norms))
+    if abs(want[0] - threshold) > 1e-6 * threshold:
+        assert tensors.compare(x, y).holds == (want[0] <= threshold)
+
+
+@given(st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lined_up_products_compare_by_position_as_the_dense_oracle(data, seed):
+    rng = np.random.default_rng(seed)
+    first, second = data.draw(lined_up(rng))
+    x, y = tensor_all(first), tensor_all(second)
+    assert tensors._lined_up(x._blocks, y._blocks)
+    assert_compare_matches_the_dense_oracle(x, y)
+    if all(m is n for m, n in zip(first, second)):
+        assert x.distance(y) == 0.0
+
+
+@given(st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_scalars_and_reordered_states_and_effects_keep_the_part_split(data, seed):
+    # a wire-less scalar, or a state and an effect in either order, breaks the line-up
+    rng = np.random.default_rng(seed)
+    first, second = data.draw(lined_up(rng))
+    z = complex(*rng.standard_normal(2))
+    if data.draw(st.booleans()):
+        first, second = first + [scalar(z)], second + [scalar(data.draw(st.sampled_from(
+            [z, 2 * z, -z])))]
+    else:
+        state, effect = (Morphism(*sides, random_matrix(rng, sides[1].dim, sides[0].dim))
+                         for sides in ((UNIT, TensorType((2,))), (TensorType((3,)), UNIT)))
+        first, second = first + [state, effect], second + [effect, state]
+    x, y = tensor_all(first), tensor_all(second)
+    assert_compare_matches_the_dense_oracle(x, y)
+    assert not tensors._lined_up(x._blocks, y._blocks)
+
+
+def test_sides_that_differ_by_one_ulp_of_a_scalar_are_compared_as_the_oracle():
+    # the scalars of each side are one part, as in the dense product: 3 * (1 + 2**-52) rounds
+    # up to 3 + 2**-50, so the oracle reads 2**-50 * sqrt(2); factoring the common 3 out of
+    # the scalar pair by position would read 3 * 2**-52 * sqrt(2)
+    wire = TensorType((2,)).identity()
+    x = scalar(3.0) @ wire @ scalar(1.0)
+    y = scalar(3.0) @ wire @ scalar(1.0 + 2.0**-52)
+    assert_compare_matches_the_dense_oracle(x, y)
+    assert x.distance(y) == 2.0**-50 * math.sqrt(2)
+    assert not tensors._lined_up(x._blocks, y._blocks)
+
+
 def test_overflowing_products_still_raise():
     t = TensorType((2,))
     big = Morphism(t, t, np.full((2, 2), 1e103))
@@ -1071,6 +1238,25 @@ def test_the_measurement_family_builds_nothing_wider_than_put(largest_build):
 def test_check_all_builds_no_matrix_over_4096_entries(largest_build, capsys):
     assert main(["check", "--all"]) == 0
     assert 0 < largest_build[0] <= 4096  # qutrit_measurement's composites held densely: 59 049
+
+
+def test_check_all_builds_its_largest_matrix_at_the_contraction_and_checks_it(monkeypatch, capsys):
+    # every registry entry: the largest dense matrix (4 096 entries) is made by _kron and passes
+    # _finite, the one check every block and matrix passes; a path that skips _finite, or
+    # builds more, moves one of the two readings
+    sizes = dict.fromkeys(("_kron", "_finite"), 0)
+
+    def recording(name, fn):
+        def run(arg):
+            out = fn(arg)
+            sizes[name] = max(sizes[name], out.size)
+            return out
+        return run
+
+    for name in sizes:
+        monkeypatch.setattr(tensors, name, recording(name, getattr(tensors, name)))
+    assert main(["check", "--all"]) == 0
+    assert sizes == {"_kron": 4096, "_finite": 4096}
 
 
 def test_pair_of_pants_6_runs_under_the_default_caps():
